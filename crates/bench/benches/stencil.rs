@@ -1,10 +1,9 @@
-//! Micro-benchmark of the execution backends (row engine and explicit-lane
-//! engine) vs the per-point reference sweeps, per kernel x transform, plus
-//! K-slab thread scaling.
+//! Micro-benchmark of the row-segment engine vs the per-point reference
+//! sweeps, per kernel x transform, plus K-slab thread scaling and the
+//! temporal (time-skewed) A/B.
 //!
-//! Emits `BENCH_stencil.json` at the repository root: GFLOP/s per arm, an
-//! engine-vs-per-point speedup and a `lane_vs_row_*` backend speedup per
-//! kernel x transform. Sizes are cache-resident by default so the
+//! Emits `BENCH_stencil.json` at the repository root: GFLOP/s per arm and
+//! an engine-vs-per-point speedup per kernel x transform. Sizes are cache-resident by default so the
 //! comparison isolates loop overhead (bounds checks, per-point dispatch,
 //! vectorization) rather than DRAM bandwidth. Every timed arm is guarded
 //! by a bitwise golden gate against the per-point reference first.
@@ -17,9 +16,9 @@
 
 use std::hint::black_box;
 
-use tiling3d_bench::microbench::{run, run_trio, to_json, Measurement};
+use tiling3d_bench::microbench::{run, run_pair, to_json, Measurement};
 use tiling3d_bench::{plan_for, SimPool, SweepConfig};
-use tiling3d_core::{plan_temporal, CacheSpec, ExecBackend, TemporalKernel, Transform};
+use tiling3d_core::{plan_temporal, CacheSpec, TemporalKernel, Transform};
 use tiling3d_grid::{fill_random, Array3};
 use tiling3d_loopnest::TileDims;
 use tiling3d_stencil::kernels::{Kernel, KernelState};
@@ -50,14 +49,6 @@ fn run_reference(kernel: Kernel, state: &mut KernelState, tile: Option<(usize, u
     }
 }
 
-fn out_of(state: &KernelState) -> &tiling3d_grid::Array3<f64> {
-    match state {
-        KernelState::Jacobi { a, .. } => a,
-        KernelState::RedBlack { a } => a,
-        KernelState::Resid { r, .. } => r,
-    }
-}
-
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let quick = args.iter().any(|a| a == "--quick");
@@ -83,55 +74,35 @@ fn main() {
         for t in [Transform::Orig, Transform::GcdPad] {
             let p = plan_for(&cfg, kernel, t, n);
 
-            // Cross-backend golden guard before timing: the row engine,
-            // the lane engine, and the per-point reference, each run from
-            // identical state, must agree bitwise.
+            // Golden guard before timing: the row engine and the per-point
+            // reference, run from identical state, must agree bitwise.
             let mut eng_check = kernel.make_state(n, nk, &p, 0x5EED);
-            let mut lane_check = eng_check.clone();
             let mut ref_check = eng_check.clone();
             kernel.run(&mut eng_check, p.tile);
-            kernel.run_with(&mut lane_check, p.tile, ExecBackend::Lane);
             run_reference(kernel, &mut ref_check, p.tile);
             assert!(
-                out_of(&eng_check).logical_eq(out_of(&ref_check)),
+                eng_check.output().logical_eq(ref_check.output()),
                 "{}/{}: row engine diverged from per-point reference",
-                kernel.name(),
-                t.name()
-            );
-            assert!(
-                out_of(&lane_check).logical_eq(out_of(&ref_check)),
-                "{}/{}: lane engine diverged from per-point reference",
                 kernel.name(),
                 t.name()
             );
 
             let mut eng_state = kernel.make_state(n, nk, &p, 0x5EED);
             let mut ref_state = eng_state.clone();
-            let mut lane_state = eng_state.clone();
-            // One interleaved window for all three arms: the lane-vs-row
-            // margin is smaller than cross-window load drift.
-            let [eng, reference, lane] = run_trio(
-                [
-                    &format!("{}/{}/engine", kernel.name(), t.name()),
-                    &format!("{}/{}/perpoint", kernel.name(), t.name()),
-                    &format!("{}/{}/lane", kernel.name(), t.name()),
-                ],
+            let (eng, reference) = run_pair(
+                &format!("{}/{}/engine", kernel.name(), t.name()),
+                &format!("{}/{}/perpoint", kernel.name(), t.name()),
                 Some(flops),
                 || kernel.run(black_box(&mut eng_state), p.tile),
                 || run_reference(kernel, black_box(&mut ref_state), p.tile),
-                || kernel.run_with(black_box(&mut lane_state), p.tile, ExecBackend::Lane),
             );
             let key = format!("{}_{}", kernel.name(), t.name());
             if let (Some(fast), Some(slow)) = (eng.per_sec(), reference.per_sec()) {
                 derived.push((format!("speedup_{key}"), fast / slow));
                 derived.push((format!("gflops_{key}_engine"), fast / 1e9));
                 derived.push((format!("gflops_{key}_perpoint"), slow / 1e9));
-                if let Some(lv) = lane.per_sec() {
-                    derived.push((format!("gflops_{key}_lane"), lv / 1e9));
-                    derived.push((format!("lane_vs_row_{key}"), lv / fast));
-                }
             }
-            results.extend([eng, reference, lane]);
+            results.extend([eng, reference]);
         }
 
         // K-slab thread scaling on the tiled plan, all three kernels
@@ -272,9 +243,9 @@ fn main() {
         }
     }
 
-    println!("\nderived (backends vs per-point reference, GFLOP/s):");
+    println!("\nderived (engine vs per-point reference, GFLOP/s):");
     for (k, v) in &derived {
-        if k.starts_with("speedup") || k.starts_with("lane_vs_row") {
+        if k.starts_with("speedup") {
             println!("  {k:<42}{v:>8.2}x");
         } else {
             println!("  {k:<42}{v:>8.2}");

@@ -79,8 +79,6 @@ fn main() {
         println!(
             "(modeled from simulated misses at UltraSparc2-era penalties; see EXPERIMENTS.md)"
         );
-    } else if cfg.backend != tiling3d_core::ExecBackend::Row {
-        println!("(execution backend: {})", cfg.backend.name());
     }
     let mut report = SweepReport::default();
     let perf = if flags.switch("--parallel") {

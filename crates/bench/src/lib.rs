@@ -39,7 +39,7 @@ use fault::FaultPlan;
 pub use pool::SimPool;
 pub use supervise::{SupervisePolicy, SweepError};
 use tiling3d_cachesim::{CacheConfig, Hierarchy, Throughput, ThroughputTimer};
-use tiling3d_core::{CacheSpec, ExecBackend, Transform, TransformPlan};
+use tiling3d_core::{CacheSpec, Transform, TransformPlan};
 use tiling3d_grid::health;
 use tiling3d_obs as obs;
 use tiling3d_obs::flags::{FlagSpec, ParsedFlags};
@@ -67,11 +67,6 @@ pub struct SweepConfig {
     /// bit-identical for every value — see DESIGN.md. Wall-clock MFlops
     /// measurement always runs sequentially regardless.
     pub jobs: usize,
-    /// Execution backend for the wall-clock MFlops measurements (row-engine,
-    /// explicit-lane, or a measured per-kernel choice). Every backend is
-    /// bitwise identical to the reference, so this never changes simulated
-    /// or modeled numbers — only measured throughput.
-    pub backend: ExecBackend,
 }
 
 impl Default for SweepConfig {
@@ -85,7 +80,6 @@ impl Default for SweepConfig {
             l2: CacheConfig::ULTRASPARC2_L2,
             reps: 3,
             jobs: 0,
-            backend: ExecBackend::Row,
         }
     }
 }
@@ -102,20 +96,11 @@ impl SweepConfig {
         FlagSpec::usize("--nk", Some("30"), "third-dimension extent"),
         FlagSpec::usize("--reps", Some("3"), "timed repetitions per MFlops point"),
         FlagSpec::usize("--jobs", Some("0"), "simulation workers (0 = one per core)"),
-        FlagSpec::str(
-            "--backend",
-            Some("row"),
-            "execution backend for measured MFlops: row | lane | auto",
-        ),
     ];
 
     /// Builds a sweep config from parsed flags, reading whichever of the
     /// shared sweep flags the command declared (undeclared ones keep the
     /// [`SweepConfig::default`] value).
-    ///
-    /// # Panics
-    /// Panics if `--backend` names an unknown backend (the flag layer
-    /// validates numeric flags at parse time; string enums validate here).
     pub fn from_flags(flags: &ParsedFlags) -> Self {
         let d = SweepConfig::default();
         let get = |name: &str, fallback: usize| flags.opt_usize(name).unwrap_or(fallback);
@@ -126,10 +111,6 @@ impl SweepConfig {
             nk: get("--nk", d.nk),
             reps: get("--reps", d.reps),
             jobs: get("--jobs", d.jobs),
-            backend: flags
-                .opt_str("--backend")
-                .map(|s| s.parse().unwrap_or_else(|e| panic!("{e}")))
-                .unwrap_or(d.backend),
             ..d
         }
     }
@@ -534,17 +515,16 @@ pub fn simulate_misses(cfg: &SweepConfig, kernel: Kernel, t: Transform, n: usize
 }
 
 /// One measured data point: sustained MFlops of the kernel under the given
-/// transformation (best of `cfg.reps` timed sweeps after one warm-up),
-/// executed on `cfg.backend`.
+/// transformation (best of `cfg.reps` timed sweeps after one warm-up).
 pub fn measure_mflops(cfg: &SweepConfig, kernel: Kernel, t: Transform, n: usize) -> f64 {
     let p = plan_for(cfg, kernel, t, n);
     let mut state = kernel.make_state(n, cfg.nk, &p, 0x5EED);
-    kernel.run_with(&mut state, p.tile, cfg.backend); // warm-up (and page-in)
+    kernel.run(&mut state, p.tile); // warm-up (and page-in)
     let flops = kernel.sweep_flops(n, cfg.nk) as f64;
     let mut best = f64::INFINITY;
     for _ in 0..cfg.reps.max(1) {
         let t0 = Instant::now();
-        kernel.run_with(&mut state, p.tile, cfg.backend);
+        kernel.run(&mut state, p.tile);
         best = best.min(t0.elapsed().as_secs_f64());
     }
     flops / best / 1e6
@@ -564,12 +544,12 @@ pub fn measure_mflops_parallel(
     let threads = SimPool::new(threads).jobs();
     let p = plan_for(cfg, kernel, t, n);
     let mut state = kernel.make_state(n, cfg.nk, &p, 0x5EED);
-    kernel.run_parallel_with(&mut state, p.tile, threads, cfg.backend); // warm-up (and page-in)
+    kernel.run_parallel(&mut state, p.tile, threads); // warm-up (and page-in)
     let flops = kernel.sweep_flops(n, cfg.nk) as f64;
     let mut best = f64::INFINITY;
     for _ in 0..cfg.reps.max(1) {
         let t0 = Instant::now();
-        kernel.run_parallel_with(&mut state, p.tile, threads, cfg.backend);
+        kernel.run_parallel(&mut state, p.tile, threads);
         best = best.min(t0.elapsed().as_secs_f64());
     }
     flops / best / 1e6
@@ -591,7 +571,7 @@ pub fn measure_mflops_checked(
     let poison = fault.is_some_and(|f| f.inject(&key));
     let p = plan_for(cfg, kernel, t, n);
     let mut state = kernel.make_state(n, cfg.nk, &p, 0x5EED);
-    kernel.run_with(&mut state, p.tile, cfg.backend); // warm-up (and page-in)
+    kernel.run(&mut state, p.tile); // warm-up (and page-in)
     if poison {
         fault
             .expect("poison implies a plan")
@@ -604,7 +584,7 @@ pub fn measure_mflops_checked(
     let mut best = f64::INFINITY;
     for _ in 0..cfg.reps.max(1) {
         let t0 = Instant::now();
-        kernel.run_with(&mut state, p.tile, cfg.backend);
+        kernel.run(&mut state, p.tile);
         best = best.min(t0.elapsed().as_secs_f64());
     }
     Ok(flops / best / 1e6)
@@ -1002,18 +982,6 @@ mod tests {
     }
 
     #[test]
-    fn measure_mflops_runs_on_every_backend() {
-        for backend in [ExecBackend::Row, ExecBackend::Lane, ExecBackend::Auto] {
-            let cfg = SweepConfig {
-                backend,
-                ..small_cfg()
-            };
-            let m = measure_mflops(&cfg, Kernel::RedBlack, Transform::GcdPad, 64);
-            assert!(m > 0.0, "{}", backend.name());
-        }
-    }
-
-    #[test]
     fn sweep_result_means() {
         let r = SweepResult {
             metric: "x",
@@ -1031,7 +999,7 @@ mod tests {
             f.push(FlagSpec::switch("--csv", "emit csv"));
             f
         });
-        let args: Vec<String> = ["resid", "--min", "400", "--csv", "--backend", "lane"]
+        let args: Vec<String> = ["resid", "--min", "400", "--csv"]
             .iter()
             .map(ToString::to_string)
             .collect();
@@ -1040,7 +1008,6 @@ mod tests {
         assert_eq!(cfg.n_min, 400);
         assert_eq!(cfg.n_max, 400); // declared default
         assert_eq!(cfg.nk, 30);
-        assert_eq!(cfg.backend, ExecBackend::Lane);
         assert!(flags.switch("--csv"));
         assert_eq!(
             flags.positional().unwrap().parse::<Kernel>().unwrap(),

@@ -128,63 +128,6 @@ pub fn run_pair<A: FnMut(), B: FnMut()>(
     (ma, mb)
 }
 
-/// [`run_pair`] for three arms: one interleaved A/B/C window, so every
-/// ratio taken between the three (engine vs reference, lane vs row) sees
-/// the same load drift. Used by the backend A/B benches, where the
-/// lane-vs-row margin is far smaller than cross-window wobble.
-pub fn run_trio<A: FnMut(), B: FnMut(), C: FnMut()>(
-    names: [&str; 3],
-    elements: Option<u64>,
-    mut a: A,
-    mut b: B,
-    mut c: C,
-) -> [Measurement; 3] {
-    let calibrate = |once: Duration| {
-        let target = Duration::from_millis(100);
-        (target.as_nanos() / once.max(Duration::from_nanos(1)).as_nanos()).clamp(1, 1_000_000)
-            as u32
-    };
-    let t0 = Instant::now();
-    a();
-    let iters_a = calibrate(t0.elapsed());
-    let t0 = Instant::now();
-    b();
-    let iters_b = calibrate(t0.elapsed());
-    let t0 = Instant::now();
-    c();
-    let iters_c = calibrate(t0.elapsed());
-
-    let mut best = [Duration::MAX; 3];
-    for _ in 0..5 {
-        let t = Instant::now();
-        for _ in 0..iters_a {
-            a();
-        }
-        best[0] = best[0].min(t.elapsed() / iters_a);
-        let t = Instant::now();
-        for _ in 0..iters_b {
-            b();
-        }
-        best[1] = best[1].min(t.elapsed() / iters_b);
-        let t = Instant::now();
-        for _ in 0..iters_c {
-            c();
-        }
-        best[2] = best[2].min(t.elapsed() / iters_c);
-    }
-    let iters = [iters_a, iters_b, iters_c];
-    let out = [0, 1, 2].map(|i| Measurement {
-        name: names[i].to_string(),
-        iters: iters[i],
-        best: best[i],
-        elements,
-    });
-    for m in &out {
-        println!("{}", m.report());
-    }
-    out
-}
-
 /// Serializes measurements as a JSON array of
 /// `{name, ns_per_iter, elements, per_sec}` objects (no external JSON
 /// dependency; names are known identifiers, so plain escaping of `"` and

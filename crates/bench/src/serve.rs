@@ -17,7 +17,7 @@
 //!   boot always succeeds;
 //! * a **batch endpoint** (send a JSON array of requests, get one
 //!   `batch_response` line);
-//! * an optional **measured-A/B autotune** path (`"autotune": true`) that
+//! * an optional **measured autotune** path (`"autotune": true`) that
 //!   augments the static `missmodel`-ranked plan table with a timed
 //!   row-engine run per transform;
 //! * **obs instrumentation**: `serve.hit`/`serve.miss`/`serve.shed`/
@@ -54,9 +54,7 @@ use std::sync::{Arc, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
 
-use tiling3d_core::api::{
-    self, ExecBackend, PlanQuery, PlanRequest, PlanResponse, ReqStencil, API_VERSION,
-};
+use tiling3d_core::api::{self, PlanQuery, PlanRequest, PlanResponse, ReqStencil, API_VERSION};
 use tiling3d_obs as obs;
 use tiling3d_obs::json::{self, Json};
 use tiling3d_stencil::kernels::Kernel;
@@ -657,13 +655,11 @@ fn salvage_warm(path: &Path) -> Result<Option<PathBuf>, String> {
     Ok(Some(quarantine))
 }
 
-/// The measured-A/B autotune path: plan as usual, then time one sweep per
-/// transform on **each execution backend** (row engine and explicit-lane
-/// engine) and report modeled-vs-measured winners alongside the static
-/// table. The winning backend of the best measured row is recorded as the
-/// payload's `backend` field, so the choice round-trips through the golden
-/// wire schema. Bounded to modest problems so a stray request cannot pin
-/// the server: `di == dj <= 512`, `3 <= nk <= 64`.
+/// The measured autotune path: plan as usual, then time one sweep per
+/// transform and report the measured MFLOP/s table and the
+/// modeled-vs-measured winners alongside the static table. Bounded to
+/// modest problems so a stray request cannot pin the server:
+/// `di == dj <= 512`, `3 <= nk <= 64`.
 fn autotune_envelope(req: &PlanRequest, key: &str) -> Result<String, String> {
     if req.query != PlanQuery::Plan {
         return Err("autotune requires query 'plan'".to_string());
@@ -680,54 +676,41 @@ fn autotune_envelope(req: &PlanRequest, key: &str) -> Result<String, String> {
         ReqStencil::Resid => Kernel::Resid,
         ReqStencil::Jacobi2d => return Err("autotune has no 2D row engine".to_string()),
     };
-    let mut resp = api::respond(req)?;
+    let resp = api::respond(req)?;
     let PlanResponse::Plans(table) = &resp else {
         return Err("autotune requires query 'plan'".to_string());
     };
-    let rows = table.rows.clone();
     let flops = kernel.sweep_flops(req.di, req.nk) as f64;
     let mut measured = Vec::new();
-    let mut best_measured: Option<(&'static str, ExecBackend, f64)> = None;
-    for row in &rows {
+    let mut best_measured: Option<(&'static str, f64)> = None;
+    for row in &table.rows {
         let mut state = kernel.make_state(req.di, req.nk, row, 1);
         kernel.run(&mut state, row.tile); // warm the arrays and the cache
-                                          // A/B both backends on the warmed state; the per-row winner is the
-                                          // faster of the two (results are bitwise identical either way).
-        let mut row_best = (ExecBackend::Row, 0.0f64);
-        for backend in [ExecBackend::Row, ExecBackend::Lane] {
-            let t0 = Instant::now();
-            kernel.run_with(&mut state, row.tile, backend);
-            let secs = t0.elapsed().as_secs_f64().max(1e-9);
-            let mflops = flops / secs / 1e6;
-            if mflops > row_best.1 {
-                row_best = (backend, mflops);
-            }
-        }
-        let (backend, mflops) = row_best;
-        if best_measured.is_none_or(|(_, _, best)| mflops > best) {
-            best_measured = Some((row.transform.name(), backend, mflops));
+        let t0 = Instant::now();
+        kernel.run(&mut state, row.tile);
+        let mflops = flops / t0.elapsed().as_secs_f64().max(1e-9) / 1e6;
+        if best_measured.is_none_or(|(_, best)| mflops > best) {
+            best_measured = Some((row.transform.name(), mflops));
         }
         measured.push(Json::obj(vec![
             ("transform", Json::str(row.transform.name())),
-            ("backend", Json::str(backend.name())),
             ("mflops", Json::Num((mflops * 10.0).round() / 10.0)),
         ]));
     }
-    let best_modeled = rows
+    let best_modeled = table
+        .rows
         .iter()
         .filter(|r| r.cost.is_finite())
         .min_by(|a, b| a.cost.total_cmp(&b.cost))
         .map_or("Orig", |r| r.transform.name());
-    let (best_transform, best_backend) =
-        best_measured.map_or(("Orig", ExecBackend::Row), |(t, b, _)| (t, b));
     let tune = Json::obj(vec![
         ("measured", Json::Arr(measured)),
         ("best_modeled", Json::str(best_modeled)),
-        ("best_measured", Json::str(best_transform)),
+        (
+            "best_measured",
+            Json::str(best_measured.map_or("Orig", |(t, _)| t)),
+        ),
     ]);
-    if let PlanResponse::Plans(table) = &mut resp {
-        table.backend = Some(best_backend);
-    }
     let mut payload = resp.to_json();
     let Json::Obj(fields) = &mut payload else {
         unreachable!("responses render as objects");
@@ -1305,17 +1288,15 @@ mod tests {
         let result = v.get("result").expect("envelope has result");
         let tune = result.get("autotune").expect("autotune section");
         assert!(tune.get("best_measured").is_some());
-        // The winning backend is recorded on the payload itself (the
-        // `backend?:str` field of the golden plan_response schema) and on
-        // every measured row.
-        let backend = result.get("backend").and_then(Json::as_str).unwrap();
-        assert!(["row", "lane"].contains(&backend), "{backend}");
+        // One engine: neither the payload nor a measured row names one.
+        assert!(result.get("backend").is_none(), "{r}");
         let Some(Json::Arr(rows)) = tune.get("measured") else {
             panic!("measured rows");
         };
+        assert!(!rows.is_empty());
         for row in rows {
-            let b = row.get("backend").and_then(Json::as_str).unwrap();
-            assert!(["row", "lane"].contains(&b), "{b}");
+            assert!(row.get("backend").is_none(), "{r}");
+            assert!(row.get("mflops").and_then(Json::as_f64).unwrap() > 0.0);
         }
         assert!(v
             .get("key")

@@ -9,11 +9,11 @@
 //! tiling3d plan        --stencil jacobi3d --dims 341x341 [--cache-kb 16] [--steps T --jobs N]
 //! tiling3d tiles       --di 200 --dj 200 [--cache 2048] [--tkmax 4]
 //! tiling3d advise      --stencil jacobi3d --n 300 [--cache-kb 16] [--steps T --jobs N]
-//! tiling3d simulate    --kernel resid --n 341 [--nk 30] [--transform gcdpad|all] [--jobs N] [--steps T] [--tlb] [--backend row|lane|auto]
+//! tiling3d simulate    --kernel resid --n 341 [--nk 30] [--transform gcdpad|all] [--jobs N] [--steps T] [--tlb]
 //! tiling3d predict     --kernel jacobi --n 280 [--nk 30] [--tile 30x14]
 //! tiling3d analyze     --kernel redblack [--transform gcdpad|all] [--n 200] [--no-skew] [--temporal] [--locality]
 //! tiling3d oracle      --kernel jacobi --n 120 [--nk 20] [--transform all] [--geometry us2|modern|fa]
-//! tiling3d measure     --kernel redblack --n 192 [--nk 30] [--transform orig] [--reps 3] [--jobs N] [--backend row|lane|auto]
+//! tiling3d measure     --kernel redblack --n 192 [--nk 30] [--transform orig] [--reps 3] [--jobs N]
 //! tiling3d profile     --kernel jacobi --n 64 [--nk 30] [--jobs N] [--trace-out t.jsonl] [--steps T]
 //! tiling3d chaos       [--kernel jacobi] [--min 40 --max 56 --step 8 --nk 8] [--seed 42] [--faults 2] [--jobs N] [--serve --rounds 8]
 //! tiling3d trace-check trace.jsonl [--schema schema.golden]
@@ -91,20 +91,16 @@
 //! walks that read PTEs *through* the caches, and the report separates
 //! walk traffic from program traffic.
 //!
-//! `measure` wall-clocks one execution backend at one size (`--backend
-//! row|lane|auto` selects the row-segment engine, the explicit-lane SIMD
-//! engine, or a measured per-kernel probe): sequential GFLOP/s plus the
-//! K-slab parallel sweep across `--jobs` threads, after asserting the
-//! parallel result is bitwise identical to the sequential one and a
-//! non-row backend is bitwise identical to the row engine (both are hard
-//! guarantees, so a mismatch is an error, not a warning). `simulate
-//! --backend` runs the same cross-backend bitwise gate before the replay;
-//! the simulated miss rates themselves are backend-independent.
+//! `measure` wall-clocks one kernel at one size on the row-segment
+//! engine: sequential GFLOP/s plus the K-slab parallel sweep across
+//! `--jobs` threads, after asserting the parallel result is bitwise
+//! identical to the sequential one (a hard guarantee, so a mismatch is an
+//! error, not a warning).
 //!
 //! `profile` runs the planning + simulation pipeline at a single size with
-//! collection forced on, then one parallel compute sweep per execution
-//! backend under `compute:<KERNEL>:<backend>` spans (red-black shows its
-//! `redblack:red` / `redblack:black` colour phases as children), and prints the span tree
+//! collection forced on, then one parallel compute sweep under a
+//! `compute:<KERNEL>` span (red-black shows its `redblack:red` /
+//! `redblack:black` colour phases as children), and prints the span tree
 //! with per-phase wall-clock percentages (plus the final metric
 //! registry); `trace-check` validates a
 //! JSONL trace file against the checked-in golden schema — the CI gate for
@@ -128,8 +124,7 @@ use tiling3d_bench::{
 };
 use tiling3d_cachesim::{AccessSink, CacheConfig, Hierarchy, MmuHierarchy, Tlb};
 use tiling3d_core::api::{
-    respond, ExecBackend, GeometryPreset, PlanQuery, PlanRequest, PlanResponse, ReqStencil,
-    TransformSel,
+    respond, GeometryPreset, PlanQuery, PlanRequest, PlanResponse, ReqStencil, TransformSel,
 };
 use tiling3d_core::nonconflict::enumerate_array_tiles;
 use tiling3d_core::predict::{predict_tiled, predict_untiled, SweepSpec};
@@ -289,11 +284,6 @@ const STEPS_FLAG: FlagSpec = FlagSpec::usize(
     "--steps",
     Some("0"),
     "iterated time steps: engage the temporal (T, K) tiling mode",
-);
-const BACKEND_FLAG: FlagSpec = FlagSpec::str(
-    "--backend",
-    Some("row"),
-    "execution backend: row | lane | auto",
 );
 
 fn kernel(flags: &ParsedFlags) -> Result<Kernel, String> {
@@ -628,7 +618,6 @@ fn simulate_flags() -> FlagSet {
         ),
         JOBS_FLAG,
         STEPS_FLAG,
-        BACKEND_FLAG,
         FlagSpec::switch(
             "--tlb",
             "simulate the 64-entry/8KB data TLB with page-walk reads through the caches",
@@ -650,22 +639,10 @@ fn cmd_simulate(flags: &ParsedFlags) -> Result<String, String> {
         return Err("simulate requires --n >= 3".into());
     }
     let nk = flags.usize("--nk");
-    let backend: ExecBackend = flags.parse_str("--backend")?;
     let cache = cache_spec(flags);
     let l1 = CacheConfig::direct_mapped(cache.elements * 8, flags.usize("--line"));
     l1.validate()
         .map_err(|e| format!("bad cache geometry: {e}"))?;
-    if backend != ExecBackend::Row
-        && (flags.usize("--steps") > 0
-            || flags.switch("--tlb")
-            || flags.str("--transform").eq_ignore_ascii_case("all"))
-    {
-        return Err(
-            "simulate: --backend applies to the single-transform replay only \
-             (simulated metrics are backend-independent)"
-                .into(),
-        );
-    }
     if flags.usize("--steps") > 0 {
         if flags.switch("--tlb") {
             return Err("simulate: --tlb does not combine with --steps (temporal mode)".into());
@@ -692,32 +669,9 @@ fn cmd_simulate(flags: &ParsedFlags) -> Result<String, String> {
     })
     .map_err(|e| format!("simulate: {} at N = {n} failed: {e}", t.name()))?;
 
-    // Simulated metrics are backend-independent (the trace is the access
-    // pattern, not the instruction schedule), so a non-default backend is
-    // *verified* rather than traced: one compute sweep on the selected
-    // engine must reproduce the row engine bitwise on the exact planned
-    // geometry.
-    let mut backend_note = String::new();
-    if backend != ExecBackend::Row {
-        let mut row = kernel.make_state(n, nk, &p, 0x5EED);
-        let mut alt = row.clone();
-        kernel.run(&mut row, p.tile);
-        kernel.run_with(&mut alt, p.tile, backend);
-        if !state_out(&row).logical_eq(state_out(&alt)) {
-            return Err(format!(
-                "simulate: {} backend diverged from the row engine at N = {n}",
-                backend.name()
-            ));
-        }
-        backend_note = format!(
-            "backend {}: compute sweep verified bitwise against the row engine \
-             (simulated misses are backend-independent)\n",
-            backend.name()
-        );
-    }
     Ok(format!(
         "{} {n}x{n}x{nk} under {}: tile {:?}, dims {}x{}\n\
-         L1 miss rate {:.2}% ({} misses / {} accesses); L2 miss rate {:.2}%\n{backend_note}",
+         L1 miss rate {:.2}% ({} misses / {} accesses); L2 miss rate {:.2}%\n",
         kernel.name(),
         t.name(),
         p.tile,
@@ -1590,24 +1544,21 @@ fn measure_flags() -> FlagSet {
         ),
         FlagSpec::usize("--reps", Some("3"), "timed repetitions (best-of)"),
         JOBS_FLAG,
-        BACKEND_FLAG,
     ];
     flags.extend_from_slice(policy_flags());
     FlagSet::new(
         "tiling3d measure",
-        "wall-clock one backend's sweep, sequential vs K-slab parallel",
+        "wall-clock one kernel's sweep, sequential vs K-slab parallel",
         None,
         &flags,
     )
 }
 
-/// `measure`: wall-clocks one kernel at one size on the selected
-/// execution backend — the sequential sweep and the K-slab parallel sweep
-/// across `--jobs` threads. Before timing, the parallel result is checked
-/// bitwise against the sequential one from identical initial state
-/// (jobs-invariance is a hard guarantee of the engine, so any divergence
-/// is an `Err`, not a warning), and a non-row `--backend` is additionally
-/// checked bitwise against the row engine.
+/// `measure`: wall-clocks one kernel at one size — the sequential sweep
+/// and the K-slab parallel sweep across `--jobs` threads. Before timing,
+/// the parallel result is checked bitwise against the sequential one from
+/// identical initial state (jobs-invariance is a hard guarantee of the
+/// engine, so any divergence is an `Err`, not a warning).
 fn cmd_measure(flags: &ParsedFlags) -> Result<String, String> {
     let kernel = kernel(flags)?;
     let n = flags.usize("--n");
@@ -1615,7 +1566,6 @@ fn cmd_measure(flags: &ParsedFlags) -> Result<String, String> {
         return Err("measure requires --n >= 3".into());
     }
     let t: Transform = flags.str("--transform").parse()?;
-    let backend: ExecBackend = flags.parse_str("--backend")?;
     let cfg = SweepConfig {
         n_min: n,
         n_max: n,
@@ -1623,38 +1573,23 @@ fn cmd_measure(flags: &ParsedFlags) -> Result<String, String> {
         nk: flags.usize("--nk"),
         reps: flags.usize("--reps").max(1),
         jobs: flags.usize("--jobs"),
-        backend,
         ..SweepConfig::default()
     };
     let jobs = cfg.pool().jobs();
     let p = tiling3d_bench::plan_for(&cfg, kernel, t, n);
 
     // Jobs-invariance gate: the parallel sweep must reproduce the
-    // sequential sweep bit for bit from the same initial state — on the
-    // selected backend, so the gate covers what the timed arms will run.
+    // sequential sweep bit for bit from the same initial state.
     let mut seq = kernel.make_state(n, cfg.nk, &p, 0x5EED);
     let mut par = seq.clone();
-    kernel.run_with(&mut seq, p.tile, backend);
-    kernel.run_parallel_with(&mut par, p.tile, jobs, backend);
-    if !state_out(&seq).logical_eq(state_out(&par)) {
+    kernel.run(&mut seq, p.tile);
+    kernel.run_parallel(&mut par, p.tile, jobs);
+    if !seq.output().logical_eq(par.output()) {
         return Err(format!(
             "measure: parallel {} sweep diverged from sequential at N = {n}, --jobs {jobs}",
             kernel.name()
         ));
     }
-    // Cross-backend gate: a non-row backend must also reproduce the row
-    // engine bitwise, so the timing comparison is between equal answers.
-    if backend != ExecBackend::Row {
-        let mut row = kernel.make_state(n, cfg.nk, &p, 0x5EED);
-        kernel.run(&mut row, p.tile);
-        if !state_out(&row).logical_eq(state_out(&seq)) {
-            return Err(format!(
-                "measure: {} backend diverged from the row engine at N = {n}",
-                backend.name()
-            ));
-        }
-    }
-
     // The timed arms run under the supervision path: panic-isolated,
     // retried, deadline-checked, and health-scanned (the sequential arm
     // goes through `measure_mflops_checked`, which scans the output grid
@@ -1677,22 +1612,15 @@ fn cmd_measure(flags: &ParsedFlags) -> Result<String, String> {
     })
     .map_err(|e| format!("measure: parallel arm failed: {e}"))?;
     let mut out = format!(
-        "measure: {} {n}x{n}x{} ({}, {}, backend {}), {:.0} MFlop/sweep\n",
+        "measure: {} {n}x{n}x{} ({}, {}), {:.0} MFlop/sweep\n",
         kernel.name(),
         cfg.nk,
         t.name(),
         p.tile
             .map_or("untiled".into(), |(a, b)| format!("tile {a}x{b}")),
-        backend.name(),
         flops / 1e6,
     );
-    if backend == ExecBackend::Row {
-        out.push_str("parallel result verified bitwise against sequential\n\n");
-    } else {
-        out.push_str(
-            "parallel result verified bitwise against sequential; backend verified bitwise against row engine\n\n",
-        );
-    }
+    out.push_str("parallel result verified bitwise against sequential\n\n");
     let _ = writeln!(out, "{:<24}{:>12}{:>12}", "arm", "GFLOP/s", "speedup");
     let _ = writeln!(
         out,
@@ -1709,15 +1637,6 @@ fn cmd_measure(flags: &ParsedFlags) -> Result<String, String> {
         par_mflops / seq_mflops
     );
     Ok(out)
-}
-
-/// The output array of a kernel state — the one a sweep writes.
-fn state_out(state: &tiling3d_stencil::kernels::KernelState) -> &tiling3d_grid::Array3<f64> {
-    use tiling3d_stencil::kernels::KernelState;
-    match state {
-        KernelState::Jacobi { a, .. } | KernelState::RedBlack { a } => a,
-        KernelState::Resid { r, .. } => r,
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -1740,9 +1659,9 @@ fn profile_flags() -> FlagSet {
 }
 
 /// `profile`: plans and simulates every transformation at one size with
-/// span collection forced on, runs one parallel compute sweep per
-/// execution backend under `compute:<KERNEL>:<backend>` spans (red-black
-/// shows its two colour half-sweep phases as children), then renders the
+/// span collection forced on, runs one parallel compute sweep under a
+/// `compute:<KERNEL>` span (red-black shows its two colour half-sweep
+/// phases as children), then renders the
 /// span tree (per-phase wall-clock percentages, attached counters) and
 /// the metric registry.
 /// `--steps T` additionally runs the wavefront-parallel time-tiled sweep,
@@ -1774,18 +1693,15 @@ fn cmd_profile(flags: &ParsedFlags) -> Result<String, String> {
     };
     let (rows, tp) = simulate_grid(&cfg, kernel, &Transform::ALL);
 
-    // One parallel sweep per execution backend, each under its own
-    // `compute:<KERNEL>:<backend>` span, so the row and lane compute
-    // phases show up side by side in the tree next to the simulation
-    // phases. Red-black nests its `redblack:red` / `redblack:black`
-    // colour half-sweeps underneath.
+    // One parallel sweep under a `compute:<KERNEL>` span, so the compute
+    // phase shows up in the tree next to the simulation phases.
+    // Red-black nests its `redblack:red` / `redblack:black` colour
+    // half-sweeps underneath.
     {
         let p = tiling3d_bench::plan_for(&cfg, kernel, Transform::GcdPad, n);
-        for backend in [ExecBackend::Row, ExecBackend::Lane] {
-            let _compute = obs::span(&format!("compute:{}:{}", kernel.name(), backend.name()));
-            let mut state = kernel.make_state(n, cfg.nk, &p, 0x5EED);
-            kernel.run_parallel_with(&mut state, p.tile, cfg.pool().jobs(), backend);
-        }
+        let _compute = obs::span(&format!("compute:{}", kernel.name()));
+        let mut state = kernel.make_state(n, cfg.nk, &p, 0x5EED);
+        kernel.run_parallel(&mut state, p.tile, cfg.pool().jobs());
     }
 
     // Temporal mode: one wavefront-parallel time-tiled sweep. The tile
@@ -2647,31 +2563,11 @@ mod tests {
     }
 
     #[test]
-    fn simulate_verifies_a_nonrow_backend() {
-        let out =
-            run_line("simulate --kernel jacobi --n 48 --nk 6 --transform gcdpad --backend lane")
-                .unwrap();
-        assert!(out.contains("backend lane"), "{out}");
+    fn measure_reports_sequential_and_parallel() {
+        let out = run_line("measure --kernel redblack --n 32 --nk 6 --reps 1 --jobs 2").unwrap();
         assert!(out.contains("verified bitwise"), "{out}");
-        // The trace replay is backend-independent, so the multi-replay
-        // modes reject a non-default backend instead of ignoring it.
-        let err = run_line("simulate --kernel jacobi --n 48 --nk 6 --transform all --backend lane")
-            .unwrap_err();
-        assert!(err.contains("single-transform"), "{err}");
-        let err = run_line("simulate --kernel jacobi --n 48 --backend martian").unwrap_err();
-        assert!(err.contains("unknown backend"), "{err}");
-    }
-
-    #[test]
-    fn measure_times_each_backend() {
-        for backend in ["row", "lane", "auto"] {
-            let out = run_line(&format!(
-                "measure --kernel redblack --n 32 --nk 6 --reps 1 --jobs 2 --backend {backend}"
-            ))
-            .unwrap_or_else(|e| panic!("{backend}: {e}"));
-            assert!(out.contains(&format!("backend {backend}")), "{out}");
-            assert!(out.contains("GFLOP/s"), "{out}");
-        }
+        assert!(out.contains("GFLOP/s"), "{out}");
+        assert!(out.contains("parallel (--jobs 2)"), "{out}");
     }
 
     #[test]

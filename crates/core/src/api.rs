@@ -206,50 +206,6 @@ impl std::str::FromStr for GeometryPreset {
     }
 }
 
-/// Which execution backend runs a plan's row segments (see
-/// `tiling3d_stencil::backend`): the autovectorized row engine, the
-/// explicit-lane SIMD engine, or a measured per-kernel choice. Every
-/// backend is bitwise identical to the per-point reference, so this
-/// selects *speed*, never results.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
-pub enum ExecBackend {
-    /// The row-segment engine (`rowexec`) — bounds-check-free rows the
-    /// compiler autovectorizes. The default.
-    #[default]
-    Row,
-    /// The explicit-lane engine (`laneexec`) — safe chunked
-    /// `[f64; LANES]` blocks with a compile-time lane/unroll strategy.
-    Lane,
-    /// Probe both engines per row kernel (cached) and use the faster.
-    Auto,
-}
-
-impl ExecBackend {
-    /// Canonical lowercase spelling (the `--backend` flag values).
-    pub fn name(self) -> &'static str {
-        match self {
-            ExecBackend::Row => "row",
-            ExecBackend::Lane => "lane",
-            ExecBackend::Auto => "auto",
-        }
-    }
-}
-
-impl std::str::FromStr for ExecBackend {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s.to_ascii_lowercase().as_str() {
-            "row" => Ok(ExecBackend::Row),
-            "lane" => Ok(ExecBackend::Lane),
-            "auto" => Ok(ExecBackend::Auto),
-            other => Err(format!(
-                "--backend: unknown backend '{other}' (expected row, lane or auto)"
-            )),
-        }
-    }
-}
-
 /// Which transforms a request covers.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum TransformSel {
@@ -622,11 +578,6 @@ pub struct PlansResponse {
     pub rows: Vec<TransformPlan>,
     /// The certified temporal tile when `steps > 0`.
     pub temporal: Option<TemporalSection>,
-    /// The execution backend a measured A/B autotune selected for this
-    /// request (`serve`'s `"autotune": true` path). `None` on the static
-    /// planning path, which never measures — keeping the memoized bytes a
-    /// pure function of the canonical request.
-    pub backend: Option<ExecBackend>,
 }
 
 /// `advise`: does the stencil at this size still have cache reuse?
@@ -848,9 +799,6 @@ impl PlanResponse {
                     ("cache_elements", Json::uint(r.cache.elements as u64)),
                     ("plans", Json::Arr(rows)),
                 ];
-                if let Some(b) = r.backend {
-                    fields.push(("backend", Json::str(b.name())));
-                }
                 if let Some(t) = &r.temporal {
                     fields.push(("temporal", t.to_json()));
                 }
@@ -1060,7 +1008,6 @@ pub fn respond(req: &PlanRequest) -> Result<PlanResponse, String> {
                 cache: req.cache,
                 rows,
                 temporal,
-                backend: None,
             }))
         }
         PlanQuery::Advise => {

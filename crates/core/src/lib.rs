@@ -55,8 +55,8 @@ pub mod temporal;
 pub mod tile2d;
 
 pub use api::{
-    respond, respond_enveloped, ExecBackend, GeometryPreset, PlanQuery, PlanRequest, PlanResponse,
-    ReqStencil, TransformSel, API_VERSION,
+    respond, respond_enveloped, GeometryPreset, PlanQuery, PlanRequest, PlanResponse, ReqStencil,
+    TransformSel, API_VERSION,
 };
 pub use cost::CostModel;
 pub use effcache::effective_cache_tile;

@@ -15,7 +15,7 @@ use tiling3d_cachesim::AccessSink;
 use tiling3d_grid::Array3;
 use tiling3d_loopnest::TileDims;
 
-use crate::backend::{self, Backend, ExecBackend, LaneEngine, Resolved, RowEngine, RowKernel};
+use crate::rowexec;
 
 /// Tiled 3D Jacobi where each tile's `(TI+2) x (TJ+2) x 3` input window is
 /// copied into a contiguous rolling buffer before the tile plane is
@@ -24,35 +24,7 @@ use crate::backend::{self, Backend, ExecBackend, LaneEngine, Resolved, RowEngine
 /// # Panics
 /// Panics if extents mismatch.
 pub fn sweep_tiled_copying(a: &mut Array3<f64>, b: &Array3<f64>, c: f64, tile: TileDims) {
-    sweep_tiled_copying_with::<RowEngine>(a, b, c, tile);
-}
-
-/// [`sweep_tiled_copying`] with the execution backend chosen at runtime.
-pub fn sweep_tiled_copying_backend(
-    a: &mut Array3<f64>,
-    b: &Array3<f64>,
-    c: f64,
-    tile: TileDims,
-    sel: ExecBackend,
-) {
-    match backend::resolve(sel, RowKernel::Jacobi3d) {
-        Resolved::Row => sweep_tiled_copying_with::<RowEngine>(a, b, c, tile),
-        Resolved::Lane => sweep_tiled_copying_with::<LaneEngine>(a, b, c, tile),
-    }
-}
-
-/// [`sweep_tiled_copying`] generic over the row-segment execution
-/// [`Backend`].
-pub fn sweep_tiled_copying_with<B: Backend>(
-    a: &mut Array3<f64>,
-    b: &Array3<f64>,
-    c: f64,
-    tile: TileDims,
-) {
-    assert_eq!(
-        (a.ni(), a.nj(), a.nk(), a.di(), a.dj()),
-        (b.ni(), b.nj(), b.nk(), b.di(), b.dj())
-    );
+    rowexec::check_pair(a, b, "A and B");
     let (ni, nj, nk) = (a.ni(), a.nj(), a.nk());
     let (di, ps) = (b.di(), b.plane_stride());
     let (i1, j1, k1) = (ni - 2, nj - 2, nk - 2);
@@ -106,7 +78,7 @@ pub fn sweep_tiled_copying_with<B: Backend>(
                                          // Local row start (li = 1) in the mid buffer plane.
                     let llo = mid * bplane + 1 + lj * bw;
                     let out = ii + j * di + k * ps;
-                    B::jacobi3d_row(
+                    rowexec::jacobi3d_row(
                         &mut av[out..out + len],
                         &buf[llo - 1..],
                         &buf[llo + 1..],
@@ -150,7 +122,7 @@ fn copy_plane(
 /// Trace of the copying schedule: per rolled-in plane, each haloed window
 /// row is one batched [`AccessSink::read_run`] over the `B` row followed
 /// by one batched [`AccessSink::write_run`] into the buffer (placed just
-/// after the two arrays) — matching [`copy_plane`]'s `copy_from_slice`
+/// after the two arrays) — matching `copy_plane`'s `copy_from_slice`
 /// rows; per computed point, six buffer reads and the `A` store. Layout
 /// matches [`crate::jacobi3d::trace`] with the buffer appended.
 pub fn trace_tiled_copying<S: AccessSink>(
@@ -230,7 +202,7 @@ mod tests {
             let mut b = Array3::new(n, n, n);
             fill_random(&mut b, 23);
             let mut plain = Array3::new(n, n, n);
-            jacobi3d::sweep(&mut plain, &b, 1.0 / 6.0);
+            jacobi3d::sweep(&mut plain, &b, 1.0 / 6.0, None);
             let mut copied = Array3::new(n, n, n);
             sweep_tiled_copying(&mut copied, &b, 1.0 / 6.0, TileDims::new(ti, tj));
             assert!(plain.logical_eq(&copied), "n={n} tile=({ti},{tj})");

@@ -8,7 +8,6 @@
 use tiling3d_cachesim::AccessSink;
 use tiling3d_grid::Array2;
 
-use crate::backend::{self, Backend, ExecBackend, LaneEngine, Resolved, RowEngine, RowKernel};
 use crate::rowexec;
 
 /// FLOPs per interior point (3 adds + 1 multiply).
@@ -23,19 +22,6 @@ pub const FLOPS_PER_POINT: u64 = 4;
 /// # Panics
 /// Panics if extents mismatch.
 pub fn sweep(a: &mut Array2<f64>, b: &Array2<f64>, c: f64) {
-    sweep_with::<RowEngine>(a, b, c);
-}
-
-/// [`sweep`] with the execution backend chosen at runtime.
-pub fn sweep_backend(a: &mut Array2<f64>, b: &Array2<f64>, c: f64, sel: ExecBackend) {
-    match backend::resolve(sel, RowKernel::Jacobi2d) {
-        Resolved::Row => sweep_with::<RowEngine>(a, b, c),
-        Resolved::Lane => sweep_with::<LaneEngine>(a, b, c),
-    }
-}
-
-/// [`sweep`] generic over the row-segment execution [`Backend`].
-pub fn sweep_with<B: Backend>(a: &mut Array2<f64>, b: &Array2<f64>, c: f64) {
     assert_eq!((a.ni(), a.nj(), a.di()), (b.ni(), b.nj(), b.di()));
     let (ni, nj) = (b.ni(), b.nj());
     if ni < 3 || nj < 3 {
@@ -46,7 +32,7 @@ pub fn sweep_with<B: Backend>(a: &mut Array2<f64>, b: &Array2<f64>, c: f64) {
     let len = ni - 2;
     for j in 1..nj - 1 {
         let lo = j * di + 1;
-        B::jacobi2d_row(
+        rowexec::jacobi2d_row(
             &mut av[lo..lo + len],
             &bv[lo - 1..],
             &bv[lo + 1..],

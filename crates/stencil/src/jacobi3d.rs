@@ -10,7 +10,6 @@ use tiling3d_cachesim::AccessSink;
 use tiling3d_grid::Array3;
 use tiling3d_loopnest::{for_each_rows, for_each_tiled, for_each_tiled_rows, IterSpace, TileDims};
 
-use crate::backend::{self, Backend, ExecBackend, LaneEngine, Resolved, RowEngine, RowKernel};
 use crate::rowexec;
 
 /// Floating-point operations per interior point (5 adds + 1 multiply).
@@ -21,61 +20,24 @@ pub fn sweep_flops(ni: usize, nj: usize, nk: usize) -> u64 {
     IterSpace::interior(ni, nj, nk).points() * FLOPS_PER_POINT
 }
 
-/// One untiled sweep (`Orig` order: `K`/`J`/`I`).
+/// One sweep: untiled (`tile = None`, the `Orig` order `K`/`J`/`I`) or
+/// in the Fig 6 tiled schedule (`JJ`/`II`/`K`/`J`/`I`).
 ///
 /// Runs on the row engine ([`rowexec`]); bitwise identical to the
-/// per-point reference in [`crate::reference::jacobi3d`].
+/// per-point reference in [`crate::reference::jacobi3d`] for every tile —
+/// only the iteration order (and hence the cache behaviour) changes.
 ///
 /// # Panics
 /// Panics if the two arrays differ in logical or allocated extents.
-pub fn sweep(a: &mut Array3<f64>, b: &Array3<f64>, c: f64) {
-    sweep_with::<RowEngine>(a, b, c);
-}
-
-/// [`sweep`] on an explicit execution backend `B`.
-pub fn sweep_with<B: Backend>(a: &mut Array3<f64>, b: &Array3<f64>, c: f64) {
-    check_pair(a, b);
-    sweep_impl::<B>(a, b, c, None);
-}
-
-/// One tiled sweep in the Fig 6 schedule (`JJ`/`II`/`K`/`J`/`I`).
-///
-/// Bitwise-identical results to [`sweep`]; only the iteration order (and
-/// hence the cache behaviour) changes.
-pub fn sweep_tiled(a: &mut Array3<f64>, b: &Array3<f64>, c: f64, tile: TileDims) {
-    sweep_tiled_with::<RowEngine>(a, b, c, tile);
-}
-
-/// [`sweep_tiled`] on an explicit execution backend `B`.
-pub fn sweep_tiled_with<B: Backend>(a: &mut Array3<f64>, b: &Array3<f64>, c: f64, tile: TileDims) {
-    check_pair(a, b);
-    sweep_impl::<B>(a, b, c, Some(tile));
-}
-
-/// One sweep (tiled or not) on the backend `sel` resolves to — the
-/// runtime-dispatch form of [`sweep_with`] / [`sweep_tiled_with`].
-pub fn sweep_backend(
-    a: &mut Array3<f64>,
-    b: &Array3<f64>,
-    c: f64,
-    tile: Option<TileDims>,
-    sel: ExecBackend,
-) {
-    check_pair(a, b);
-    match backend::resolve(sel, RowKernel::Jacobi3d) {
-        Resolved::Row => sweep_impl::<RowEngine>(a, b, c, tile),
-        Resolved::Lane => sweep_impl::<LaneEngine>(a, b, c, tile),
-    }
-}
-
-fn sweep_impl<B: Backend>(a: &mut Array3<f64>, b: &Array3<f64>, c: f64, tile: Option<TileDims>) {
+pub fn sweep(a: &mut Array3<f64>, b: &Array3<f64>, c: f64, tile: Option<TileDims>) {
+    rowexec::check_pair(a, b, "A and B");
     let (di, ps) = (b.di(), b.plane_stride());
     let space = IterSpace::interior(b.ni(), b.nj(), b.nk());
     let (av, bv) = (a.as_mut_slice(), b.as_slice());
     let row = |i0: usize, i1: usize, j: usize, k: usize| {
         let lo = j * di + k * ps + i0;
         let len = i1 - i0 + 1;
-        B::jacobi3d_row(
+        rowexec::jacobi3d_row(
             &mut av[lo..lo + len],
             &bv[lo - 1..],
             &bv[lo + 1..],
@@ -152,14 +114,6 @@ pub fn trace_at<S: AccessSink>(
     }
 }
 
-fn check_pair(a: &Array3<f64>, b: &Array3<f64>) {
-    assert_eq!(
-        (a.ni(), a.nj(), a.nk(), a.di(), a.dj()),
-        (b.ni(), b.nj(), b.nk(), b.di(), b.dj()),
-        "A and B must share logical and allocated extents"
-    );
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -178,7 +132,7 @@ mod tests {
         // Sum of the six face neighbours of an affine field = 6x centre.
         let (mut a, mut b) = pair(8, 8, 8);
         fill_linear3(&mut b, 2.0, -3.0, 5.0, 1.25);
-        sweep(&mut a, &b, 0.5);
+        sweep(&mut a, &b, 0.5, None);
         for k in 1..7 {
             for j in 1..7 {
                 for i in 1..7 {
@@ -201,8 +155,8 @@ mod tests {
         ] {
             let (mut a1, b) = pair(n, di, dj);
             let mut a2 = a1.clone();
-            sweep(&mut a1, &b, 1.0 / 6.0);
-            sweep_tiled(&mut a2, &b, 1.0 / 6.0, TileDims::new(ti, tj));
+            sweep(&mut a1, &b, 1.0 / 6.0, None);
+            sweep(&mut a2, &b, 1.0 / 6.0, Some(TileDims::new(ti, tj)));
             assert!(a1.logical_eq(&a2), "n={n} tile=({ti},{tj})");
         }
     }
@@ -210,10 +164,10 @@ mod tests {
     #[test]
     fn padding_does_not_change_results() {
         let (mut a1, b1) = pair(12, 12, 12);
-        sweep(&mut a1, &b1, 0.25);
+        sweep(&mut a1, &b1, 0.25, None);
         let b2 = b1.repadded(19, 17);
         let mut a2 = Array3::with_padding(12, 12, 12, 19, 17);
-        sweep_tiled(&mut a2, &b2, 0.25, TileDims::new(4, 4));
+        sweep(&mut a2, &b2, 0.25, Some(TileDims::new(4, 4)));
         assert!(a1.logical_eq(&a2));
     }
 
@@ -334,6 +288,6 @@ mod tests {
     fn mismatched_pair_panics() {
         let mut a = Array3::<f64>::new(8, 8, 8);
         let b = Array3::<f64>::with_padding(8, 8, 8, 9, 8);
-        sweep(&mut a, &b, 1.0);
+        sweep(&mut a, &b, 1.0, None);
     }
 }

@@ -14,7 +14,6 @@ use tiling3d_core::{
 use tiling3d_grid::{fill_random, Array3};
 use tiling3d_loopnest::{StencilShape, TileDims};
 
-use crate::backend::ExecBackend;
 use crate::{jacobi3d, parallel, redblack, resid};
 
 /// How the kernel's arrays are placed in the simulated address space.
@@ -184,30 +183,20 @@ impl Kernel {
     /// # Panics
     /// Panics if `state` was built for a different kernel.
     pub fn run(self, state: &mut KernelState, tile: Option<(usize, usize)>) {
-        self.run_with(state, tile, ExecBackend::Row);
-    }
-
-    /// [`Kernel::run`] on the chosen execution backend (see
-    /// [`crate::backend`]); results are bitwise identical for every
-    /// backend.
-    ///
-    /// # Panics
-    /// Panics if `state` was built for a different kernel.
-    pub fn run_with(self, state: &mut KernelState, tile: Option<(usize, usize)>, sel: ExecBackend) {
         let t = tile.map(|(ti, tj)| TileDims::new(ti, tj));
         match (self, state) {
             (Kernel::Jacobi, KernelState::Jacobi { a, b }) => {
-                jacobi3d::sweep_backend(a, b, 1.0 / 6.0, t, sel);
+                jacobi3d::sweep(a, b, 1.0 / 6.0, t);
             }
             (Kernel::RedBlack, KernelState::RedBlack { a }) => {
                 let sched = match t {
                     None => redblack::Schedule::Naive,
                     Some(t) => redblack::Schedule::Tiled(t),
                 };
-                redblack::sweep_backend(a, 0.4, 0.1, sched, sel);
+                redblack::sweep(a, 0.4, 0.1, sched);
             }
             (Kernel::Resid, KernelState::Resid { r, u, v }) => {
-                resid::sweep_backend(r, u, v, &resid::Coeffs::MGRID_A, t, sel);
+                resid::sweep(r, u, v, &resid::Coeffs::MGRID_A, t);
             }
             _ => panic!("kernel/state mismatch"),
         }
@@ -228,33 +217,16 @@ impl Kernel {
         tile: Option<(usize, usize)>,
         threads: usize,
     ) {
-        self.run_parallel_with(state, tile, threads, ExecBackend::Row);
-    }
-
-    /// [`Kernel::run_parallel`] on the chosen execution backend; every
-    /// slab runs its row segments through the same backend, so results
-    /// stay bitwise identical for every thread count and backend.
-    ///
-    /// # Panics
-    /// Panics if `state` was built for a different kernel or
-    /// `threads == 0`.
-    pub fn run_parallel_with(
-        self,
-        state: &mut KernelState,
-        tile: Option<(usize, usize)>,
-        threads: usize,
-        sel: ExecBackend,
-    ) {
         let t = tile.map(|(ti, tj)| TileDims::new(ti, tj));
         match (self, state) {
             (Kernel::Jacobi, KernelState::Jacobi { a, b }) => {
-                parallel::jacobi3d_sweep_backend(a, b, 1.0 / 6.0, t, threads, sel);
+                parallel::jacobi3d_sweep(a, b, 1.0 / 6.0, t, threads);
             }
             (Kernel::RedBlack, KernelState::RedBlack { a }) => {
-                parallel::redblack_sweep_backend(a, 0.4, 0.1, t, threads, sel);
+                parallel::redblack_sweep(a, 0.4, 0.1, t, threads);
             }
             (Kernel::Resid, KernelState::Resid { r, u, v }) => {
-                parallel::resid_sweep_backend(r, u, v, &resid::Coeffs::MGRID_A, t, threads, sel);
+                parallel::resid_sweep(r, u, v, &resid::Coeffs::MGRID_A, t, threads);
             }
             _ => panic!("kernel/state mismatch"),
         }

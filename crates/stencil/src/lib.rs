@@ -25,16 +25,15 @@
 //! K-slab parallel sweeps showing that the paper's intra-nest tiling
 //! composes with thread parallelism.
 //!
-//! Every production sweep runs on a **row-segment execution backend**
-//! (the [`backend::Backend`] trait): the loop nest is decomposed into
-//! contiguous unit-stride (or stride-2, for red-black colours) row
-//! segments, and the backend decides how each segment's arithmetic is
-//! scheduled. [`backend::RowEngine`] executes segments via [`rowexec`] —
-//! pre-sliced operand rows so the compiler can eliminate bounds checks and
-//! autovectorize the `I` loop — while [`backend::LaneEngine`] processes
-//! them as explicit `[f64; LANES]` blocks ([`laneexec`]). Both are held
-//! bitwise-equal to the original per-point formulations, which survive in
-//! [`mod@reference`] as the executable specification.
+//! Every production sweep runs on one **row-segment engine**: the loop
+//! nest is decomposed into contiguous unit-stride (or stride-2, for
+//! red-black colours) row segments, and each segment runs through a
+//! [`rowexec`] kernel — pre-sliced operand rows so the compiler can
+//! eliminate bounds checks and autovectorize the `I` loop. Each kernel
+//! module exposes one public sweep whose schedule (tile, red-black order)
+//! is passed as data. The engine is held bitwise-equal to the original
+//! per-point formulations, which survive in [`mod@reference`] as the
+//! executable specification.
 //!
 //! Schedule legality is enforced in two layers: statically, each kernel's
 //! transforms are planned through `tiling3d_core::plan_certified` and run
@@ -45,13 +44,11 @@
 
 #![warn(missing_docs)]
 
-pub mod backend;
 pub mod copyopt;
 pub mod crosscheck;
 pub mod jacobi2d;
 pub mod jacobi3d;
 pub mod kernels;
-pub mod laneexec;
 pub mod parallel;
 pub mod redblack;
 pub mod redblack2d;

@@ -31,7 +31,6 @@ use tiling3d_loopnest::{
     for_each_rows, for_each_tiled_rows, stride2_clip, stride2_last, IterSpace, TileDims,
 };
 
-use crate::backend::{self, Backend, ExecBackend, LaneEngine, Resolved, RowEngine, RowKernel};
 use crate::{jacobi3d, redblack, resid, rowexec};
 
 /// Partitions the interior `K` range `1..=nk-2` into at most `threads`
@@ -86,8 +85,8 @@ fn split_slabs<'a>(
 
 /// Parallel (optionally tiled) 3D Jacobi sweep across `threads` K-slabs.
 ///
-/// Bitwise identical to `jacobi3d::sweep` / `jacobi3d::sweep_tiled` for
-/// every thread count. Degenerate grids (any extent `< 3`) are a no-op.
+/// Bitwise identical to `jacobi3d::sweep` with the same tile for every
+/// thread count. Degenerate grids (any extent `< 3`) are a no-op.
 ///
 /// # Panics
 /// Panics if extents mismatch or `threads == 0`.
@@ -98,36 +97,7 @@ pub fn jacobi3d_sweep(
     tile: Option<TileDims>,
     threads: usize,
 ) {
-    jacobi3d_sweep_with::<RowEngine>(a, b, c, tile, threads);
-}
-
-/// [`jacobi3d_sweep`] with the execution backend chosen at runtime.
-pub fn jacobi3d_sweep_backend(
-    a: &mut Array3<f64>,
-    b: &Array3<f64>,
-    c: f64,
-    tile: Option<TileDims>,
-    threads: usize,
-    sel: ExecBackend,
-) {
-    match backend::resolve(sel, RowKernel::Jacobi3d) {
-        Resolved::Row => jacobi3d_sweep_with::<RowEngine>(a, b, c, tile, threads),
-        Resolved::Lane => jacobi3d_sweep_with::<LaneEngine>(a, b, c, tile, threads),
-    }
-}
-
-/// [`jacobi3d_sweep`] generic over the row-segment execution [`Backend`].
-pub fn jacobi3d_sweep_with<B: Backend>(
-    a: &mut Array3<f64>,
-    b: &Array3<f64>,
-    c: f64,
-    tile: Option<TileDims>,
-    threads: usize,
-) {
-    assert_eq!(
-        (a.ni(), a.nj(), a.nk(), a.di(), a.dj()),
-        (b.ni(), b.nj(), b.nk(), b.di(), b.dj())
-    );
+    rowexec::check_pair(a, b, "A and B");
     let (ni, nj, nk) = (a.ni(), a.nj(), a.nk());
     let (di, ps) = (a.di(), a.plane_stride());
     let chunks = k_chunks(nk, threads);
@@ -148,7 +118,7 @@ pub fn jacobi3d_sweep_with<B: Backend>(
                 let row = |i0: usize, i1: usize, j: usize, k: usize| {
                     let lo = j * di + k * ps + i0;
                     let len = i1 - i0 + 1;
-                    B::jacobi3d_row(
+                    rowexec::jacobi3d_row(
                         &mut slab[lo - base..lo - base + len],
                         &bv[lo - 1..],
                         &bv[lo + 1..],
@@ -178,7 +148,8 @@ pub fn jacobi3d_sweep_with<B: Backend>(
 /// thread count. Degenerate grids are a no-op.
 ///
 /// # Panics
-/// Panics if extents mismatch or `threads == 0`.
+/// Panics if the three arrays differ in logical or allocated extents, or
+/// if `threads == 0`.
 pub fn resid_sweep(
     r: &mut Array3<f64>,
     u: &Array3<f64>,
@@ -187,36 +158,8 @@ pub fn resid_sweep(
     tile: Option<TileDims>,
     threads: usize,
 ) {
-    resid_sweep_with::<RowEngine>(r, u, v, coeffs, tile, threads);
-}
-
-/// [`resid_sweep`] with the execution backend chosen at runtime.
-pub fn resid_sweep_backend(
-    r: &mut Array3<f64>,
-    u: &Array3<f64>,
-    v: &Array3<f64>,
-    coeffs: &resid::Coeffs,
-    tile: Option<TileDims>,
-    threads: usize,
-    sel: ExecBackend,
-) {
-    match backend::resolve(sel, RowKernel::Resid) {
-        Resolved::Row => resid_sweep_with::<RowEngine>(r, u, v, coeffs, tile, threads),
-        Resolved::Lane => resid_sweep_with::<LaneEngine>(r, u, v, coeffs, tile, threads),
-    }
-}
-
-/// [`resid_sweep`] generic over the row-segment execution [`Backend`].
-pub fn resid_sweep_with<B: Backend>(
-    r: &mut Array3<f64>,
-    u: &Array3<f64>,
-    v: &Array3<f64>,
-    coeffs: &resid::Coeffs,
-    tile: Option<TileDims>,
-    threads: usize,
-) {
-    assert_eq!((r.di(), r.dj(), r.nk()), (u.di(), u.dj(), u.nk()));
-    assert_eq!((u.di(), u.dj(), u.nk()), (v.di(), v.dj(), v.nk()));
+    rowexec::check_pair(r, u, "R and U");
+    rowexec::check_pair(u, v, "U and V");
     let (ni, nj, nk) = (r.ni(), r.nj(), r.nk());
     let (di, ps) = (r.di(), r.plane_stride());
     let chunks = k_chunks(nk, threads);
@@ -250,7 +193,7 @@ pub fn resid_sweep_with<B: Backend>(
                         &uv[h + ps..],
                         &uv[h + di + ps..],
                     ];
-                    B::resid_row(
+                    rowexec::resid_row(
                         &mut slab[lo - base..lo - base + len],
                         &vv[lo..],
                         rows,
@@ -302,32 +245,6 @@ pub fn redblack_sweep(
     tile: Option<TileDims>,
     threads: usize,
 ) {
-    redblack_sweep_with::<RowEngine>(a, c1, c2, tile, threads);
-}
-
-/// [`redblack_sweep`] with the execution backend chosen at runtime.
-pub fn redblack_sweep_backend(
-    a: &mut Array3<f64>,
-    c1: f64,
-    c2: f64,
-    tile: Option<TileDims>,
-    threads: usize,
-    sel: ExecBackend,
-) {
-    match backend::resolve(sel, RowKernel::RedBlack) {
-        Resolved::Row => redblack_sweep_with::<RowEngine>(a, c1, c2, tile, threads),
-        Resolved::Lane => redblack_sweep_with::<LaneEngine>(a, c1, c2, tile, threads),
-    }
-}
-
-/// [`redblack_sweep`] generic over the row-segment execution [`Backend`].
-pub fn redblack_sweep_with<B: Backend>(
-    a: &mut Array3<f64>,
-    c1: f64,
-    c2: f64,
-    tile: Option<TileDims>,
-    threads: usize,
-) {
     let n = a.ni();
     let nk = a.nk();
     assert!(a.nj() == n, "red-black kernel expects square I/J extents");
@@ -352,7 +269,7 @@ pub fn redblack_sweep_with<B: Backend>(
         });
         if chunks.len() == 1 {
             let (k0, k1) = chunks[0];
-            color_pass_seq::<B>(av, k0, k1, n, di, ps, c1, c2, parity, tile);
+            color_pass_seq(av, k0, k1, n, di, ps, c1, c2, parity, tile);
             continue;
         }
         // Refresh the interface halos (planes shared between adjacent
@@ -391,7 +308,7 @@ pub fn redblack_sweep_with<B: Backend>(
                     &hi_halos[c]
                 };
                 scope.spawn(move || {
-                    color_pass::<B>(slab, down, up, k0, k1, n, di, ps, c1, c2, parity, tile);
+                    color_pass(slab, down, up, k0, k1, n, di, ps, c1, c2, parity, tile);
                 });
             }
         });
@@ -402,12 +319,60 @@ pub fn redblack_sweep_with<B: Backend>(
     );
 }
 
+/// Walks one colour's stride-2 rows of planes `k0..=k1` as
+/// `f(i_first, i_last, j, k)`: plane by plane untiled, or `JJ`/`II`
+/// tiles over the slab when `tile` is set. Any order within a colour is
+/// bitwise-equivalent (all reads are opposite-colour or the pre-write
+/// centre), so the tiled walk needs no skew.
+fn color_rows(
+    n: usize,
+    k0: usize,
+    k1: usize,
+    parity: usize,
+    tile: Option<TileDims>,
+    mut f: impl FnMut(usize, usize, usize, usize),
+) {
+    let hi = n - 2;
+    match tile {
+        None => {
+            for k in k0..=k1 {
+                for j in 1..=hi {
+                    let i0 = 1 + (k + j + parity) % 2;
+                    if i0 <= hi {
+                        f(i0, stride2_last(i0, hi), j, k);
+                    }
+                }
+            }
+        }
+        Some(t) => {
+            let mut jj = 1usize;
+            while jj <= hi {
+                let j_hi = (jj + t.tj - 1).min(hi);
+                let mut ii = 1usize;
+                while ii <= hi {
+                    let i_hi = (ii + t.ti - 1).min(hi);
+                    for k in k0..=k1 {
+                        for j in jj..=j_hi {
+                            let i0 = 1 + (k + j + parity) % 2;
+                            if let Some(first) = stride2_clip(i0, ii, i_hi) {
+                                f(first, stride2_last(first, i_hi), j, k);
+                            }
+                        }
+                    }
+                    ii += t.ti;
+                }
+                jj += t.tj;
+            }
+        }
+    }
+}
+
 /// One colour pass over one K-slab (planes `k0..=k1`, slab-local
 /// storage). `down` / `up` are full planes: the live outermost plane or
 /// an interface-halo snapshot; they are only consulted for `k == k0` /
 /// `k == k1` rows — interior `K±1` reads stay inside the slab.
 #[allow(clippy::too_many_arguments)]
-fn color_pass<B: Backend>(
+fn color_pass(
     slab: &mut [f64],
     down: &[f64],
     up: &[f64],
@@ -422,7 +387,7 @@ fn color_pass<B: Backend>(
     tile: Option<TileDims>,
 ) {
     let mut scratch = vec![0.0f64; n / 2 + 1];
-    let mut do_row = |i0: usize, i1: usize, j: usize, k: usize| {
+    color_rows(n, k0, k1, parity, tile, |i0, i1, j, k| {
         let lo = j * di + (k - k0) * ps + i0;
         let m = (i1 - i0) / 2 + 1;
         {
@@ -437,7 +402,7 @@ fn color_pass<B: Backend>(
             } else {
                 &up[j * di + i0..]
             };
-            B::redblack_row(
+            rowexec::redblack_row(
                 &mut scratch[..m],
                 &src[lo..],
                 &src[lo - 1..],
@@ -451,49 +416,13 @@ fn color_pass<B: Backend>(
             );
         }
         rowexec::scatter_stride2(&mut slab[lo..], &scratch[..m]);
-    };
-    match tile {
-        None => {
-            for k in k0..=k1 {
-                for j in 1..=n - 2 {
-                    let i0 = 1 + (k + j + parity) % 2;
-                    if i0 <= n - 2 {
-                        do_row(i0, stride2_last(i0, n - 2), j, k);
-                    }
-                }
-            }
-        }
-        Some(t) => {
-            // JJ/II tiles inside the slab; any order within a colour is
-            // bitwise-equivalent (all reads are opposite-colour or
-            // pre-write centre).
-            let hi = n - 2;
-            let mut jj = 1usize;
-            while jj <= hi {
-                let j_hi = (jj + t.tj - 1).min(hi);
-                let mut ii = 1usize;
-                while ii <= hi {
-                    let i_hi = (ii + t.ti - 1).min(hi);
-                    for k in k0..=k1 {
-                        for j in jj..=j_hi {
-                            let i0 = 1 + (k + j + parity) % 2;
-                            if let Some(first) = stride2_clip(i0, ii, i_hi) {
-                                do_row(first, stride2_last(first, i_hi), j, k);
-                            }
-                        }
-                    }
-                    ii += t.ti;
-                }
-                jj += t.tj;
-            }
-        }
-    }
+    });
 }
 
 /// One colour pass over the whole interior on the calling thread: no
 /// spawns, no phase split, `K±1` reads straight from the live array.
 #[allow(clippy::too_many_arguments)]
-fn color_pass_seq<B: Backend>(
+fn color_pass_seq(
     av: &mut [f64],
     k0: usize,
     k1: usize,
@@ -506,12 +435,12 @@ fn color_pass_seq<B: Backend>(
     tile: Option<TileDims>,
 ) {
     let mut scratch = vec![0.0f64; n / 2 + 1];
-    let mut do_row = |i0: usize, i1: usize, j: usize, k: usize| {
+    color_rows(n, k0, k1, parity, tile, |i0, i1, j, k| {
         let lo = j * di + k * ps + i0;
         let m = (i1 - i0) / 2 + 1;
         {
             let src: &[f64] = av;
-            B::redblack_row(
+            rowexec::redblack_row(
                 &mut scratch[..m],
                 &src[lo..],
                 &src[lo - 1..],
@@ -525,40 +454,7 @@ fn color_pass_seq<B: Backend>(
             );
         }
         rowexec::scatter_stride2(&mut av[lo..], &scratch[..m]);
-    };
-    match tile {
-        None => {
-            for k in k0..=k1 {
-                for j in 1..=n - 2 {
-                    let i0 = 1 + (k + j + parity) % 2;
-                    if i0 <= n - 2 {
-                        do_row(i0, stride2_last(i0, n - 2), j, k);
-                    }
-                }
-            }
-        }
-        Some(t) => {
-            let hi = n - 2;
-            let mut jj = 1usize;
-            while jj <= hi {
-                let j_hi = (jj + t.tj - 1).min(hi);
-                let mut ii = 1usize;
-                while ii <= hi {
-                    let i_hi = (ii + t.ti - 1).min(hi);
-                    for k in k0..=k1 {
-                        for j in jj..=j_hi {
-                            let i0 = 1 + (k + j + parity) % 2;
-                            if let Some(first) = stride2_clip(i0, ii, i_hi) {
-                                do_row(first, stride2_last(first, i_hi), j, k);
-                            }
-                        }
-                    }
-                    ii += t.ti;
-                }
-                jj += t.tj;
-            }
-        }
-    }
+    });
 }
 
 #[cfg(test)]
@@ -610,7 +506,7 @@ mod tests {
         let mut b = Array3::with_padding(n, n, n, 29, 27);
         fill_random(&mut b, 77);
         let mut seq = Array3::with_padding(n, n, n, 29, 27);
-        crate::jacobi3d::sweep(&mut seq, &b, 1.0 / 6.0);
+        crate::jacobi3d::sweep(&mut seq, &b, 1.0 / 6.0, None);
         for threads in [1usize, 2, 3, 7] {
             let mut par = Array3::with_padding(n, n, n, 29, 27);
             jacobi3d_sweep(&mut par, &b, 1.0 / 6.0, None, threads);
@@ -624,7 +520,7 @@ mod tests {
         let mut b = Array3::new(n, n, n);
         fill_random(&mut b, 5);
         let mut seq = Array3::new(n, n, n);
-        crate::jacobi3d::sweep(&mut seq, &b, 0.5);
+        crate::jacobi3d::sweep(&mut seq, &b, 0.5, None);
         let mut par = Array3::new(n, n, n);
         jacobi3d_sweep(&mut par, &b, 0.5, Some(TileDims::new(5, 4)), 4);
         assert!(seq.logical_eq(&par));
@@ -690,7 +586,7 @@ mod tests {
         let mut b = Array3::new(n, n, n);
         fill_random(&mut b, 2);
         let mut seq = Array3::new(n, n, n);
-        crate::jacobi3d::sweep(&mut seq, &b, 1.0);
+        crate::jacobi3d::sweep(&mut seq, &b, 1.0, None);
         let mut par = Array3::new(n, n, n);
         jacobi3d_sweep(&mut par, &b, 1.0, None, 64);
         assert!(seq.logical_eq(&par));
@@ -699,5 +595,15 @@ mod tests {
         let mut rb_par = b.clone();
         redblack_sweep(&mut rb_par, 0.3, 0.2, None, 64);
         assert!(rb_seq.logical_eq(&rb_par));
+    }
+
+    /// A differing `ni` must not slip past the extent check: the slabs
+    /// are cut from `R`'s geometry while the rows index `U` and `V`.
+    #[test]
+    #[should_panic(expected = "R and U must share")]
+    fn resid_ni_mismatch_panics() {
+        let mut r = Array3::with_padding(8, 10, 10, 12, 10);
+        let u = Array3::with_padding(12, 10, 10, 12, 10);
+        resid_sweep(&mut r, &u, &u, &Coeffs::MGRID_A, None, 2);
     }
 }

@@ -19,7 +19,6 @@ use tiling3d_cachesim::AccessSink;
 use tiling3d_grid::Array3;
 use tiling3d_loopnest::{stride2_last, TileDims};
 
-use crate::backend::{self, Backend, ExecBackend, LaneEngine, Resolved, RowEngine, RowKernel};
 use crate::rowexec;
 
 /// FLOPs per updated point (2 multiplies + 6 adds).
@@ -162,20 +161,6 @@ pub fn visit(n: usize, nk: usize, schedule: Schedule, mut f: impl FnMut(usize, u
 /// Panics unless the `I`/`J` logical extents are equal (the `K` extent may
 /// differ — the paper's evaluation uses `N x N x 30` grids).
 pub fn sweep(a: &mut Array3<f64>, c1: f64, c2: f64, schedule: Schedule) {
-    sweep_with::<RowEngine>(a, c1, c2, schedule);
-}
-
-/// [`sweep`] with the execution backend chosen at runtime (`Auto` probes
-/// once per process; see [`crate::backend::resolve`]).
-pub fn sweep_backend(a: &mut Array3<f64>, c1: f64, c2: f64, schedule: Schedule, sel: ExecBackend) {
-    match backend::resolve(sel, RowKernel::RedBlack) {
-        Resolved::Row => sweep_with::<RowEngine>(a, c1, c2, schedule),
-        Resolved::Lane => sweep_with::<LaneEngine>(a, c1, c2, schedule),
-    }
-}
-
-/// [`sweep`] generic over the row-segment execution [`Backend`].
-pub fn sweep_with<B: Backend>(a: &mut Array3<f64>, c1: f64, c2: f64, schedule: Schedule) {
     let n = a.ni();
     let nk = a.nk();
     assert!(a.nj() == n, "red-black kernel expects square I/J extents");
@@ -187,7 +172,7 @@ pub fn sweep_with<B: Backend>(a: &mut Array3<f64>, c1: f64, c2: f64, schedule: S
         let m = (i1 - i0) / 2 + 1;
         {
             let src: &[f64] = av;
-            B::redblack_row(
+            rowexec::redblack_row(
                 &mut scratch[..m],
                 &src[lo..],
                 &src[lo - 1..],

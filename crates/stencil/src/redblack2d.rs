@@ -15,7 +15,6 @@ use tiling3d_cachesim::AccessSink;
 use tiling3d_grid::Array2;
 use tiling3d_loopnest::stride2_last;
 
-use crate::backend::{self, Backend, ExecBackend, LaneEngine, Resolved, RowEngine, RowKernel};
 use crate::rowexec;
 
 /// FLOPs per updated point (2 multiplies + 4 adds).
@@ -86,25 +85,6 @@ pub fn visit(n: usize, schedule: Schedule2D, mut f: impl FnMut(usize, usize)) {
 /// # Panics
 /// Panics unless the logical extents are square.
 pub fn sweep(a: &mut Array2<f64>, c1: f64, c2: f64, schedule: Schedule2D) {
-    sweep_with::<RowEngine>(a, c1, c2, schedule);
-}
-
-/// [`sweep`] with the execution backend chosen at runtime.
-pub fn sweep_backend(
-    a: &mut Array2<f64>,
-    c1: f64,
-    c2: f64,
-    schedule: Schedule2D,
-    sel: ExecBackend,
-) {
-    match backend::resolve(sel, RowKernel::RedBlack2d) {
-        Resolved::Row => sweep_with::<RowEngine>(a, c1, c2, schedule),
-        Resolved::Lane => sweep_with::<LaneEngine>(a, c1, c2, schedule),
-    }
-}
-
-/// [`sweep`] generic over the row-segment execution [`Backend`].
-pub fn sweep_with<B: Backend>(a: &mut Array2<f64>, c1: f64, c2: f64, schedule: Schedule2D) {
     let n = a.ni();
     assert_eq!(a.nj(), n, "2D red-black expects a square grid");
     let di = a.di();
@@ -115,7 +95,7 @@ pub fn sweep_with<B: Backend>(a: &mut Array2<f64>, c1: f64, c2: f64, schedule: S
         let m = (i1 - i0) / 2 + 1;
         {
             let src: &[f64] = av;
-            B::redblack2d_row(
+            rowexec::redblack2d_row(
                 &mut scratch[..m],
                 &src[lo..],
                 &src[lo - 1..],

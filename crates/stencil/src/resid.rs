@@ -19,7 +19,6 @@ use tiling3d_loopnest::{
     for_each, for_each_rows, for_each_tiled, for_each_tiled_rows, IterSpace, TileDims,
 };
 
-use crate::backend::{self, Backend, ExecBackend, LaneEngine, Resolved, RowEngine, RowKernel};
 use crate::rowexec;
 
 /// FLOPs per interior point: 26 adds within/between neighbour groups plus
@@ -115,39 +114,8 @@ pub fn sweep(
     coeffs: &Coeffs,
     tile: Option<TileDims>,
 ) {
-    sweep_with::<RowEngine>(r, u, v, coeffs, tile);
-}
-
-/// One sweep on the backend `sel` resolves to — the runtime-dispatch
-/// form of [`sweep_with`].
-pub fn sweep_backend(
-    r: &mut Array3<f64>,
-    u: &Array3<f64>,
-    v: &Array3<f64>,
-    coeffs: &Coeffs,
-    tile: Option<TileDims>,
-    sel: ExecBackend,
-) {
-    match backend::resolve(sel, RowKernel::Resid) {
-        Resolved::Row => sweep_with::<RowEngine>(r, u, v, coeffs, tile),
-        Resolved::Lane => sweep_with::<LaneEngine>(r, u, v, coeffs, tile),
-    }
-}
-
-/// [`sweep`] on an explicit execution backend `B`.
-pub fn sweep_with<B: Backend>(
-    r: &mut Array3<f64>,
-    u: &Array3<f64>,
-    v: &Array3<f64>,
-    coeffs: &Coeffs,
-    tile: Option<TileDims>,
-) {
-    for pair in [(r.ni(), u.ni()), (r.di(), u.di()), (r.dj(), u.dj())] {
-        assert_eq!(pair.0, pair.1, "R and U extents differ");
-    }
-    for pair in [(u.ni(), v.ni()), (u.di(), v.di()), (u.dj(), v.dj())] {
-        assert_eq!(pair.0, pair.1, "U and V extents differ");
-    }
+    rowexec::check_pair(r, u, "R and U");
+    rowexec::check_pair(u, v, "U and V");
     let (di, ps) = (u.di(), u.plane_stride());
     let space = IterSpace::interior(u.ni(), u.nj(), u.nk());
     let rv = r.as_mut_slice();
@@ -167,7 +135,7 @@ pub fn sweep_with<B: Backend>(
             &uv[h + ps..],
             &uv[h + di + ps..],
         ];
-        B::resid_row(&mut rv[lo..lo + len], &vv[lo..], rows, coeffs);
+        rowexec::resid_row(&mut rv[lo..lo + len], &vv[lo..], rows, coeffs);
     };
     match tile {
         None => for_each_rows(space, row),
@@ -403,5 +371,25 @@ mod tests {
     #[test]
     fn flops_accounting() {
         assert_eq!(sweep_flops(10, 10, 10), 512 * 31);
+    }
+
+    /// `R` with `nj = 8` under a `U` with `nj = 12`, both allocated
+    /// `dj = 12`: without the full extent check the sweep would write
+    /// rows `j >= 8` into `R`'s padding.
+    #[test]
+    #[should_panic(expected = "R and U must share")]
+    fn nj_mismatch_panics() {
+        let mut r = Array3::with_padding(10, 8, 10, 10, 12);
+        let u = Array3::with_padding(10, 12, 10, 10, 12);
+        let v = u.clone();
+        sweep(&mut r, &u, &v, &Coeffs::MGRID_A, None);
+    }
+
+    #[test]
+    #[should_panic(expected = "U and V must share")]
+    fn nk_mismatch_panics() {
+        let (mut r, u, _) = arrays(9, 9, 9);
+        let v = Array3::with_padding(9, 9, 7, 9, 9);
+        sweep(&mut r, &u, &v, &Coeffs::MGRID_A, None);
     }
 }

@@ -10,8 +10,26 @@
 //! copied verbatim from the per-point reference in
 //! [`reference`](crate::reference), which keeps the engine bit-identical
 //! to it.
+//!
+//! The kernels stay `#[inline(never)]`: as standalone functions their
+//! slice parameters get `noalias` and the vectorized loop is the same in
+//! every crate that instantiates a sweep (DESIGN.md §12).
+
+use tiling3d_grid::Array3;
 
 use crate::resid::Coeffs;
+
+/// Panics unless `a` and `b` share logical `(ni, nj, nk)` and allocated
+/// `(di, dj)` extents — the precondition of every sweep that indexes
+/// both arrays with one linear offset. `names` labels the pair in the
+/// message (e.g. `"R and U"`).
+pub(crate) fn check_pair(a: &Array3<f64>, b: &Array3<f64>, names: &str) {
+    assert_eq!(
+        (a.ni(), a.nj(), a.nk(), a.di(), a.dj()),
+        (b.ni(), b.nj(), b.nk(), b.di(), b.dj()),
+        "{names} must share logical and allocated extents"
+    );
+}
 
 /// Emits the per-sweep observability counters shared by every engine
 /// sweep: a deterministic `stencil.points_updated` counter and a

@@ -18,7 +18,6 @@ use tiling3d_cachesim::AccessSink;
 use tiling3d_grid::Array3;
 use tiling3d_loopnest::{for_each_rows, IterSpace, TileDims};
 
-use crate::backend::ExecBackend;
 use crate::jacobi3d;
 
 /// FLOPs of one full time step (stencil sweep; the copy-back is pure data
@@ -35,26 +34,7 @@ pub fn step_flops(ni: usize, nj: usize, nk: usize) -> u64 {
 /// Panics if extents mismatch.
 pub fn run(a: &mut Array3<f64>, b: &mut Array3<f64>, c: f64, tile: Option<TileDims>, steps: usize) {
     for _ in 0..steps {
-        match tile {
-            None => jacobi3d::sweep(a, b, c),
-            Some(t) => jacobi3d::sweep_tiled(a, b, c, t),
-        }
-        copy_back(b, a);
-    }
-}
-
-/// [`run`] with the stencil nest executed on the chosen backend (the
-/// copy-back nest is pure data movement and backend-independent).
-pub fn run_backend(
-    a: &mut Array3<f64>,
-    b: &mut Array3<f64>,
-    c: f64,
-    tile: Option<TileDims>,
-    steps: usize,
-    sel: ExecBackend,
-) {
-    for _ in 0..steps {
-        jacobi3d::sweep_backend(a, b, c, tile, sel);
+        jacobi3d::sweep(a, b, c, tile);
         copy_back(b, a);
     }
 }
@@ -126,10 +106,7 @@ pub fn run_swapped(
         } else {
             (&mut *b, &*a)
         };
-        match tile {
-            None => jacobi3d::sweep(dst, src, c),
-            Some(t) => jacobi3d::sweep_tiled(dst, src, c, t),
-        }
+        jacobi3d::sweep(dst, src, c, tile);
     }
 }
 

@@ -43,7 +43,6 @@
 use tiling3d_cachesim::AccessSink;
 use tiling3d_grid::Array3;
 
-use crate::backend::{self, Backend, ExecBackend, LaneEngine, Resolved, RowEngine, RowKernel};
 use crate::redblack;
 use crate::reference;
 use crate::rowexec;
@@ -166,52 +165,9 @@ pub fn jacobi_time_tiled(
     tile: TimeTile,
     threads: usize,
 ) {
-    jacobi_time_tiled_with::<RowEngine>(bufs, c, steps, tile, threads);
-}
-
-/// [`jacobi_time_tiled`] with the execution backend chosen at runtime.
-pub fn jacobi_time_tiled_backend(
-    bufs: &mut [Array3<f64>; 2],
-    c: f64,
-    steps: usize,
-    tile: TimeTile,
-    threads: usize,
-    sel: ExecBackend,
-) {
-    match backend::resolve(sel, RowKernel::Jacobi3d) {
-        Resolved::Row => jacobi_time_tiled_with::<RowEngine>(bufs, c, steps, tile, threads),
-        Resolved::Lane => jacobi_time_tiled_with::<LaneEngine>(bufs, c, steps, tile, threads),
-    }
-}
-
-/// [`jacobi_time_tiled`] generic over the row-segment execution
-/// [`Backend`].
-pub fn jacobi_time_tiled_with<B: Backend>(
-    bufs: &mut [Array3<f64>; 2],
-    c: f64,
-    steps: usize,
-    tile: TimeTile,
-    threads: usize,
-) {
     assert!(tile.st > 0 && tile.sk > 0, "tile extents must be nonzero");
     assert!(threads > 0, "threads must be at least 1");
-    assert_eq!(
-        (
-            bufs[0].ni(),
-            bufs[0].nj(),
-            bufs[0].nk(),
-            bufs[0].di(),
-            bufs[0].dj()
-        ),
-        (
-            bufs[1].ni(),
-            bufs[1].nj(),
-            bufs[1].nk(),
-            bufs[1].di(),
-            bufs[1].dj()
-        ),
-        "ping-pong buffers must share logical and allocated extents"
-    );
+    rowexec::check_pair(&bufs[0], &bufs[1], "ping-pong buffers");
     let g = geom_of(&bufs[0]);
     if steps == 0 || g.ni < 3 || g.nj < 3 || g.nk < 3 {
         return;
@@ -222,11 +178,11 @@ pub fn jacobi_time_tiled_with<B: Backend>(
     span.add("tiles", blocks.len() as u64);
     if threads == 1 {
         for blk in &blocks {
-            jacobi_block_seq::<B>(bufs, c, blk, g, span.id());
+            jacobi_block_seq(bufs, c, blk, g, span.id());
         }
     } else {
         for wave in wavefronts(&blocks) {
-            run_jacobi_wave::<B>(bufs, c, &wave, g, threads, span.id());
+            run_jacobi_wave(bufs, c, &wave, g, threads, span.id());
         }
     }
     let per_step = (g.ni - 2) as u64 * (g.nj - 2) as u64 * (g.nk - 2) as u64;
@@ -235,13 +191,7 @@ pub fn jacobi_time_tiled_with<B: Backend>(
 
 /// One tile in the sequential band-major order: global indexing, the
 /// ping-pong split re-borrowed per point.
-fn jacobi_block_seq<B: Backend>(
-    bufs: &mut [Array3<f64>; 2],
-    c: f64,
-    blk: &SkewedBlock,
-    g: Geom,
-    parent: u64,
-) {
+fn jacobi_block_seq(bufs: &mut [Array3<f64>; 2], c: f64, blk: &SkewedBlock, g: Geom, parent: u64) {
     let span = tiling3d_obs::span_at("timeblock", parent);
     let mut points = 0u64;
     blk.for_each(1, g.nk - 2, |t, k| {
@@ -250,7 +200,7 @@ fn jacobi_block_seq<B: Backend>(
         let base = k * g.ps;
         for j in 1..=g.nj - 2 {
             let lo = base + j * g.di + 1;
-            B::jacobi3d_row(
+            rowexec::jacobi3d_row(
                 &mut dv[lo..lo + g.ni - 2],
                 &sv[lo - 1..],
                 &sv[lo + 1..],
@@ -273,7 +223,7 @@ type OwnedPlanes<'a> = Vec<(usize, &'a mut [f64])>;
 /// both buffers into per-plane slices routed to their owning tile (or
 /// the shared read-only pool), then runs every tile on scoped threads.
 /// `thread::scope` joins at the end — the wavefront barrier.
-fn run_jacobi_wave<B: Backend>(
+fn run_jacobi_wave(
     bufs: &mut [Array3<f64>; 2],
     c: f64,
     wave: &[SkewedBlock],
@@ -315,7 +265,7 @@ fn run_jacobi_wave<B: Backend>(
     let workers = threads.min(work.len()).max(1);
     if workers == 1 {
         for (blk, mut planes) in work {
-            run_jacobi_block::<B>(&blk, &mut planes, &shared, g, c, span.id());
+            run_jacobi_block(&blk, &mut planes, &shared, g, c, span.id());
         }
         return;
     }
@@ -325,7 +275,7 @@ fn run_jacobi_wave<B: Backend>(
         for group in deal(work, workers) {
             scope.spawn(move || {
                 for (blk, mut planes) in group {
-                    run_jacobi_block::<B>(&blk, &mut planes, shared_ref, g, c, wid);
+                    run_jacobi_block(&blk, &mut planes, shared_ref, g, c, wid);
                 }
             });
         }
@@ -335,7 +285,7 @@ fn run_jacobi_wave<B: Backend>(
 /// One Jacobi tile against its owned planes: plane-local indexing, the
 /// destination plane temporarily pulled out of the owned set so the
 /// source planes can be read around it.
-fn run_jacobi_block<B: Backend>(
+fn run_jacobi_block(
     blk: &SkewedBlock,
     own: &mut Vec<(usize, &mut [f64])>,
     shared: &[Option<&[f64]>],
@@ -359,7 +309,7 @@ fn run_jacobi_block<B: Backend>(
             let u = read_plane(own, shared, sb * nk + k + 1);
             for j in 1..=g.nj - 2 {
                 let lo = j * g.di + 1;
-                B::jacobi3d_row(
+                rowexec::jacobi3d_row(
                     &mut dst[lo..lo + g.ni - 2],
                     &ctr[lo - 1..],
                     &ctr[lo + 1..],
@@ -412,35 +362,6 @@ pub fn redblack_time_tiled(
     tile: TimeTile,
     threads: usize,
 ) {
-    redblack_time_tiled_with::<RowEngine>(a, c1, c2, steps, tile, threads);
-}
-
-/// [`redblack_time_tiled`] with the execution backend chosen at runtime.
-pub fn redblack_time_tiled_backend(
-    a: &mut Array3<f64>,
-    c1: f64,
-    c2: f64,
-    steps: usize,
-    tile: TimeTile,
-    threads: usize,
-    sel: ExecBackend,
-) {
-    match backend::resolve(sel, RowKernel::RedBlack) {
-        Resolved::Row => redblack_time_tiled_with::<RowEngine>(a, c1, c2, steps, tile, threads),
-        Resolved::Lane => redblack_time_tiled_with::<LaneEngine>(a, c1, c2, steps, tile, threads),
-    }
-}
-
-/// [`redblack_time_tiled`] generic over the row-segment execution
-/// [`Backend`].
-pub fn redblack_time_tiled_with<B: Backend>(
-    a: &mut Array3<f64>,
-    c1: f64,
-    c2: f64,
-    steps: usize,
-    tile: TimeTile,
-    threads: usize,
-) {
     assert!(tile.st > 0 && tile.sk > 0, "tile extents must be nonzero");
     assert!(threads > 0, "threads must be at least 1");
     assert!(
@@ -457,11 +378,11 @@ pub fn redblack_time_tiled_with<B: Backend>(
     span.add("tiles", blocks.len() as u64);
     if threads == 1 {
         for blk in &blocks {
-            redblack_block_seq::<B>(a, c1, c2, blk, g, span.id());
+            redblack_block_seq(a, c1, c2, blk, g, span.id());
         }
     } else {
         for wave in wavefronts(&blocks) {
-            run_redblack_wave::<B>(a, c1, c2, &wave, g, threads, span.id());
+            run_redblack_wave(a, c1, c2, &wave, g, threads, span.id());
         }
     }
     let per_step = (g.ni - 2) as u64 * (g.nj - 2) as u64 * (g.nk - 2) as u64;
@@ -473,7 +394,7 @@ pub fn redblack_time_tiled_with<B: Backend>(
 /// (`base = k * ps`); `d`/`u` are the neighbouring source planes at the
 /// same offsets.
 #[allow(clippy::too_many_arguments)]
-fn redblack_plane_pass<B: Backend>(
+fn redblack_plane_pass(
     av: &mut [f64],
     d: &[f64],
     u: &[f64],
@@ -493,7 +414,7 @@ fn redblack_plane_pass<B: Backend>(
         }
         let m = (g.ni - 2 - i0) / 2 + 1;
         let lo = base + j * g.di + i0;
-        B::redblack_row(
+        rowexec::redblack_row(
             &mut scratch[..m],
             &av[lo..],
             &av[lo - 1..],
@@ -513,7 +434,7 @@ fn redblack_plane_pass<B: Backend>(
 
 /// One red-black tile in the sequential band-major order (global
 /// indexing, in place).
-fn redblack_block_seq<B: Backend>(
+fn redblack_block_seq(
     a: &mut Array3<f64>,
     c1: f64,
     c2: f64,
@@ -533,14 +454,14 @@ fn redblack_block_seq<B: Backend>(
         let (head, tail) = av.split_at_mut(base);
         let (plane, up) = tail.split_at_mut(g.ps);
         let down = &head[base - g.ps..];
-        points += redblack_plane_pass::<B>(plane, down, up, &mut scratch, g, 0, k, p % 2, c1, c2);
+        points += redblack_plane_pass(plane, down, up, &mut scratch, g, 0, k, p % 2, c1, c2);
     });
     span.add("points", points);
 }
 
 /// One wavefront of red-black tiles: plane ownership over the single
 /// in-place array, scoped threads, barrier at scope exit.
-fn run_redblack_wave<B: Backend>(
+fn run_redblack_wave(
     a: &mut Array3<f64>,
     c1: f64,
     c2: f64,
@@ -574,7 +495,7 @@ fn run_redblack_wave<B: Backend>(
     let workers = threads.min(work.len()).max(1);
     if workers == 1 {
         for (blk, mut planes) in work {
-            run_redblack_block::<B>(&blk, &mut planes, &shared, g, c1, c2, span.id());
+            run_redblack_block(&blk, &mut planes, &shared, g, c1, c2, span.id());
         }
         return;
     }
@@ -584,7 +505,7 @@ fn run_redblack_wave<B: Backend>(
         for group in deal(work, workers) {
             scope.spawn(move || {
                 for (blk, mut planes) in group {
-                    run_redblack_block::<B>(&blk, &mut planes, shared_ref, g, c1, c2, wid);
+                    run_redblack_block(&blk, &mut planes, shared_ref, g, c1, c2, wid);
                 }
             });
         }
@@ -592,7 +513,7 @@ fn run_redblack_wave<B: Backend>(
 }
 
 /// One red-black tile against its owned planes (plane-local indexing).
-fn run_redblack_block<B: Backend>(
+fn run_redblack_block(
     blk: &SkewedBlock,
     own: &mut Vec<(usize, &mut [f64])>,
     shared: &[Option<&[f64]>],
@@ -613,7 +534,7 @@ fn run_redblack_block<B: Backend>(
         {
             let d = read_plane(own, shared, k - 1);
             let u = read_plane(own, shared, k + 1);
-            points += redblack_plane_pass::<B>(plane, d, u, &mut scratch, g, 0, k, p % 2, c1, c2);
+            points += redblack_plane_pass(plane, d, u, &mut scratch, g, 0, k, p % 2, c1, c2);
         }
         own.push((key, plane));
     });

@@ -5,10 +5,14 @@
 //!
 //! The property matrix is seeded and exhaustive over small sizes:
 //! `n in 3..=20`, pads `di/dj in {n, n+1, n+5}`, tiles including
-//! `TI >= NI` and `TJ = 1`, threads `{1, 2, 7}`.
+//! `TI >= NI` and `TJ = 1`, threads `{1, 2, 7}`. The planner-facing gate
+//! adds the exact padded geometry and tile `core::plan` picks for every
+//! kernel and transform.
 
+use tiling3d_core::{plan, CacheSpec, Transform};
 use tiling3d_grid::{fill_random, fill_random2, Array2, Array3};
 use tiling3d_loopnest::TileDims;
+use tiling3d_stencil::kernels::{Kernel, KernelState};
 use tiling3d_stencil::redblack::Schedule;
 use tiling3d_stencil::redblack2d::Schedule2D;
 use tiling3d_stencil::resid::Coeffs;
@@ -43,14 +47,14 @@ fn jacobi3d_engine_matches_reference_bitwise() {
         let mut want = Array3::with_padding(n, n, n, di, dj);
         reference::jacobi3d(&mut want, &b, 1.0 / 6.0, None);
         let mut got = Array3::with_padding(n, n, n, di, dj);
-        jacobi3d::sweep(&mut got, &b, 1.0 / 6.0);
+        jacobi3d::sweep(&mut got, &b, 1.0 / 6.0, None);
         assert!(want.logical_eq(&got), "untiled n={n} di={di} dj={dj}");
         for (ti, tj) in TILES {
             let t = TileDims::new(ti, tj);
             let mut want = Array3::with_padding(n, n, n, di, dj);
             reference::jacobi3d(&mut want, &b, 1.0 / 6.0, Some(t));
             let mut got = Array3::with_padding(n, n, n, di, dj);
-            jacobi3d::sweep_tiled(&mut got, &b, 1.0 / 6.0, t);
+            jacobi3d::sweep(&mut got, &b, 1.0 / 6.0, Some(t));
             assert!(
                 want.logical_eq(&got),
                 "tiled ({ti},{tj}) n={n} di={di} dj={dj}"
@@ -207,5 +211,79 @@ fn degenerate_grids_no_op_everywhere() {
         let mut r = Array3::new(6, 6, nk);
         parallel::resid_sweep(&mut r, &b, &b, &Coeffs::MGRID_A, None, 4);
         assert!(r.logical_eq(&Array3::new(6, 6, nk)));
+    }
+}
+
+/// One per-point reference sweep on dispatch-level kernel state.
+fn run_reference(kernel: Kernel, state: &mut KernelState, tile: Option<(usize, usize)>) {
+    let t = tile.map(|(ti, tj)| TileDims::new(ti, tj));
+    match (kernel, state) {
+        (Kernel::Jacobi, KernelState::Jacobi { a, b }) => {
+            reference::jacobi3d(a, b, 1.0 / 6.0, t);
+        }
+        (Kernel::RedBlack, KernelState::RedBlack { a }) => {
+            let sched = t.map_or(Schedule::Naive, Schedule::Tiled);
+            reference::redblack(a, 0.4, 0.1, sched);
+        }
+        (Kernel::Resid, KernelState::Resid { r, u, v }) => {
+            reference::resid(r, u, v, &Coeffs::MGRID_A, t);
+        }
+        _ => panic!("kernel/state mismatch"),
+    }
+}
+
+/// The planner-facing gate: for every kernel x transform x size, the
+/// plan's exact padded geometry and tile run bitwise identically through
+/// `Kernel::run` and the per-point reference. `n = 34` and `n = 37` add
+/// interior rows past the small-size matrix.
+#[test]
+fn kernel_run_matches_reference_across_transform_plans() {
+    let cache = CacheSpec::from_bytes(16 * 1024);
+    let sizes: Vec<usize> = (3..=20).chain([34, 37]).collect();
+    for kernel in Kernel::ALL {
+        for t in [
+            Transform::Orig,
+            Transform::Tile,
+            Transform::Pad,
+            Transform::GcdPad,
+        ] {
+            for &n in &sizes {
+                let p = plan(t, cache, n, n, &kernel.shape());
+                let mut got = kernel.make_state(n, n, &p, seed(n, p.padded_di, p.padded_dj));
+                let mut want = got.clone();
+                kernel.run(&mut got, p.tile);
+                run_reference(kernel, &mut want, p.tile);
+                assert!(
+                    got.output().logical_eq(want.output()),
+                    "{}/{} n={n} tile={:?}",
+                    kernel.name(),
+                    t.name(),
+                    p.tile
+                );
+            }
+        }
+    }
+}
+
+/// `Kernel::run_parallel` at the GcdPad plan reproduces the sequential
+/// `Kernel::run` bit for bit for every thread count.
+#[test]
+fn kernel_run_parallel_matches_run_for_every_thread_count() {
+    let cache = CacheSpec::from_bytes(16 * 1024);
+    for kernel in Kernel::ALL {
+        for n in [5usize, 12, 20, 37] {
+            let p = plan(Transform::GcdPad, cache, n, n, &kernel.shape());
+            let mut want = kernel.make_state(n, n, &p, seed(n, 1, 2));
+            kernel.run(&mut want, p.tile);
+            for threads in [1usize, 2, 7] {
+                let mut got = kernel.make_state(n, n, &p, seed(n, 1, 2));
+                kernel.run_parallel(&mut got, p.tile, threads);
+                assert!(
+                    got.output().logical_eq(want.output()),
+                    "{} n={n} threads={threads}",
+                    kernel.name()
+                );
+            }
+        }
     }
 }

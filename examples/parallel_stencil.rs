@@ -36,7 +36,7 @@ fn main() {
     let mut b = Array3::with_padding(n, n, nk, p.padded_di, p.padded_dj);
     fill_random(&mut b, 1);
     let mut seq = b.clone();
-    jacobi3d::sweep_tiled(&mut seq, &b, 1.0 / 6.0, tile.unwrap());
+    jacobi3d::sweep(&mut seq, &b, 1.0 / 6.0, tile);
     for threads in [1, 2, cores.max(2)] {
         let mut par = b.clone();
         let t0 = Instant::now();

@@ -38,8 +38,8 @@ fn main() {
     fill_random(&mut b, 42);
     let mut a_orig = b.clone();
     let mut a_tiled = b.clone();
-    jacobi3d::sweep(&mut a_orig, &b, 1.0 / 6.0);
-    jacobi3d::sweep_tiled(&mut a_tiled, &b, 1.0 / 6.0, TileDims::new(ti, tj));
+    jacobi3d::sweep(&mut a_orig, &b, 1.0 / 6.0, None);
+    jacobi3d::sweep(&mut a_tiled, &b, 1.0 / 6.0, Some(TileDims::new(ti, tj)));
     assert!(a_orig.logical_eq(&a_tiled));
     println!("tiled and original sweeps agree bitwise");
 

@@ -196,7 +196,7 @@ fn copying_never_changes_results_and_always_adds_traffic() {
     let mut b = Array3::new(n, n, n);
     fill_random(&mut b, 5);
     let mut plain = Array3::new(n, n, n);
-    jacobi3d::sweep(&mut plain, &b, 0.5);
+    jacobi3d::sweep(&mut plain, &b, 0.5, None);
     let mut copied = Array3::new(n, n, n);
     copyopt::sweep_tiled_copying(&mut copied, &b, 0.5, TileDims::new(5, 5));
     assert!(plain.logical_eq(&copied));

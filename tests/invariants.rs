@@ -115,8 +115,8 @@ fn jacobi_tiling_preserves_results() {
         fill_random(&mut b, seed);
         let mut a1 = Array3::with_padding(n, n, nk, di, dj);
         let mut a2 = a1.clone();
-        jacobi3d::sweep(&mut a1, &b, 1.0 / 6.0);
-        jacobi3d::sweep_tiled(&mut a2, &b, 1.0 / 6.0, TileDims::new(ti, tj));
+        jacobi3d::sweep(&mut a1, &b, 1.0 / 6.0, None);
+        jacobi3d::sweep(&mut a2, &b, 1.0 / 6.0, Some(TileDims::new(ti, tj)));
         assert!(
             a1.logical_eq(&a2),
             "n={n} nk={nk} di={di} dj={dj} tile=({ti},{tj})"
