@@ -14,11 +14,14 @@
 use std::hint::black_box;
 
 use tiling3d_bench::microbench::{run_pair, to_json, Measurement};
+use tiling3d_bench::{plan_for, SweepConfig};
 use tiling3d_cachesim::{AccessSink, Cache, CacheConfig, Hierarchy};
+use tiling3d_core::{Transform, TransformPlan};
 use tiling3d_stencil::kernels::Kernel;
 
 /// Two-level hierarchy with every engine optimization disabled: per-access
-/// reference probes, default (unbatched) `read_run`. The "before" engine.
+/// reference probes, default (unbatched) `read_run` and `row`. The
+/// "before" engine.
 struct ReferenceHierarchy {
     l1: Cache,
     l2: Cache,
@@ -94,39 +97,50 @@ fn bench_raw_access(results: &mut Vec<Measurement>) {
 /// gets the same code layout it would have in a real driver, independent
 /// of the benchmark-harness closures around it.
 #[inline(never)]
-fn sim_reference(kernel: Kernel, n: usize, nk: usize) -> u64 {
+fn sim_reference(kernel: Kernel, n: usize, nk: usize, p: &TransformPlan) -> u64 {
     let mut h = ReferenceHierarchy {
         l1: Cache::new(CacheConfig::ULTRASPARC2_L1),
         l2: Cache::new(CacheConfig::ULTRASPARC2_L2),
     };
-    kernel.trace(n, nk, n, n, None, &mut h);
+    kernel.trace(n, nk, p.padded_di, p.padded_dj, p.tile, &mut h);
     h.l1.stats().misses
 }
 
 #[inline(never)]
-fn sim_fast(kernel: Kernel, n: usize, nk: usize) -> u64 {
+fn sim_fast(kernel: Kernel, n: usize, nk: usize, p: &TransformPlan) -> u64 {
     let mut h = Hierarchy::ultrasparc2();
-    kernel.trace(n, nk, n, n, None, &mut h);
+    kernel.trace(n, nk, p.padded_di, p.padded_dj, p.tile, &mut h);
     h.l1_stats().misses
 }
 
+/// Untiled `Orig` (one long row per `(j, k)`) and `GcdPad` (padded
+/// arrays, rows one tile wide), with the padding and tile the drivers use.
 fn bench_trace_simulation(results: &mut Vec<Measurement>) {
     let (n, nk) = (200usize, 8usize);
-    for kernel in [Kernel::Jacobi, Kernel::Resid] {
-        let pts = ((n - 2) * (n - 2) * (nk - 2)) as u64;
-        let accesses = pts * kernel.accesses_per_point();
-        let (a, b) = run_pair(
-            &format!("trace_sim/reference/{}", kernel.name()),
-            &format!("trace_sim/fast/{}", kernel.name()),
-            Some(accesses),
-            || {
-                black_box(sim_reference(kernel, n, nk));
-            },
-            || {
-                black_box(sim_fast(kernel, n, nk));
-            },
-        );
-        results.extend([a, b]);
+    let cfg = SweepConfig::default();
+    for t in [Transform::Orig, Transform::GcdPad] {
+        let suffix = if t == Transform::Orig {
+            String::new()
+        } else {
+            format!("/{}", t.name())
+        };
+        for kernel in [Kernel::Jacobi, Kernel::Resid] {
+            let p = plan_for(&cfg, kernel, t, n);
+            let pts = ((n - 2) * (n - 2) * (nk - 2)) as u64;
+            let accesses = pts * kernel.accesses_per_point();
+            let (a, b) = run_pair(
+                &format!("trace_sim/reference/{}{suffix}", kernel.name()),
+                &format!("trace_sim/fast/{}{suffix}", kernel.name()),
+                Some(accesses),
+                || {
+                    black_box(sim_reference(kernel, n, nk, &p));
+                },
+                || {
+                    black_box(sim_fast(kernel, n, nk, &p));
+                },
+            );
+            results.extend([a, b]);
+        }
     }
 }
 
@@ -179,6 +193,16 @@ fn main() {
             &results,
             "trace_sim/reference/RESID",
             "trace_sim/fast/RESID",
+        ),
+        speedup(
+            &results,
+            "trace_sim/reference/JACOBI/GcdPad",
+            "trace_sim/fast/JACOBI/GcdPad",
+        ),
+        speedup(
+            &results,
+            "trace_sim/reference/RESID/GcdPad",
+            "trace_sim/fast/RESID/GcdPad",
         ),
     ]
     .into_iter()

@@ -1,13 +1,15 @@
 //! Golden-equivalence suite: the optimized simulation engine (MRU
-//! fast-path `Cache::access`, batched `AccessSink::read_run`, sharded
-//! `SimPool` sweeps) must report **bit-identical** miss counts to a
-//! per-access reference replay with every optimization disabled.
+//! fast-path `Cache::access`, batched `AccessSink::read_run`, row-level
+//! `AccessSink::row` replay, sharded `SimPool` sweeps) must report
+//! **bit-identical** miss counts to a per-access reference replay with
+//! every optimization disabled.
 //!
 //! The reference hierarchy below uses `Cache::access_reference` (no MRU
-//! short-circuit) and inherits the trait's default `read_run` (a plain
-//! per-access loop, no batching), so any divergence in the fast paths —
-//! wrong LRU bookkeeping in the short-circuit, a mis-segmented run, a
-//! reordered shard — shows up as an exact counter mismatch here.
+//! short-circuit) and inherits the trait's default `read_run` and `row`
+//! (plain per-access loops, no batching), so any divergence in the fast
+//! paths — wrong LRU bookkeeping in the short-circuit, a mis-segmented
+//! run, a mis-classified row, a reordered shard — shows up as an exact
+//! counter mismatch here.
 
 use tiling3d_bench::{simulate_grid, SweepConfig};
 use tiling3d_cachesim::{AccessSink, AccessStats, Cache, CacheConfig, Hierarchy};
@@ -32,8 +34,9 @@ impl ReferenceHierarchy {
 
 impl AccessSink for ReferenceHierarchy {
     // Same L1/L2 policy as `Hierarchy`: write-through L1, L2 sees L1 read
-    // misses and every write. Deliberately NO `read_run` override: batched
-    // runs expand through the trait's default per-access loop.
+    // misses and every write. Deliberately NO `read_run` or `row`
+    // override: batched runs and rows expand through the trait's default
+    // per-access loops.
     fn read(&mut self, addr: u64) {
         if self.l1.access_reference(addr, false) {
             self.l2.access_reference(addr, false);
@@ -46,14 +49,8 @@ impl AccessSink for ReferenceHierarchy {
     }
 }
 
-/// The five algorithm columns of the paper's tables.
-const ALGORITHMS: [Transform; 5] = [
-    Transform::Orig,
-    Transform::Tile,
-    Transform::Euc3D,
-    Transform::GcdPad,
-    Transform::Pad,
-];
+/// The six transforms of the paper's figures.
+const ALGORITHMS: [Transform; 6] = Transform::ALL;
 
 fn fast_and_reference_stats(
     kernel: Kernel,
@@ -116,6 +113,35 @@ fn engine_matches_reference_at_pathological_size() {
             assert_eq!(fast.1, reference.1, "{} {}", kernel.name(), t.name());
             // Sanity: the trace actually exercised the cache.
             assert!(fast.0.accesses > 100_000);
+        }
+    }
+}
+
+/// Paper-geometry spot check of row replay: every kernel and transform at
+/// a size whose untransformed planes conflict in the 16 KB L1 (N = 256,
+/// the point-major fallback) and at one where they do not (N = 304, the
+/// clean classes), against the per-access reference.
+#[test]
+fn row_replay_matches_reference_at_paper_sizes() {
+    for kernel in Kernel::ALL {
+        for t in ALGORITHMS {
+            for n in [256usize, 304] {
+                let (fast, reference) = fast_and_reference_stats(kernel, t, n, 6);
+                assert_eq!(
+                    fast.0,
+                    reference.0,
+                    "L1: {} {} N={n}",
+                    kernel.name(),
+                    t.name()
+                );
+                assert_eq!(
+                    fast.1,
+                    reference.1,
+                    "L2: {} {} N={n}",
+                    kernel.name(),
+                    t.name()
+                );
+            }
         }
     }
 }

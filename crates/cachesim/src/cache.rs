@@ -224,6 +224,22 @@ impl Cache {
         }
     }
 
+    /// Records guaranteed hits spread over lines that were each probed
+    /// earlier in the same row chunk and cannot have been evicted since.
+    /// Counts and clock advance as for `reads + writes` calls to
+    /// [`Cache::access`]; LRU timestamps are left as the probes set them,
+    /// which keeps each touched line most recent in its set — the only
+    /// order replacement ever compares, as no set holds two touched lines.
+    #[inline]
+    pub(crate) fn record_hits(&mut self, reads: u64, writes: u64) {
+        self.stats.accesses += reads + writes;
+        self.stats.reads += reads;
+        self.stats.writes += writes;
+        if self.cfg.ways > 1 {
+            self.clock += reads + writes;
+        }
+    }
+
     /// Line size helper for run segmentation.
     #[inline]
     pub(crate) fn line_bytes(&self) -> u64 {

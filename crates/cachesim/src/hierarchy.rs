@@ -2,6 +2,7 @@
 
 use crate::cache::Cache;
 use crate::config::CacheConfig;
+use crate::row::{self, Class, CleanClass, RowPlans, RowShape, CHUNK_POINTS, MIN_PLANNED_POINTS};
 use crate::sinks::AccessSink;
 use crate::stats::AccessStats;
 
@@ -34,6 +35,8 @@ use crate::stats::AccessStats;
 pub struct Hierarchy {
     l1: Cache,
     l2: Cache,
+    /// Class splits of row chunks (geometry-only, so never reset).
+    rows: RowPlans,
 }
 
 impl Hierarchy {
@@ -42,6 +45,7 @@ impl Hierarchy {
         Hierarchy {
             l1: Cache::new(l1),
             l2: Cache::new(l2),
+            rows: RowPlans::default(),
         }
     }
 
@@ -115,6 +119,66 @@ impl Hierarchy {
     fn l2_read_fill(&mut self, addr: u64) {
         self.l2.access(addr, false);
     }
+
+    /// True when a line of one of the byte ranges (offsets from `base`)
+    /// is L1-resident.
+    fn any_l1_resident(&self, ranges: &[(i64, i64)], base: u64) -> bool {
+        let line = self.l1.line_bytes();
+        ranges.iter().any(|&(lo, hi)| {
+            let first = base.wrapping_add(lo as u64) & !(line - 1);
+            let last = base.wrapping_add(hi as u64);
+            (0..=last.wrapping_sub(first) / line).any(|i| self.l1.probe(first + i * line))
+        })
+    }
+
+    /// Replays one class of a row chunk of `points` points at `base`.
+    fn replay_class(&mut self, class: &Class, step: i64, base: u64, points: usize) {
+        match class {
+            Class::Run(s) => {
+                let a = base.wrapping_add(s.offset as u64);
+                if s.write {
+                    self.write_run(a, step, points);
+                } else {
+                    self.read_run(a, step, points);
+                }
+            }
+            Class::Clean(c) => self.replay_clean(c, base),
+            Class::PointMajor(slots) => row::expand_slots(self, slots, step, base, points),
+        }
+    }
+
+    /// A clean class: no line of it can be evicted during the chunk, so
+    /// each L1 line's first touch (a load) is its only possible miss, and
+    /// every store hits L1. L2 sees the L1 misses and every store; the
+    /// first of those events on each L2 line is probed with its own type,
+    /// in trace order, and leaves the line resident, so the rest hit.
+    fn replay_clean(&mut self, c: &CleanClass, base: u64) {
+        let (mut fills, mut fill_probes, mut store_probes) = (0u64, 0u64, 0u64);
+        let mut start = 0;
+        for g in &c.l2 {
+            let mut first = g.store.map(|t| (t, true));
+            for t in &c.l1[start..g.l1_end] {
+                if self.l1.access(base.wrapping_add(t.offset as u64), false) {
+                    fills += 1;
+                    if first.is_none_or(|(f, _)| t.rank < f.rank) {
+                        first = Some((*t, false));
+                    }
+                }
+            }
+            start = g.l1_end;
+            if let Some((t, write)) = first {
+                self.l2.access(base.wrapping_add(t.offset as u64), write);
+                if write {
+                    store_probes += 1;
+                } else {
+                    fill_probes += 1;
+                }
+            }
+        }
+        self.l1.record_hits(c.l1_read_hits, c.stores);
+        self.l2
+            .record_hits(fills - fill_probes, c.stores - store_probes);
+    }
 }
 
 impl AccessSink for Hierarchy {
@@ -172,6 +236,44 @@ impl AccessSink for Hierarchy {
         // interleaved per-access expansion.
         self.l1.write_run(addr, stride, n);
         self.l2.write_run(addr, stride, n);
+    }
+
+    /// Splits the row into chunks and each chunk into classes that touch
+    /// disjoint L1 and L2 sets (DESIGN.md, "Row-level replay"). Classes
+    /// cannot affect each other's hits, misses or replacement order, so
+    /// each replays on its own; together they are bit-identical to the
+    /// point-major expansion.
+    fn row(&mut self, shape: &RowShape, base: u64, points: usize) {
+        if points < MIN_PLANNED_POINTS || !row::plannable(shape, self.l1.config(), self.l2.config())
+        {
+            shape.expand(self, base, points);
+            return;
+        }
+        let mut plans = std::mem::take(&mut self.rows);
+        plans.select(shape);
+        let (l1, l2) = (*self.l1.config(), *self.l2.config());
+        let phase_mask = l2.line_bytes as u64 - 1;
+        let step = shape.step();
+        let mut done = 0;
+        while done < points {
+            let n = (points - done).min(CHUNK_POINTS);
+            let b = base.wrapping_add((done as i64 * step) as u64);
+            if n < MIN_PLANNED_POINTS {
+                shape.expand(self, b, n);
+            } else {
+                let mut plan = plans.get(n, b & phase_mask, &l1, &l2);
+                if let Some(strict) = &plan.strict {
+                    if self.any_l1_resident(&plan.quiet, b) {
+                        plan = strict;
+                    }
+                }
+                for class in &plan.classes {
+                    self.replay_class(class, step, b, n);
+                }
+            }
+            done += n;
+        }
+        self.rows = plans;
     }
 }
 

@@ -1,0 +1,504 @@
+//! Row-level replay: one stencil row segment as a single sink call.
+//!
+//! A stencil row visits `points` consecutive points at a fixed byte step,
+//! and every point issues the same accesses at the same offsets from its
+//! own base address. [`RowShape`] records that per-point pattern once, so
+//! a trace walker can hand a whole row to [`AccessSink::row`] instead of
+//! issuing one call per load and store.
+//!
+//! The rest of this module plans how [`crate::Hierarchy`] replays a row
+//! without expanding it access by access (see [`RowPlan`]).
+
+use std::collections::HashMap;
+
+use crate::config::{CacheConfig, WritePolicy};
+use crate::sinks::AccessSink;
+
+/// One access of a row point.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Slot {
+    /// Byte offset of the access from the point's base address.
+    pub offset: i64,
+    /// `true` for a store, `false` for a load.
+    pub write: bool,
+}
+
+/// The accesses of one point of a row, in source order, and the byte step
+/// from one point to the next.
+///
+/// # Example
+///
+/// ```
+/// use tiling3d_cachesim::{AccessSink, CountingSink, RowShape};
+///
+/// // A(i) = B(i-1) + B(i+1), with B 4096 bytes after A.
+/// let shape = RowShape::new(8).read(4096 - 8).read(4096 + 8).write(0);
+/// let mut c = CountingSink::default();
+/// c.row(&shape, 8, 100);
+/// assert_eq!((c.reads, c.writes), (200, 100));
+/// ```
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct RowShape {
+    slots: Vec<Slot>,
+    step: i64,
+}
+
+impl RowShape {
+    /// An empty shape whose points lie `step` bytes apart.
+    pub fn new(step: i64) -> Self {
+        RowShape {
+            slots: Vec::new(),
+            step,
+        }
+    }
+
+    /// Appends a load at `offset` bytes from the point's base.
+    #[must_use]
+    pub fn read(mut self, offset: i64) -> Self {
+        self.slots.push(Slot {
+            offset,
+            write: false,
+        });
+        self
+    }
+
+    /// Appends one load per offset, in iteration order.
+    #[must_use]
+    pub fn reads(mut self, offsets: impl IntoIterator<Item = i64>) -> Self {
+        self.slots.extend(offsets.into_iter().map(|offset| Slot {
+            offset,
+            write: false,
+        }));
+        self
+    }
+
+    /// Appends a store at `offset` bytes from the point's base.
+    #[must_use]
+    pub fn write(mut self, offset: i64) -> Self {
+        self.slots.push(Slot {
+            offset,
+            write: true,
+        });
+        self
+    }
+
+    /// The per-point accesses in source order.
+    pub fn slots(&self) -> &[Slot] {
+        &self.slots
+    }
+
+    /// Byte distance between consecutive points.
+    pub fn step(&self) -> i64 {
+        self.step
+    }
+
+    /// The per-access expansion of a row of `points` points starting at
+    /// `base`: point-major, each point's slots in source order. This is
+    /// the definition of [`AccessSink::row`].
+    pub fn expand<S: AccessSink + ?Sized>(&self, sink: &mut S, base: u64, points: usize) {
+        expand_slots(sink, &self.slots, self.step, base, points);
+    }
+}
+
+/// Point-major replay of `slots` only — the row expansion restricted to a
+/// subset of a shape's slots.
+#[inline]
+pub(crate) fn expand_slots<S: AccessSink + ?Sized>(
+    sink: &mut S,
+    slots: &[Slot],
+    step: i64,
+    base: u64,
+    points: usize,
+) {
+    let mut b = base;
+    for _ in 0..points {
+        for s in slots {
+            let a = b.wrapping_add(s.offset as u64);
+            if s.write {
+                sink.write(a);
+            } else {
+                sink.read(a);
+            }
+        }
+        b = b.wrapping_add(step as u64);
+    }
+}
+
+/// Rows shorter than this replay per access: planning a 1–3 point row
+/// costs more than the accesses it would save.
+pub(crate) const MIN_PLANNED_POINTS: usize = 4;
+
+/// Longer rows are replayed in chunks of at most this many points. A
+/// chunk spans 256 bytes per slot at step 8, so the streams of a row's
+/// neighbouring planes (a few hundred bytes apart in set space at the
+/// paper's sizes) stay in separate classes.
+pub(crate) const CHUNK_POINTS: usize = 32;
+
+/// The first access of a row chunk to one cache line.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct FirstTouch {
+    /// Byte offset of the access from the chunk's base address.
+    pub offset: i64,
+    /// Position of the access in the chunk's trace (`point * slots + slot`).
+    pub rank: u64,
+}
+
+/// One L2 line of a [`CleanClass`].
+#[derive(Clone, Debug)]
+pub(crate) struct L2Line {
+    /// End (exclusive) of this line's L1 lines in [`CleanClass::l1`]; the
+    /// start is the previous entry's end.
+    pub l1_end: usize,
+    /// The first store to this line, if the class stores to it.
+    pub store: Option<FirstTouch>,
+}
+
+/// A class that touches every L1 set and every L2 set through at most one
+/// line, and whose stores (if any) each follow a load of the same address
+/// in the same point. Once a line is loaded nothing else in the chunk can
+/// evict it, so only first touches can miss.
+#[derive(Clone, Debug)]
+pub(crate) struct CleanClass {
+    /// The first touch of each L1 line, ascending, grouped by L2 line.
+    pub l1: Vec<FirstTouch>,
+    /// The class's L2 lines, ascending.
+    pub l2: Vec<L2Line>,
+    /// Loads per chunk that are not a first touch: all L1 hits.
+    pub l1_read_hits: u64,
+    /// Stores per chunk: all L1 hits, and all but one per L2 line L2 hits.
+    pub stores: u64,
+}
+
+/// A set of streams replayed together. Classes touch disjoint sets at both
+/// levels (quiet stores aside, see [`RowPlan::quiet`]), so each can be
+/// replayed on its own, in any order.
+#[derive(Clone, Debug)]
+pub(crate) enum Class {
+    /// A single slot: its accesses form one run, which the hierarchy's
+    /// `read_run` / `write_run` replay exactly.
+    Run(Slot),
+    /// See [`CleanClass`].
+    Clean(CleanClass),
+    /// Anything else (set conflicts, stores without a preceding load):
+    /// point-major replay over the class's own slots.
+    PointMajor(Vec<Slot>),
+}
+
+/// How one row chunk splits into independently replayable classes.
+#[derive(Clone, Debug)]
+pub(crate) struct RowPlan {
+    pub classes: Vec<Class>,
+    /// Byte ranges, from the chunk base, of store-only streams that share
+    /// L1 sets with another class yet were split from it. Under a
+    /// write-around L1 such stores cannot change L1 state, and nothing in
+    /// the chunk can load their lines, so the split is exact whenever none
+    /// of these lines is L1-resident at the start of the chunk.
+    pub quiet: Vec<(i64, i64)>,
+    /// The split without that relaxation, for chunks where a quiet line is
+    /// resident. `Some` exactly when `quiet` is non-empty.
+    pub strict: Option<Box<RowPlan>>,
+}
+
+/// True when [`Hierarchy`](crate::Hierarchy) can plan rows of `shape`:
+/// ascending points no farther apart than an L1 line (so each slot touches
+/// every line between its first and last address) and L2 lines at least as
+/// long as L1 lines (so an L1 miss's L2 line is that of its L1 line).
+pub(crate) fn plannable(shape: &RowShape, l1: &CacheConfig, l2: &CacheConfig) -> bool {
+    shape.step > 0 && shape.step <= l1.line_bytes as i64 && l2.line_bytes >= l1.line_bytes
+}
+
+/// The plans computed so far for one shape, keyed by `(points, phase)`.
+/// Chunks hold at most [`CHUNK_POINTS`] points and the phase is below the
+/// L2 line size, so the map stays small.
+#[derive(Clone, Debug, Default)]
+pub(crate) struct RowPlans {
+    shape: Option<RowShape>,
+    plans: HashMap<(usize, u64), RowPlan>,
+}
+
+impl RowPlans {
+    /// Makes `shape` the current shape, dropping the plans of any other.
+    pub(crate) fn select(&mut self, shape: &RowShape) {
+        if self.shape.as_ref() != Some(shape) {
+            self.shape = Some(shape.clone());
+            self.plans.clear();
+        }
+    }
+
+    /// The plan for a chunk of the current shape, computed on first use.
+    pub(crate) fn get(
+        &mut self,
+        points: usize,
+        phase: u64,
+        l1: &CacheConfig,
+        l2: &CacheConfig,
+    ) -> &RowPlan {
+        let shape = self.shape.as_ref().expect("a shape is selected");
+        self.plans
+            .entry((points, phase))
+            .or_insert_with(|| plan(shape, points, phase, l1, l2))
+    }
+}
+
+/// One merged address stream: slots whose L2 line ranges overlap.
+struct Stream {
+    slots: Vec<usize>,
+    lo: i64,
+    hi: i64,
+}
+
+/// The circular set interval `(first set, set count)` of the lines of the
+/// byte range `lo..=hi`, in a cache of `sets` sets of `1 << shift` bytes.
+fn set_interval(lo: i64, hi: i64, shift: u32, sets: i64) -> (i64, i64) {
+    let first = lo >> shift;
+    let len = ((hi >> shift) - first + 1).min(sets);
+    (first & (sets - 1), len)
+}
+
+fn intervals_overlap((a, la): (i64, i64), (b, lb): (i64, i64), sets: i64) -> bool {
+    ((b - a) & (sets - 1)) < la || ((a - b) & (sets - 1)) < lb
+}
+
+/// The first point of the run `lo, lo + step, ..=hi` at or past byte
+/// `at`, as `(point, address)`, or `None` when the run ends before it.
+fn first_at_or_past(lo: i64, hi: i64, step: i64, at: i64) -> Option<(i64, i64)> {
+    let p = if lo >= at {
+        0
+    } else {
+        (at - lo + step - 1) / step
+    };
+    let a = lo + p * step;
+    (a <= hi).then_some((p, a))
+}
+
+/// Splits a chunk of `points` points of `shape` whose base address is
+/// `phase` modulo the L2 line size into classes.
+///
+/// Slots merge into streams when their L2 line ranges overlap; streams
+/// merge into one class when their L1 or their L2 set intervals overlap,
+/// except that under a write-around L1 a store-only stream is not merged
+/// for its L1 overlaps alone (see [`RowPlan::quiet`]). The split depends
+/// only on the arguments, and a base differing by whole L2 lines shifts
+/// every line and set uniformly, so one plan serves every chunk of the
+/// same `(shape, points, phase)`.
+pub(crate) fn plan(
+    shape: &RowShape,
+    points: usize,
+    phase: u64,
+    l1: &CacheConfig,
+    l2: &CacheConfig,
+) -> RowPlan {
+    let relaxed = split(
+        shape,
+        points,
+        phase,
+        l1,
+        l2,
+        l1.write_policy == WritePolicy::WriteAround,
+    );
+    if relaxed.quiet.is_empty() {
+        relaxed
+    } else {
+        RowPlan {
+            strict: Some(Box::new(split(shape, points, phase, l1, l2, false))),
+            ..relaxed
+        }
+    }
+}
+
+fn split(
+    shape: &RowShape,
+    points: usize,
+    phase: u64,
+    l1: &CacheConfig,
+    l2: &CacheConfig,
+    relax: bool,
+) -> RowPlan {
+    let step = shape.step;
+    let span = (points as i64 - 1) * step;
+    let (s1, s2) = (
+        l1.line_bytes.trailing_zeros(),
+        l2.line_bytes.trailing_zeros(),
+    );
+    let (sets1, sets2) = (l1.num_sets() as i64, l2.num_sets() as i64);
+    let lo_of = |i: usize| phase as i64 + shape.slots[i].offset;
+
+    let mut order: Vec<usize> = (0..shape.slots.len()).collect();
+    order.sort_by_key(|&i| shape.slots[i].offset);
+    let mut streams: Vec<Stream> = Vec::new();
+    for i in order {
+        let (lo, hi) = (lo_of(i), lo_of(i) + span);
+        match streams.last_mut() {
+            Some(s) if lo >> s2 <= s.hi >> s2 => {
+                s.slots.push(i);
+                s.hi = s.hi.max(hi);
+            }
+            _ => streams.push(Stream {
+                slots: vec![i],
+                lo,
+                hi,
+            }),
+        }
+    }
+
+    // Union-find over streams whose set intervals overlap at either level.
+    let sets_of = |s: &Stream| {
+        (
+            set_interval(s.lo, s.hi, s1, sets1),
+            set_interval(s.lo, s.hi, s2, sets2),
+        )
+    };
+    let intervals: Vec<_> = streams.iter().map(sets_of).collect();
+    let mut parent: Vec<usize> = (0..streams.len()).collect();
+    fn root(parent: &mut [usize], mut x: usize) -> usize {
+        while parent[x] != x {
+            parent[x] = parent[parent[x]];
+            x = parent[x];
+        }
+        x
+    }
+    let store_only: Vec<bool> = streams
+        .iter()
+        .map(|s| relax && s.slots.iter().all(|&i| shape.slots[i].write))
+        .collect();
+    let mut quiet = vec![false; streams.len()];
+    for a in 0..streams.len() {
+        for b in a + 1..streams.len() {
+            let (ia, ib) = (intervals[a], intervals[b]);
+            let l1_clash = intervals_overlap(ia.0, ib.0, sets1);
+            if intervals_overlap(ia.1, ib.1, sets2)
+                || (l1_clash && !store_only[a] && !store_only[b])
+            {
+                let (ra, rb) = (root(&mut parent, a), root(&mut parent, b));
+                parent[ra] = rb;
+            } else if l1_clash {
+                quiet[a] |= store_only[a];
+                quiet[b] |= store_only[b];
+            }
+        }
+    }
+    let mut members: Vec<Vec<usize>> = vec![Vec::new(); streams.len()];
+    for s in 0..streams.len() {
+        let r = root(&mut parent, s);
+        members[r].push(s);
+    }
+
+    let classes = members
+        .into_iter()
+        .filter(|m| !m.is_empty())
+        .map(|m| {
+            let mut slots: Vec<usize> = m.iter().flat_map(|&s| streams[s].slots.clone()).collect();
+            slots.sort_unstable();
+            if let [only] = slots[..] {
+                return Class::Run(shape.slots[only]);
+            }
+            // One stream with no more lines than sets at either level: no
+            // two of its lines share a set. Stores need a same-address load
+            // earlier in the point (so they hit L1) and an allocating L2 (so
+            // whichever event comes first leaves the L2 line resident).
+            let clean = m.len() == 1 && {
+                let s = &streams[m[0]];
+                let fits = |shift: u32, sets: i64| (s.hi >> shift) - (s.lo >> shift) < sets;
+                fits(s1, sets1)
+                    && fits(s2, sets2)
+                    && slots.iter().enumerate().all(|(n, &i)| {
+                        let w = shape.slots[i];
+                        !w.write
+                            || (l2.write_policy == WritePolicy::WriteAllocate
+                                && slots[..n].iter().any(|&r| {
+                                    !shape.slots[r].write && shape.slots[r].offset == w.offset
+                                }))
+                    })
+            };
+            if clean {
+                Class::Clean(plan_clean(shape, &slots, points, phase, s1, s2))
+            } else {
+                Class::PointMajor(slots.iter().map(|&i| shape.slots[i]).collect())
+            }
+        })
+        .collect();
+    let quiet = streams
+        .iter()
+        .zip(quiet)
+        .filter(|(_, q)| *q)
+        .map(|(s, _)| (s.lo - phase as i64, s.hi - phase as i64))
+        .collect();
+    RowPlan {
+        classes,
+        quiet,
+        strict: None,
+    }
+}
+
+/// Precomputes the first touch of every L1 line of a clean class and the
+/// first store to every L2 line: the only accesses whose outcome depends
+/// on the cache state.
+fn plan_clean(
+    shape: &RowShape,
+    slots: &[usize],
+    points: usize,
+    phase: u64,
+    s1: u32,
+    s2: u32,
+) -> CleanClass {
+    let step = shape.step;
+    let span = (points as i64 - 1) * step;
+    let width = shape.slots.len() as u64;
+    let runs = |write: bool| {
+        slots
+            .iter()
+            .filter(move |&&i| shape.slots[i].write == write)
+            .map(move |&i| {
+                let lo = phase as i64 + shape.slots[i].offset;
+                (i as u64, lo, lo + span)
+            })
+    };
+    // Earliest access at or past byte `at` among `runs`, if it lies in the
+    // line `at >> shift`.
+    let first_touch = |write: bool, at: i64, shift: u32| {
+        runs(write)
+            .filter_map(|(i, lo, hi)| {
+                let (p, a) = first_at_or_past(lo, hi, step, at)?;
+                (a >> shift == at >> shift).then_some(FirstTouch {
+                    offset: a - phase as i64,
+                    rank: p as u64 * width + i,
+                })
+            })
+            .min_by_key(|t| t.rank)
+    };
+    let lo = runs(false)
+        .map(|(_, lo, _)| lo)
+        .min()
+        .expect("clean class reads");
+    let hi = runs(false)
+        .map(|(_, _, hi)| hi)
+        .max()
+        .expect("clean class reads");
+
+    let mut l1 = Vec::new();
+    let mut l2: Vec<L2Line> = Vec::new();
+    let mut current = None;
+    for line in lo >> s1..=hi >> s1 {
+        let Some(t) = first_touch(false, line << s1, s1) else {
+            continue;
+        };
+        let l2_line = (line << s1) >> s2;
+        if current != Some(l2_line) {
+            current = Some(l2_line);
+            l2.push(L2Line {
+                l1_end: l1.len(),
+                store: first_touch(true, l2_line << s2, s2),
+            });
+        }
+        l1.push(t);
+        l2.last_mut().expect("pushed above").l1_end = l1.len();
+    }
+    let reads = runs(false).count() as u64;
+    let stores = runs(true).count() as u64;
+    CleanClass {
+        l1_read_hits: reads * points as u64 - l1.len() as u64,
+        stores: stores * points as u64,
+        l1,
+        l2,
+    }
+}

@@ -1,5 +1,7 @@
 //! The access-stream interface and utility sinks.
 
+use crate::row::RowShape;
+
 /// Consumer of a memory access trace.
 ///
 /// Stencil kernels expose `trace*` functions generic over `S: AccessSink`,
@@ -60,6 +62,30 @@ pub trait AccessSink {
             self.write(a);
             a = a.wrapping_add(stride as u64);
         }
+    }
+
+    /// A row of `points` stencil points: point `p` issues the slots of
+    /// `shape`, in source order, at `base + p * shape.step()` plus each
+    /// slot's offset. Semantically **exactly equivalent** to
+    /// [`RowShape::expand`], the point-major per-access expansion:
+    ///
+    /// ```ignore
+    /// for p in 0..points {
+    ///     let b = base.wrapping_add((p as i64 * shape.step()) as u64);
+    ///     for s in shape.slots() {
+    ///         let a = b.wrapping_add(s.offset as u64);
+    ///         if s.write { self.write(a) } else { self.read(a) }
+    ///     }
+    /// }
+    /// ```
+    ///
+    /// [`crate::Hierarchy`] overrides it to replay whole cache lines at a
+    /// time (see DESIGN.md, "Row-level replay"); every other sink keeps
+    /// this expansion, which is the specification the override is tested
+    /// against.
+    #[inline]
+    fn row(&mut self, shape: &RowShape, base: u64, points: usize) {
+        shape.expand(self, base, points);
     }
 }
 

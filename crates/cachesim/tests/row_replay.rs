@@ -1,0 +1,284 @@
+//! `Hierarchy::row` against the per-access expansion it must equal.
+//!
+//! The reference below forwards only `read` and `write` to a `Hierarchy`,
+//! so its `row` is the trait's default: point-major, one access at a time.
+//! Every case drives both from the same warmed state with a random row
+//! shape, then checks the L1 and L2 counters and replays identical
+//! follow-up traffic, which behaves identically only if the row left the
+//! same lines resident in the same replacement order.
+//!
+//! Cases come from a fixed-seed xorshift generator, so every run visits
+//! the same shapes and a failure prints everything needed to rerun it.
+
+use tiling3d_cachesim::{
+    AccessSink, CacheConfig, Hierarchy, ReplacementPolicy, RowShape, WritePolicy,
+};
+
+/// The default `row`: Hierarchy semantics, strictly one access at a time.
+struct PerAccess(Hierarchy);
+
+impl AccessSink for PerAccess {
+    fn read(&mut self, addr: u64) {
+        self.0.read(addr);
+    }
+
+    fn write(&mut self, addr: u64) {
+        self.0.write(addr);
+    }
+}
+
+/// Deterministic xorshift64 generator.
+struct Xorshift64(u64);
+
+impl Xorshift64 {
+    fn next_u64(&mut self) -> u64 {
+        self.0 ^= self.0 << 13;
+        self.0 ^= self.0 >> 7;
+        self.0 ^= self.0 << 17;
+        self.0
+    }
+
+    /// Uniform in `0..n`.
+    fn below(&mut self, n: u64) -> u64 {
+        self.next_u64() % n
+    }
+
+    /// Uniform in `lo..=hi`.
+    fn range(&mut self, lo: i64, hi: i64) -> i64 {
+        lo + self.below((hi - lo + 1) as u64) as i64
+    }
+}
+
+fn level(
+    size_bytes: usize,
+    line_bytes: usize,
+    ways: usize,
+    write_policy: WritePolicy,
+) -> CacheConfig {
+    CacheConfig {
+        size_bytes,
+        line_bytes,
+        ways,
+        write_policy,
+        replacement: ReplacementPolicy::Lru,
+    }
+}
+
+/// The geometries under test: the paper's UltraSPARC-2, small LRU
+/// hierarchies of 2, 4 and 8 ways (small, so random shapes conflict
+/// often), a write-allocate L1 and a write-around L2.
+fn geometries() -> Vec<(&'static str, CacheConfig, CacheConfig)> {
+    use WritePolicy::{WriteAllocate, WriteAround};
+    vec![
+        (
+            "us2",
+            CacheConfig::ULTRASPARC2_L1,
+            CacheConfig::ULTRASPARC2_L2,
+        ),
+        (
+            "lru2",
+            level(2048, 32, 2, WriteAround),
+            level(16384, 64, 2, WriteAllocate),
+        ),
+        (
+            "lru4",
+            level(4096, 32, 4, WriteAround),
+            level(32768, 64, 4, WriteAllocate),
+        ),
+        (
+            "lru8",
+            level(4096, 32, 8, WriteAround),
+            level(65536, 64, 8, WriteAllocate),
+        ),
+        (
+            "l1-write-allocate",
+            level(2048, 32, 1, WriteAllocate),
+            level(16384, 64, 1, WriteAllocate),
+        ),
+        (
+            "l2-write-around",
+            level(2048, 32, 1, WriteAround),
+            level(16384, 64, 1, WriteAround),
+        ),
+        // Smaller than one 32-point row chunk: streams wrap their own sets.
+        (
+            "tiny",
+            level(256, 32, 1, WriteAround),
+            level(2048, 64, 1, WriteAllocate),
+        ),
+        // An L2 smaller than L1: streams that fit L1 wrap their L2 sets.
+        (
+            "l2-few-sets",
+            level(1024, 32, 1, WriteAround),
+            level(512, 64, 1, WriteAllocate),
+        ),
+    ]
+}
+
+/// A random shape of 1..=29 slots. Each slot is one of: a same-line
+/// neighbour of the previous slot, a slot forced into the previous slot's
+/// L1 set or L2 set (whole cache sizes away), or a fresh offset. One shape
+/// in six is a single wide stream instead, each slot up to 48 bytes past
+/// the previous. About one slot in five is a store, half of those at the
+/// address of an earlier load of the same point.
+fn random_shape(rng: &mut Xorshift64, l1: &CacheConfig, l2: &CacheConfig) -> RowShape {
+    let step = if rng.below(2) == 0 { 8 } else { 16 };
+    let (l1_size, l2_size) = (l1.size_bytes as i64, l2.size_bytes as i64);
+    let chained = rng.below(6) == 0;
+    let mut shape = RowShape::new(step);
+    let mut prev = 0i64;
+    let mut reads: Vec<i64> = Vec::new();
+    for _ in 0..rng.range(1, 29) {
+        let offset = match if chained { 5 } else { rng.below(5) } {
+            5 => prev + 8 * rng.range(1, 6),
+            0 => prev + 8 * rng.range(-2, 2),
+            1 => prev + l1_size * rng.range(-2, 2) + 8 * rng.range(-1, 1),
+            2 => prev + l2_size * rng.range(-1, 1) + 8 * rng.range(-1, 1),
+            _ => 8 * rng.range(-4 * l1_size / 8, 4 * l1_size / 8),
+        };
+        if rng.below(5) == 0 {
+            let at = if !reads.is_empty() && rng.below(2) == 0 {
+                reads[rng.below(reads.len() as u64) as usize]
+            } else {
+                offset
+            };
+            shape = shape.write(at);
+        } else {
+            shape = shape.read(offset);
+            reads.push(offset);
+        }
+        prev = offset;
+    }
+    shape
+}
+
+fn random_points(rng: &mut Xorshift64) -> usize {
+    const EDGES: [usize; 8] = [0, 1, 3, 4, 31, 32, 33, 600];
+    if rng.below(4) == 0 {
+        EDGES[rng.below(EDGES.len() as u64) as usize]
+    } else {
+        rng.range(0, 600) as usize
+    }
+}
+
+/// The bytes a row of `shape` can touch, widened by one L2 line.
+fn footprint(shape: &RowShape, base: u64, points: usize) -> (u64, u64) {
+    let span = shape.step() * points as i64;
+    let lo = shape.slots().iter().map(|s| s.offset).min().unwrap_or(0);
+    let hi = shape.slots().iter().map(|s| s.offset).max().unwrap_or(0) + span;
+    (
+        base.wrapping_add((lo - 64) as u64),
+        base.wrapping_add((hi + 64) as u64),
+    )
+}
+
+/// The same random traffic over `lo..hi` into both hierarchies. One
+/// access in four lands a whole L2 size away, on the other L1 line of its
+/// L2 line: it evicts the L2 line but not the L1 line, leaving L1 lines
+/// whose L2 line is gone.
+fn traffic(
+    rng: &mut Xorshift64,
+    fast: &mut Hierarchy,
+    slow: &mut PerAccess,
+    lo: u64,
+    hi: u64,
+    n: usize,
+) {
+    let l2_size = fast.l2().config().size_bytes as u64;
+    for _ in 0..n {
+        let mut a = lo + 8 * rng.below((hi - lo) / 8 + 1);
+        if rng.below(4) == 0 {
+            a = (a ^ 32) + l2_size;
+        }
+        if rng.below(6) == 0 {
+            fast.write(a);
+            slow.write(a);
+        } else {
+            fast.read(a);
+            slow.read(a);
+        }
+    }
+}
+
+fn assert_same(fast: &Hierarchy, slow: &PerAccess, what: &str) {
+    assert_eq!(fast.l1_stats(), slow.0.l1_stats(), "L1 diverged {what}");
+    assert_eq!(fast.l2_stats(), slow.0.l2_stats(), "L2 diverged {what}");
+}
+
+#[test]
+fn row_equals_per_access_expansion() {
+    for (name, l1, l2) in geometries() {
+        let mut rng = Xorshift64(0x5EED_0000 + l1.size_bytes as u64 + l1.ways as u64);
+        for case in 0..150 {
+            let shape = random_shape(&mut rng, &l1, &l2);
+            let points = random_points(&mut rng);
+            let base = (1u64 << 32) + 8 * rng.below(1 << 20);
+            let what = format!("{name} case {case}: points={points} base={base} {shape:?}");
+            let (lo, hi) = footprint(&shape, base, points);
+
+            let mut fast = Hierarchy::new(l1, l2);
+            let mut slow = PerAccess(Hierarchy::new(l1, l2));
+            traffic(&mut rng, &mut fast, &mut slow, lo, hi, 400);
+            fast.row(&shape, base, points);
+            slow.row(&shape, base, points);
+            assert_same(&fast, &slow, &what);
+
+            // A second row of the same shape one point on (reusing cached
+            // plans at a new phase) and one at the same phase elsewhere.
+            for next in [
+                base + shape.step() as u64,
+                base + 64 * rng.range(1, 4096) as u64,
+            ] {
+                fast.row(&shape, next, points);
+                slow.row(&shape, next, points);
+                assert_same(&fast, &slow, &format!("{what} then row at {next}"));
+            }
+
+            // Identical follow-up traffic over the footprint must behave
+            // identically: same lines resident, same LRU order.
+            let mut a = lo;
+            while a <= hi {
+                fast.read(a);
+                slow.read(a);
+                a += 32;
+            }
+            traffic(&mut rng, &mut fast, &mut slow, lo, hi, 400);
+            assert_same(&fast, &slow, &format!("{what} after follow-up traffic"));
+        }
+    }
+}
+
+/// The shapes of the three figure kernels at a conflict-free and a
+/// pathological leading dimension, on the paper's geometry: the clean
+/// read-only, single-store and load-then-store classes, and the
+/// point-major fallback.
+#[test]
+fn stencil_shapes_equal_per_access_expansion() {
+    for di in [208i64, 256, 304, 352] {
+        let (d, p) = (8 * di, 8 * di * di);
+        let b = 30 * p;
+        let shapes = [
+            RowShape::new(8)
+                .reads([b - 8, b + 8, b - d, b + d, b - p, b + p])
+                .write(0),
+            RowShape::new(16).reads([0, -8, -d, 8, d, -p, p]).write(0),
+            RowShape::new(8)
+                .reads((-1..=1).flat_map(|k| {
+                    (-1..=1).flat_map(move |j| (-1..=1).map(move |i| b + 8 * i + d * j + p * k))
+                }))
+                .read(2 * b)
+                .write(0),
+        ];
+        for shape in &shapes {
+            let mut fast = Hierarchy::ultrasparc2();
+            let mut slow = PerAccess(Hierarchy::ultrasparc2());
+            for row in 0..200u64 {
+                let base = 8 * (1 + row * di as u64 + (row / 7) * (di * di) as u64);
+                let points = [398usize, 30, 24, 14, 1, 3][row as usize % 6];
+                fast.row(shape, base, points);
+                slow.row(shape, base, points);
+            }
+            assert_same(&fast, &slow, &format!("di={di} {shape:?}"));
+        }
+    }
+}

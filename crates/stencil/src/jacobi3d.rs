@@ -6,9 +6,9 @@
 //!                + B(I,J,K-1) + B(I,J,K+1) )
 //! ```
 
-use tiling3d_cachesim::AccessSink;
+use tiling3d_cachesim::{AccessSink, RowShape};
 use tiling3d_grid::Array3;
-use tiling3d_loopnest::{for_each_rows, for_each_tiled, for_each_tiled_rows, IterSpace, TileDims};
+use tiling3d_loopnest::{for_each_rows, for_each_tiled_rows, IterSpace, TileDims};
 
 use crate::rowexec;
 
@@ -60,8 +60,9 @@ pub fn sweep(a: &mut Array3<f64>, b: &Array3<f64>, c: f64, tile: Option<TileDims
 /// Layout: `A` at byte 0, `B` immediately after `A` (consecutive
 /// allocation, as a Fortran compiler would place two declarations), both
 /// allocated `di x dj x nk`. Pass `tile = None` for the original order or
-/// `Some(t)` for the tiled schedule. Access order per point matches the
-/// source expression: the six `B` loads, then the `A` store.
+/// `Some(t)` for the tiled schedule. Each row segment is one
+/// [`AccessSink::row`] call; access order per point matches the source
+/// expression: the six `B` loads, then the `A` store.
 pub fn trace<S: AccessSink>(
     ni: usize,
     nj: usize,
@@ -96,21 +97,17 @@ pub fn trace_at<S: AccessSink>(
     );
     let ps = di * dj;
     let space = IterSpace::interior(ni, nj, nk);
-    let body = |i: usize, j: usize, k: usize| {
-        let idx = (i + j * di + k * ps) as u64;
-        let b = |off: i64| b_base.wrapping_add((idx as i64 + off) as u64 * 8);
-        // B(i-1) then B(i+1): an in-order +16-byte run, batched so the
-        // cache probes their (usually shared) line once.
-        sink.read_run(b(-1), 16, 2);
-        sink.read(b(-(di as i64)));
-        sink.read(b(di as i64));
-        sink.read(b(-(ps as i64)));
-        sink.read(b(ps as i64));
-        sink.write(a_base + idx * 8);
+    // Per point, in source order: the six B loads, then the A store.
+    let (b, di8, ps8) = (b_base as i64, 8 * di as i64, 8 * ps as i64);
+    let shape = RowShape::new(8)
+        .reads([b - 8, b + 8, b - di8, b + di8, b - ps8, b + ps8])
+        .write(a_base as i64);
+    let row = |i0: usize, i1: usize, j: usize, k: usize| {
+        sink.row(&shape, ((i0 + j * di + k * ps) * 8) as u64, i1 - i0 + 1);
     };
     match tile {
-        None => tiling3d_loopnest::for_each(space, body),
-        Some(t) => for_each_tiled(space, t, body),
+        None => for_each_rows(space, row),
+        Some(t) => for_each_tiled_rows(space, t, row),
     }
 }
 

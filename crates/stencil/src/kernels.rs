@@ -287,7 +287,8 @@ impl Kernel {
     ) {
         let _span = if tiling3d_obs::collecting() {
             let s = tiling3d_obs::span(&format!("trace:{}", self.name()));
-            s.add("points", (n * n * nk) as u64);
+            let interior = |x: usize| x.saturating_sub(2) as u64;
+            s.add("points", interior(n) * interior(n) * interior(nk));
             Some(s)
         } else {
             None

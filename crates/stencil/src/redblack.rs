@@ -15,7 +15,7 @@
 //! original blacks. The tests verify this exhaustively, which pins down the
 //! delicate index arithmetic of the skewed tiled loop.
 
-use tiling3d_cachesim::AccessSink;
+use tiling3d_cachesim::{AccessSink, RowShape};
 use tiling3d_grid::Array3;
 use tiling3d_loopnest::{stride2_last, TileDims};
 
@@ -196,7 +196,8 @@ pub fn sweep(a: &mut Array3<f64>, c1: f64, c2: f64, schedule: Schedule) {
 }
 
 /// Replays the exact address trace of one iteration (array `A` at byte 0,
-/// allocated `di x dj x n`). Per updated point the accesses follow the
+/// allocated `di x dj x n`), one [`AccessSink::row`] call per stride-2 row
+/// segment of [`visit_rows`]. Per updated point the accesses follow the
 /// source expression: centre load, the six neighbour loads, centre store.
 pub fn trace<S: AccessSink>(
     n: usize,
@@ -208,17 +209,16 @@ pub fn trace<S: AccessSink>(
 ) {
     assert!(di >= n && dj >= n);
     let ps = di * dj;
-    visit(n, nk, schedule, |i, j, k| {
-        let idx = (i + j * di + k * ps) as i64;
-        let at = |off: i64| ((idx + off) * 8) as u64;
-        // A(i) then A(i-1): a descending 2-run in source order.
-        sink.read_run(at(0), -8, 2);
-        sink.read(at(-(di as i64)));
-        sink.read(at(1));
-        sink.read(at(di as i64));
-        sink.read(at(-(ps as i64)));
-        sink.read(at(ps as i64));
-        sink.write(at(0));
+    let (di8, ps8) = (8 * di as i64, 8 * ps as i64);
+    let shape = RowShape::new(16)
+        .reads([0, -8, -di8, 8, di8, -ps8, ps8])
+        .write(0);
+    visit_rows(n, nk, schedule, |i0, i1, j, k| {
+        sink.row(
+            &shape,
+            ((i0 + j * di + k * ps) * 8) as u64,
+            (i1 - i0) / 2 + 1,
+        );
     });
 }
 

@@ -13,11 +13,9 @@
 //! paper simply tolerates — one `V` stream against 27-fold `U` reuse).
 //! Tiling follows Fig 13's right column: tile `I2`/`I1`, leave `I3` intact.
 
-use tiling3d_cachesim::AccessSink;
+use tiling3d_cachesim::{AccessSink, RowShape};
 use tiling3d_grid::Array3;
-use tiling3d_loopnest::{
-    for_each, for_each_rows, for_each_tiled, for_each_tiled_rows, IterSpace, TileDims,
-};
+use tiling3d_loopnest::{for_each_rows, for_each_tiled_rows, IterSpace, TileDims};
 
 use crate::rowexec;
 
@@ -144,9 +142,11 @@ pub fn sweep(
     rowexec::note_sweep(space.points(), FLOPS_PER_POINT);
 }
 
-/// Replays the exact address trace of one sweep. Layout: `R` at byte 0,
-/// then `U`, then `V`, consecutively allocated (`di x dj x nk` each).
-/// Per point: 27 `U` loads in source order, the `V` load, the `R` store.
+/// Replays the exact address trace of one sweep, one [`AccessSink::row`]
+/// call per row segment. Layout: `R` at byte 0, then `U`, then `V`,
+/// consecutively allocated (`di x dj x nk` each). Per point: 27 `U` loads
+/// in source order (centre, faces, edges, corners), the `V` load, the `R`
+/// store.
 pub fn trace<S: AccessSink>(
     ni: usize,
     nj: usize,
@@ -178,41 +178,22 @@ pub fn trace_at<S: AccessSink>(
     let [r_base, u_base, v_base] = bases;
     let (dii, psi) = (di as i64, ps as i64);
     let space = IterSpace::interior(ni, nj, nk);
-    let body = |i: usize, j: usize, k: usize| {
-        let idx = (i + j * di + k * ps) as i64;
-        let u = |off: i64| u_base + ((idx + off) * 8) as u64;
-        // Same stream as iterating faces()/edges()/corners() in order, with
-        // every in-order U(i-1,·,·), U(i+1,·,·) pair batched as a +16-byte
-        // run (the pairs usually share a cache line).
-        sink.read(u(0));
-        // faces: -1, 1, -di, di, -ps, ps
-        sink.read_run(u(-1), 16, 2);
-        sink.read(u(-dii));
-        sink.read(u(dii));
-        sink.read(u(-psi));
-        sink.read(u(psi));
-        // edges: (-1,1)∓di, then the di/ps edges, then (-1,1)∓ps singles
-        sink.read_run(u(-1 - dii), 16, 2);
-        sink.read_run(u(-1 + dii), 16, 2);
-        sink.read(u(-dii - psi));
-        sink.read(u(dii - psi));
-        sink.read(u(-dii + psi));
-        sink.read(u(dii + psi));
-        sink.read(u(-1 - psi));
-        sink.read(u(-1 + psi));
-        sink.read(u(1 - psi));
-        sink.read(u(1 + psi));
-        // corners: four (-1,1) pairs across the ∓di, ∓ps combinations
-        sink.read_run(u(-1 - dii - psi), 16, 2);
-        sink.read_run(u(-1 + dii - psi), 16, 2);
-        sink.read_run(u(-1 - dii + psi), 16, 2);
-        sink.read_run(u(-1 + dii + psi), 16, 2);
-        sink.read(v_base + (idx * 8) as u64);
-        sink.write(r_base + (idx * 8) as u64);
+    let u = |off: i64| u_base as i64 + off * 8;
+    let stencil = faces(dii, psi)
+        .into_iter()
+        .chain(edges(dii, psi))
+        .chain(corners(dii, psi));
+    let shape = RowShape::new(8)
+        .read(u(0))
+        .reads(stencil.map(u))
+        .read(v_base as i64)
+        .write(r_base as i64);
+    let row = |i0: usize, i1: usize, j: usize, k: usize| {
+        sink.row(&shape, ((i0 + j * di + k * ps) * 8) as u64, i1 - i0 + 1);
     };
     match tile {
-        None => for_each(space, body),
-        Some(t) => for_each_tiled(space, t, body),
+        None => for_each_rows(space, row),
+        Some(t) => for_each_tiled_rows(space, t, row),
     }
 }
 
