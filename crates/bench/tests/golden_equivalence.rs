@@ -193,6 +193,57 @@ fn write_run_traces_match_per_access_reference() {
     }
 }
 
+/// The temporal traces behind `simulate --steps` (naive and time-tiled,
+/// Jacobi and red-black) issue one `AccessSink::row` per row; replayed on
+/// `Hierarchy` they must report exactly the per-access reference's L1 and
+/// L2 counters, for degenerate, small and oversized time tiles.
+#[test]
+fn temporal_traces_match_per_access_reference() {
+    use tiling3d_grid::Array3;
+    use tiling3d_stencil::timetile::{self, TimeTile};
+
+    // Replays `$trace` (a call taking the sink `$s`) on both hierarchies.
+    macro_rules! check {
+        ($label:expr, |$s:ident| $trace:expr) => {{
+            let mut fast = Hierarchy::ultrasparc2();
+            let mut reference = ReferenceHierarchy::ultrasparc2();
+            {
+                let $s = &mut fast;
+                $trace;
+            }
+            {
+                let $s = &mut reference;
+                $trace;
+            }
+            assert!(fast.l1_stats().accesses > 0, "{}: empty trace", $label);
+            assert_eq!(fast.l1_stats(), reference.l1.stats(), "L1: {}", $label);
+            assert_eq!(fast.l2_stats(), reference.l2.stats(), "L2: {}", $label);
+        }};
+    }
+
+    for (n, nk, steps) in [(16usize, 32usize, 8usize), (24, 20, 4)] {
+        let grid = Array3::<f64>::new(n, n, nk);
+        let bases = [0u64, (grid.len() * 8) as u64 + 8 * 1024];
+        let at = format!("{n}x{n}x{nk} T={steps}");
+        check!(format!("jacobi naive {at}"), |s| {
+            timetile::trace_jacobi_steps(&grid, steps, bases, s);
+        });
+        check!(format!("red-black naive {at}"), |s| {
+            timetile::trace_redblack_steps(&grid, steps, 0, s);
+        });
+        for (st, sk) in [(1usize, 1usize), (2, 3), (100, 100)] {
+            let tile = TimeTile { st, sk };
+            let at = format!("{at} tile=({st},{sk})");
+            check!(format!("jacobi time-tiled {at}"), |s| {
+                timetile::trace_jacobi_time_tiled(&grid, steps, tile, bases, s);
+            });
+            check!(format!("red-black time-tiled {at}"), |s| {
+                timetile::trace_redblack_time_tiled(&grid, steps, tile, 0, s);
+            });
+        }
+    }
+}
+
 /// Sharding determinism: a sweep's simulated points are bit-identical for
 /// any worker count (f64 rates compared by bit pattern, not epsilon).
 #[test]

@@ -1665,8 +1665,8 @@ fn profile_flags() -> FlagSet {
 /// span tree (per-phase wall-clock percentages, attached counters) and
 /// the metric registry.
 /// `--steps T` additionally runs the wavefront-parallel time-tiled sweep,
-/// whose `timetile:*` span nests a `wavefront` span per anti-diagonal and
-/// a `timeblock` span per tile. `--trace-out` additionally streams the
+/// whose `timetile:*` span nests a `wavefront` span per anti-diagonal (per
+/// tile at `--jobs 1`) and a `timeblock` span per tile. `--trace-out` additionally streams the
 /// JSONL events; `--jobs N` shows the per-worker `SimPool` spans.
 fn cmd_profile(flags: &ParsedFlags) -> Result<String, String> {
     let kernel = kernel(flags)?;

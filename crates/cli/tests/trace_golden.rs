@@ -136,8 +136,8 @@ fn profile_trace_is_valid_and_jobs_invariant() {
 fn profile_steps_emits_the_timetile_span_tree() {
     let _g = obs_lock();
     let path = std::env::temp_dir().join(format!("t3d-timetile-{}.jsonl", std::process::id()));
-    // --jobs 2 forces the wavefront-parallel path; the sequential path
-    // runs time blocks inline and never opens a "wavefront" span.
+    // --jobs 2 runs same-wave tiles on scoped threads; a sequential run
+    // goes through the same executor with one block per "wavefront" span.
     let out = run(&[
         "profile",
         "--kernel",

@@ -49,75 +49,19 @@ pub fn resid(
     a: &Coeffs,
     tile: Option<TileDims>,
 ) {
-    tiling3d_stencil::resid::sweep(r.array_mut(), u.array(), v.array(), a, tile);
+    tiling3d_stencil::resid::sweep(r.array_mut(), u.array(), Some(v.array()), a, tile);
     r.comm3();
 }
 
 /// In-place residual update `r = r - A u` (the intermediate-level form:
 /// MGRID calls `resid(u(k), r(k), r(k))` with output aliasing `v`), then
-/// `comm3(r)`.
+/// `comm3(r)`. The same sweep as [`resid`] with `v` = `r`: the `v` role
+/// reads only the centre point, which the sweep reads before the write.
 ///
-/// Safe in place because the `v` role only reads the centre element, which
-/// is read before the write.
+/// # Panics
+/// Panics if the two grids differ in interior size or allocation.
 pub fn resid_inplace(r: &mut PeriodicGrid, u: &PeriodicGrid, a: &Coeffs, tile: Option<TileDims>) {
-    let m = r.m();
-    assert_eq!(m, u.m());
-    assert_eq!(
-        (r.array().di(), r.array().dj()),
-        (u.array().di(), u.array().dj())
-    );
-    let (di, ps) = (u.array().di(), u.array().plane_stride());
-    let (dii, psi) = (di as i64, ps as i64);
-    let a = *a;
-    let uv = u.array().as_slice();
-    let rv = r.array_mut().as_mut_slice();
-    let space = IterSpace {
-        lo: (1, 1, 1),
-        hi: (m, m, m),
-    };
-    let body = |i: usize, j: usize, k: usize| {
-        let idx = i + j * di + k * ps;
-        let at = |off: i64| uv[(idx as i64 + off) as usize];
-        let mut s1 = 0.0;
-        for o in [-1i64, 1, -dii, dii, -psi, psi] {
-            s1 += at(o);
-        }
-        let mut s2 = 0.0;
-        for o in [
-            -1 - dii,
-            1 - dii,
-            -1 + dii,
-            1 + dii,
-            -dii - psi,
-            dii - psi,
-            -dii + psi,
-            dii + psi,
-            -1 - psi,
-            -1 + psi,
-            1 - psi,
-            1 + psi,
-        ] {
-            s2 += at(o);
-        }
-        let mut s3 = 0.0;
-        for o in [
-            -1 - dii - psi,
-            1 - dii - psi,
-            -1 + dii - psi,
-            1 + dii - psi,
-            -1 - dii + psi,
-            1 - dii + psi,
-            -1 + dii + psi,
-            1 + dii + psi,
-        ] {
-            s3 += at(o);
-        }
-        rv[idx] = rv[idx] - a.a0 * uv[idx] - a.a1 * s1 - a.a2 * s2 - a.a3 * s3;
-    };
-    match tile {
-        None => for_each(space, body),
-        Some(t) => for_each_tiled(space, t, body),
-    }
+    tiling3d_stencil::resid::sweep(r.array_mut(), u.array(), None, a, tile);
     r.comm3();
 }
 

@@ -71,23 +71,15 @@ pub fn sweep_tiled_copying(a: &mut Array3<f64>, b: &Array3<f64>, c: f64, tile: T
                     ps,
                     bw,
                 );
-                let (lo, mid, hi) = ((k - 1) % 3, k % 3, (k + 1) % 3);
+                // The three buffer slots are planes K-1, K, K+1 of row
+                // stride `bw`; tile row `j` is haloed local row `j - jj + 1`.
+                let plane = |k: usize| &buf[k % 3 * bplane..][..bplane];
+                let src = [plane(k - 1), plane(k), plane(k + 1)];
                 let len = i_hi - ii + 1;
                 for j in jj..=j_hi {
-                    let lj = j - jj + 1; // local (haloed) j
-                                         // Local row start (li = 1) in the mid buffer plane.
-                    let llo = mid * bplane + 1 + lj * bw;
+                    let at = 1 + (j - jj + 1) * bw;
                     let out = ii + j * di + k * ps;
-                    rowexec::jacobi3d_row(
-                        &mut av[out..out + len],
-                        &buf[llo - 1..],
-                        &buf[llo + 1..],
-                        &buf[llo - bw..],
-                        &buf[llo + bw..],
-                        &buf[lo * bplane + 1 + lj * bw..],
-                        &buf[hi * bplane + 1 + lj * bw..],
-                        c,
-                    );
+                    rowexec::jacobi3d_row(&mut av[out..out + len], src, at, bw, c);
                 }
             }
             ii += ti;

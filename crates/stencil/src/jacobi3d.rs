@@ -25,34 +25,54 @@ pub fn sweep_flops(ni: usize, nj: usize, nk: usize) -> u64 {
 ///
 /// Runs on the row engine ([`rowexec`]); bitwise identical to the
 /// per-point reference in [`crate::reference::jacobi3d`] for every tile —
-/// only the iteration order (and hence the cache behaviour) changes.
+/// only the iteration order (and hence the cache behaviour) changes. It is
+/// the one-slab case of [`crate::parallel::jacobi3d_sweep`].
 ///
 /// # Panics
 /// Panics if the two arrays differ in logical or allocated extents.
 pub fn sweep(a: &mut Array3<f64>, b: &Array3<f64>, c: f64, tile: Option<TileDims>) {
     rowexec::check_pair(a, b, "A and B");
-    let (di, ps) = (b.di(), b.plane_stride());
     let space = IterSpace::interior(b.ni(), b.nj(), b.nk());
-    let (av, bv) = (a.as_mut_slice(), b.as_slice());
+    let (_, out) = rowexec::split_interior(a);
+    slab(out, 1, b.nk() - 2, b, c, tile);
+    rowexec::note_sweep(space.points(), FLOPS_PER_POINT);
+}
+
+/// Updates the output planes `k0..=k1` of one K-slab, stored
+/// consecutively in `out`, from `b` in the (tiled) row order.
+pub(crate) fn slab(
+    out: &mut [f64],
+    k0: usize,
+    k1: usize,
+    b: &Array3<f64>,
+    c: f64,
+    tile: Option<TileDims>,
+) {
+    let (di, ps) = (b.di(), b.plane_stride());
+    let space = IterSpace {
+        lo: (1, 1, k0),
+        hi: (b.ni() - 2, b.nj() - 2, k1),
+    };
+    let bv = b.as_slice();
     let row = |i0: usize, i1: usize, j: usize, k: usize| {
-        let lo = j * di + k * ps + i0;
-        let len = i1 - i0 + 1;
-        rowexec::jacobi3d_row(
-            &mut av[lo..lo + len],
-            &bv[lo - 1..],
-            &bv[lo + 1..],
-            &bv[lo - di..],
-            &bv[lo + di..],
-            &bv[lo - ps..],
-            &bv[lo + ps..],
-            c,
-        );
+        let at = j * di + i0;
+        let dst = &mut out[(k - k0) * ps + at..][..i1 - i0 + 1];
+        rowexec::jacobi3d_row(dst, rowexec::planes(bv, k, ps), at, di, c);
     };
     match tile {
         None => for_each_rows(space, row),
         Some(t) => for_each_tiled_rows(space, t, row),
     }
-    rowexec::note_sweep(space.points(), FLOPS_PER_POINT);
+}
+
+/// The per-point accesses of one sweep row, in source order: the six `B`
+/// loads, then the `A` store (arrays at byte bases `a_base` / `b_base`,
+/// row stride `di`, plane stride `ps`).
+pub(crate) fn row_shape(di: usize, ps: usize, a_base: u64, b_base: u64) -> RowShape {
+    let (b, di8, ps8) = (b_base as i64, 8 * di as i64, 8 * ps as i64);
+    RowShape::new(8)
+        .reads([b - 8, b + 8, b - di8, b + di8, b - ps8, b + ps8])
+        .write(a_base as i64)
 }
 
 /// Replays the exact address trace of one sweep into `sink`.
@@ -97,11 +117,7 @@ pub fn trace_at<S: AccessSink>(
     );
     let ps = di * dj;
     let space = IterSpace::interior(ni, nj, nk);
-    // Per point, in source order: the six B loads, then the A store.
-    let (b, di8, ps8) = (b_base as i64, 8 * di as i64, 8 * ps as i64);
-    let shape = RowShape::new(8)
-        .reads([b - 8, b + 8, b - di8, b + di8, b - ps8, b + ps8])
-        .write(a_base as i64);
+    let shape = row_shape(di, ps, a_base, b_base);
     let row = |i0: usize, i1: usize, j: usize, k: usize| {
         sink.row(&shape, ((i0 + j * di + k * ps) * 8) as u64, i1 - i0 + 1);
     };

@@ -196,7 +196,7 @@ impl Kernel {
                 redblack::sweep(a, 0.4, 0.1, sched);
             }
             (Kernel::Resid, KernelState::Resid { r, u, v }) => {
-                resid::sweep(r, u, v, &resid::Coeffs::MGRID_A, t);
+                resid::sweep(r, u, Some(v), &resid::Coeffs::MGRID_A, t);
             }
             _ => panic!("kernel/state mismatch"),
         }

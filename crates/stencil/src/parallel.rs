@@ -14,22 +14,23 @@
 //! neighbour (untouched during the pass) or the point's own pre-write
 //! centre value, so the K-slab split stays race-free once each *interface*
 //! between adjacent slabs gets a pre-pass snapshot; the outermost planes
-//! are never written and are read live, and a single-slab partition runs
-//! inline with no snapshots or spawns at all (see [`redblack_sweep`] and
+//! are never written and are read live (see [`redblack_sweep`] and
 //! DESIGN.md §12 for the full argument).
 //!
-//! Each thread runs the *tiled* schedule inside its slab on the row-segment
-//! engine ([`crate::rowexec`]), so per-thread cache behaviour and inner-loop
-//! code match the sequential analysis — tiling, vectorization and
-//! parallelism compose rather than compete. Results are bitwise identical
-//! to the sequential sweeps for every thread count (verified by tests).
+//! One private driver cuts the output into K-slabs and runs a single slab
+//! inline, several on scoped threads; it serves Jacobi, RESID and both
+//! red-black colour passes. The sequential `jacobi3d` and `resid` sweeps
+//! are its one-slab case: each slab runs the same row walk and the same
+//! [`crate::rowexec`] kernels, so per-thread cache behaviour and
+//! inner-loop code match the sequential analysis — tiling, vectorization
+//! and parallelism compose rather than compete. Results are bitwise
+//! identical to the sequential sweeps for every thread count (verified by
+//! tests).
 
 use std::thread;
 
 use tiling3d_grid::Array3;
-use tiling3d_loopnest::{
-    for_each_rows, for_each_tiled_rows, stride2_clip, stride2_last, IterSpace, TileDims,
-};
+use tiling3d_loopnest::{stride2_clip, stride2_last, IterSpace, TileDims};
 
 use crate::{jacobi3d, redblack, resid, rowexec};
 
@@ -62,25 +63,34 @@ fn k_chunks(nk: usize, threads: usize) -> Vec<(usize, usize)> {
     out
 }
 
-/// Splits `rest` (a whole array slice) into one mutable slab per chunk,
-/// each covering planes `k0..=k1` (plane stride `ps`).
-fn split_slabs<'a>(
-    mut rest: &'a mut [f64],
+/// The K-slab driver: cuts `interior` (planes `1..=nk-2`, plane stride
+/// `ps`) into one slab per chunk and runs `body(c, k0, k1, slab)` for
+/// chunk `c` covering planes `k0..=k1` — inline for one slab, on scoped
+/// threads for several (the scope's join is the barrier).
+fn run_slabs(
+    interior: &mut [f64],
     chunks: &[(usize, usize)],
     ps: usize,
-) -> Vec<(usize, usize, &'a mut [f64])> {
-    let mut consumed = 0usize;
+    body: impl Fn(usize, usize, usize, &mut [f64]) + Sync,
+) {
+    let mut rest = interior;
     let mut slabs = Vec::with_capacity(chunks.len());
-    for &(k0, k1) in chunks {
-        let begin = k0 * ps;
-        let end = (k1 + 1) * ps;
-        let (_, tail) = rest.split_at_mut(begin - consumed);
-        let (slab, tail) = tail.split_at_mut(end - begin);
-        rest = tail;
-        consumed = end;
-        slabs.push((k0, k1, slab));
+    for (c, &(k0, k1)) in chunks.iter().enumerate() {
+        let (slab, more) = std::mem::take(&mut rest).split_at_mut((k1 - k0 + 1) * ps);
+        rest = more;
+        slabs.push((c, k0, k1, slab));
     }
-    slabs
+    if slabs.len() == 1 {
+        let (c, k0, k1, slab) = slabs.remove(0);
+        body(c, k0, k1, slab);
+        return;
+    }
+    let body = &body;
+    thread::scope(|scope| {
+        for (c, k0, k1, slab) in slabs {
+            scope.spawn(move || body(c, k0, k1, slab));
+        }
+    });
 }
 
 /// Parallel (optionally tiled) 3D Jacobi sweep across `threads` K-slabs.
@@ -99,42 +109,13 @@ pub fn jacobi3d_sweep(
 ) {
     rowexec::check_pair(a, b, "A and B");
     let (ni, nj, nk) = (a.ni(), a.nj(), a.nk());
-    let (di, ps) = (a.di(), a.plane_stride());
     let chunks = k_chunks(nk, threads);
     if chunks.is_empty() || ni < 3 || nj < 3 {
         return;
     }
-    let bv = b.as_slice();
-    let slabs = split_slabs(a.as_mut_slice(), &chunks, ps);
-
-    thread::scope(|scope| {
-        for (k0, k1, slab) in slabs {
-            scope.spawn(move || {
-                let space = IterSpace {
-                    lo: (1, 1, k0),
-                    hi: (ni - 2, nj - 2, k1),
-                };
-                let base = k0 * ps; // slab-local offset correction
-                let row = |i0: usize, i1: usize, j: usize, k: usize| {
-                    let lo = j * di + k * ps + i0;
-                    let len = i1 - i0 + 1;
-                    rowexec::jacobi3d_row(
-                        &mut slab[lo - base..lo - base + len],
-                        &bv[lo - 1..],
-                        &bv[lo + 1..],
-                        &bv[lo - di..],
-                        &bv[lo + di..],
-                        &bv[lo - ps..],
-                        &bv[lo + ps..],
-                        c,
-                    );
-                };
-                match tile {
-                    None => for_each_rows(space, row),
-                    Some(t) => for_each_tiled_rows(space, t, row),
-                }
-            });
-        }
+    let (_, interior) = rowexec::split_interior(a);
+    run_slabs(interior, &chunks, b.plane_stride(), |_, k0, k1, out| {
+        jacobi3d::slab(out, k0, k1, b, c, tile);
     });
     rowexec::note_sweep(
         IterSpace::interior(ni, nj, nk).points(),
@@ -161,51 +142,13 @@ pub fn resid_sweep(
     rowexec::check_pair(r, u, "R and U");
     rowexec::check_pair(u, v, "U and V");
     let (ni, nj, nk) = (r.ni(), r.nj(), r.nk());
-    let (di, ps) = (r.di(), r.plane_stride());
     let chunks = k_chunks(nk, threads);
     if chunks.is_empty() || ni < 3 || nj < 3 {
         return;
     }
-    let (uv, vv) = (u.as_slice(), v.as_slice());
-    let coeffs = *coeffs;
-    let slabs = split_slabs(r.as_mut_slice(), &chunks, ps);
-
-    thread::scope(|scope| {
-        for (k0, k1, slab) in slabs {
-            scope.spawn(move || {
-                let space = IterSpace {
-                    lo: (1, 1, k0),
-                    hi: (ni - 2, nj - 2, k1),
-                };
-                let base = k0 * ps;
-                let row = |i0: usize, i1: usize, j: usize, k: usize| {
-                    let lo = j * di + k * ps + i0;
-                    let len = i1 - i0 + 1;
-                    let h = lo - 1;
-                    let rows: rowexec::Rows9 = [
-                        &uv[h - di - ps..],
-                        &uv[h - ps..],
-                        &uv[h + di - ps..],
-                        &uv[h - di..],
-                        &uv[h..],
-                        &uv[h + di..],
-                        &uv[h - di + ps..],
-                        &uv[h + ps..],
-                        &uv[h + di + ps..],
-                    ];
-                    rowexec::resid_row(
-                        &mut slab[lo - base..lo - base + len],
-                        &vv[lo..],
-                        rows,
-                        &coeffs,
-                    );
-                };
-                match tile {
-                    None => for_each_rows(space, row),
-                    Some(t) => for_each_tiled_rows(space, t, row),
-                }
-            });
-        }
+    let (_, interior) = rowexec::split_interior(r);
+    run_slabs(interior, &chunks, u.plane_stride(), |_, k0, k1, out| {
+        resid::slab(out, k0, k1, u, Some(v), coeffs, tile);
     });
     rowexec::note_sweep(
         IterSpace::interior(ni, nj, nk).points(),
@@ -228,8 +171,8 @@ pub fn resid_sweep(
 /// never written, so the first slab's down plane and the last slab's up
 /// plane are read live, zero-copy. Hence the result is bitwise identical
 /// to `redblack::sweep` with `Schedule::Naive` (= every sequential
-/// schedule) for every thread count. A single-chunk partition skips the
-/// snapshots and the spawns entirely and runs the pass inline.
+/// schedule) for every thread count. A one-slab pass has no interface:
+/// it is the same colour pass over the live outermost planes, run inline.
 ///
 /// When observability collection is on, the two colour passes run under
 /// fixed `redblack:red` / `redblack:black` spans opened on the
@@ -253,13 +196,12 @@ pub fn redblack_sweep(
     if chunks.is_empty() || n < 3 {
         return;
     }
-    let av = a.as_mut_slice();
+    let last = chunks.len() - 1;
 
     // Interface halo buffers, allocated once and reused across both
-    // colour passes: `lo_halos[c]` snapshots the plane below chunk `c`
-    // (owned by chunk `c-1`), `hi_halos[c]` the plane above it.
-    let mut lo_halos: Vec<Vec<f64>> = chunks.iter().map(|_| Vec::new()).collect();
-    let mut hi_halos: Vec<Vec<f64>> = chunks.iter().map(|_| Vec::new()).collect();
+    // colour passes: `halos[c]` snapshots the planes below and above
+    // chunk `c` (owned by its neighbours).
+    let mut halos: Vec<[Vec<f64>; 2]> = chunks.iter().map(|_| Default::default()).collect();
 
     for parity in 0..2usize {
         let _pass = tiling3d_obs::span(if parity == 0 {
@@ -267,50 +209,25 @@ pub fn redblack_sweep(
         } else {
             "redblack:black"
         });
-        if chunks.len() == 1 {
-            let (k0, k1) = chunks[0];
-            color_pass_seq(av, k0, k1, n, di, ps, c1, c2, parity, tile);
-            continue;
-        }
-        // Refresh the interface halos (planes shared between adjacent
-        // chunks) for this pass. The outermost planes 0 and nk-1 are
-        // never written, so the first chunk's down plane and the last
-        // chunk's up plane are read live, zero-copy.
-        for c in 0..chunks.len() {
-            if c > 0 {
-                let k = chunks[c].0 - 1;
-                lo_halos[c].clear();
-                lo_halos[c].extend_from_slice(&av[k * ps..(k + 1) * ps]);
-            }
-            if c + 1 < chunks.len() {
-                let k = chunks[c].1 + 1;
-                hi_halos[c].clear();
-                hi_halos[c].extend_from_slice(&av[k * ps..(k + 1) * ps]);
+        for (c, &(k0, k1)) in chunks.iter().enumerate() {
+            for (side, k, interface) in [(0, k0 - 1, c > 0), (1, k1 + 1, c < last)] {
+                if interface {
+                    halos[c][side].clear();
+                    halos[c][side].extend_from_slice(&a.as_slice()[k * ps..(k + 1) * ps]);
+                }
             }
         }
-        let (head, rest) = av.split_at_mut(ps);
-        let (interior, tail) = rest.split_at_mut((nk - 2) * ps);
-        let head: &[f64] = head;
-        let tail: &[f64] = tail;
-        let mut rest = interior;
-        let mut slabs = Vec::with_capacity(chunks.len());
-        for &(k0, k1) in &chunks {
-            let (slab, more) = rest.split_at_mut((k1 - k0 + 1) * ps);
-            rest = more;
-            slabs.push((k0, k1, slab));
-        }
-        thread::scope(|scope| {
-            for (c, (k0, k1, slab)) in slabs.into_iter().enumerate() {
-                let down: &[f64] = if c == 0 { head } else { &lo_halos[c] };
-                let up: &[f64] = if c + 1 == chunks.len() {
-                    tail
-                } else {
-                    &hi_halos[c]
-                };
-                scope.spawn(move || {
-                    color_pass(slab, down, up, k0, k1, n, di, ps, c1, c2, parity, tile);
-                });
-            }
+        let ([head, tail], interior) = rowexec::split_interior(a);
+        let halos = &halos;
+        run_slabs(interior, &chunks, ps, |c, k0, k1, slab| {
+            let down = if c == 0 { head } else { &halos[c][0] };
+            let up = if c == last { tail } else { &halos[c][1] };
+            let mut scratch = vec![0.0f64; n / 2 + 1];
+            color_rows(n, k0, k1, parity, tile, |i0, i1, j, k| {
+                let (plane, nbr) = rowexec::split_plane(slab, k - k0, ps, [down, up]);
+                let m = (i1 - i0) / 2 + 1;
+                rowexec::redblack_row(plane, nbr, j * di + i0, di, &mut scratch[..m], c1, c2);
+            });
         });
     }
     rowexec::note_sweep(
@@ -333,128 +250,30 @@ fn color_rows(
     mut f: impl FnMut(usize, usize, usize, usize),
 ) {
     let hi = n - 2;
-    match tile {
-        None => {
+    let Some(t) = tile else {
+        for k in k0..=k1 {
+            redblack::plane_rows(n, k, parity, |i0, i1, j| f(i0, i1, j, k));
+        }
+        return;
+    };
+    let mut jj = 1usize;
+    while jj <= hi {
+        let j_hi = (jj + t.tj - 1).min(hi);
+        let mut ii = 1usize;
+        while ii <= hi {
+            let i_hi = (ii + t.ti - 1).min(hi);
             for k in k0..=k1 {
-                for j in 1..=hi {
+                for j in jj..=j_hi {
                     let i0 = 1 + (k + j + parity) % 2;
-                    if i0 <= hi {
-                        f(i0, stride2_last(i0, hi), j, k);
+                    if let Some(first) = stride2_clip(i0, ii, i_hi) {
+                        f(first, stride2_last(first, i_hi), j, k);
                     }
                 }
             }
+            ii += t.ti;
         }
-        Some(t) => {
-            let mut jj = 1usize;
-            while jj <= hi {
-                let j_hi = (jj + t.tj - 1).min(hi);
-                let mut ii = 1usize;
-                while ii <= hi {
-                    let i_hi = (ii + t.ti - 1).min(hi);
-                    for k in k0..=k1 {
-                        for j in jj..=j_hi {
-                            let i0 = 1 + (k + j + parity) % 2;
-                            if let Some(first) = stride2_clip(i0, ii, i_hi) {
-                                f(first, stride2_last(first, i_hi), j, k);
-                            }
-                        }
-                    }
-                    ii += t.ti;
-                }
-                jj += t.tj;
-            }
-        }
+        jj += t.tj;
     }
-}
-
-/// One colour pass over one K-slab (planes `k0..=k1`, slab-local
-/// storage). `down` / `up` are full planes: the live outermost plane or
-/// an interface-halo snapshot; they are only consulted for `k == k0` /
-/// `k == k1` rows — interior `K±1` reads stay inside the slab.
-#[allow(clippy::too_many_arguments)]
-fn color_pass(
-    slab: &mut [f64],
-    down: &[f64],
-    up: &[f64],
-    k0: usize,
-    k1: usize,
-    n: usize,
-    di: usize,
-    ps: usize,
-    c1: f64,
-    c2: f64,
-    parity: usize,
-    tile: Option<TileDims>,
-) {
-    let mut scratch = vec![0.0f64; n / 2 + 1];
-    color_rows(n, k0, k1, parity, tile, |i0, i1, j, k| {
-        let lo = j * di + (k - k0) * ps + i0;
-        let m = (i1 - i0) / 2 + 1;
-        {
-            let src: &[f64] = slab;
-            let d: &[f64] = if k > k0 {
-                &src[lo - ps..]
-            } else {
-                &down[j * di + i0..]
-            };
-            let u: &[f64] = if k < k1 {
-                &src[lo + ps..]
-            } else {
-                &up[j * di + i0..]
-            };
-            rowexec::redblack_row(
-                &mut scratch[..m],
-                &src[lo..],
-                &src[lo - 1..],
-                &src[lo - di..],
-                &src[lo + 1..],
-                &src[lo + di..],
-                d,
-                u,
-                c1,
-                c2,
-            );
-        }
-        rowexec::scatter_stride2(&mut slab[lo..], &scratch[..m]);
-    });
-}
-
-/// One colour pass over the whole interior on the calling thread: no
-/// spawns, no phase split, `K±1` reads straight from the live array.
-#[allow(clippy::too_many_arguments)]
-fn color_pass_seq(
-    av: &mut [f64],
-    k0: usize,
-    k1: usize,
-    n: usize,
-    di: usize,
-    ps: usize,
-    c1: f64,
-    c2: f64,
-    parity: usize,
-    tile: Option<TileDims>,
-) {
-    let mut scratch = vec![0.0f64; n / 2 + 1];
-    color_rows(n, k0, k1, parity, tile, |i0, i1, j, k| {
-        let lo = j * di + k * ps + i0;
-        let m = (i1 - i0) / 2 + 1;
-        {
-            let src: &[f64] = av;
-            rowexec::redblack_row(
-                &mut scratch[..m],
-                &src[lo..],
-                &src[lo - 1..],
-                &src[lo - di..],
-                &src[lo + 1..],
-                &src[lo + di..],
-                &src[lo - ps..],
-                &src[lo + ps..],
-                c1,
-                c2,
-            );
-        }
-        rowexec::scatter_stride2(&mut av[lo..], &scratch[..m]);
-    });
 }
 
 #[cfg(test)]
@@ -534,7 +353,7 @@ mod tests {
         fill_random(&mut u, 8);
         fill_random(&mut v, 9);
         let mut seq = Array3::with_padding(n, n, n, 21, 19);
-        crate::resid::sweep(&mut seq, &u, &v, &Coeffs::MGRID_A, None);
+        crate::resid::sweep(&mut seq, &u, Some(&v), &Coeffs::MGRID_A, None);
         for threads in [1usize, 3, 5] {
             let mut par = Array3::with_padding(n, n, n, 21, 19);
             resid_sweep(

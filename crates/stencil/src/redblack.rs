@@ -42,17 +42,28 @@ pub fn sweep_flops(n: usize, nk: usize) -> u64 {
     interior * interior * (nk as u64 - 2) * FLOPS_PER_POINT
 }
 
+/// Walks one colour's stride-2 rows of plane `k` (`parity` 0 = red, 1 =
+/// black), `j` ascending, as `f(i_first, i_last, j)`.
+pub(crate) fn plane_rows(
+    n: usize,
+    k: usize,
+    parity: usize,
+    mut f: impl FnMut(usize, usize, usize),
+) {
+    for j in 1..=n - 2 {
+        let i0 = 1 + (k + j + parity) % 2;
+        if i0 <= n - 2 {
+            f(i0, stride2_last(i0, n - 2), j);
+        }
+    }
+}
+
 /// Walks the **naive** schedule as stride-2 rows: pass 0 yields the red
 /// rows (Fortran-even coordinate sums), pass 1 the black rows.
 fn rows_naive(n: usize, nk: usize, mut f: impl FnMut(usize, usize, usize, usize)) {
     for p in 0..2usize {
         for k in 1..=nk - 2 {
-            for j in 1..=n - 2 {
-                let i0 = 1 + (k + j + p) % 2;
-                if i0 <= n - 2 {
-                    f(i0, stride2_last(i0, n - 2), j, k);
-                }
-            }
+            plane_rows(n, k, p, |i0, i1, j| f(i0, i1, j, k));
         }
     }
 }
@@ -61,16 +72,9 @@ fn rows_naive(n: usize, nk: usize, mut f: impl FnMut(usize, usize, usize, usize)
 fn rows_fused(n: usize, nk: usize, mut f: impl FnMut(usize, usize, usize, usize)) {
     for kk in 0..=nk - 2 {
         // Two-trip inner K loop: K = KK+1 (red), then K = KK (black).
-        for k in [kk + 1, kk] {
-            if !(1..=nk - 2).contains(&k) {
-                continue;
-            }
-            let parity = if k == kk + 1 { 0 } else { 1 }; // red : black
-            for j in 1..=n - 2 {
-                let i0 = 1 + (k + j + parity) % 2;
-                if i0 <= n - 2 {
-                    f(i0, stride2_last(i0, n - 2), j, k);
-                }
+        for (k, parity) in [(kk + 1, 0), (kk, 1)] {
+            if (1..=nk - 2).contains(&k) {
+                plane_rows(n, k, parity, |i0, i1, j| f(i0, i1, j, k));
             }
         }
     }
@@ -165,27 +169,12 @@ pub fn sweep(a: &mut Array3<f64>, c1: f64, c2: f64, schedule: Schedule) {
     let nk = a.nk();
     assert!(a.nj() == n, "red-black kernel expects square I/J extents");
     let (di, ps) = (a.di(), a.plane_stride());
-    let av = a.as_mut_slice();
+    let (outer, interior) = rowexec::split_interior(a);
     let mut scratch = vec![0.0f64; n / 2 + 1];
     visit_rows(n, nk, schedule, |i0, i1, j, k| {
-        let lo = j * di + k * ps + i0;
+        let (plane, nbr) = rowexec::split_plane(interior, k - 1, ps, outer);
         let m = (i1 - i0) / 2 + 1;
-        {
-            let src: &[f64] = av;
-            rowexec::redblack_row(
-                &mut scratch[..m],
-                &src[lo..],
-                &src[lo - 1..],
-                &src[lo - di..],
-                &src[lo + 1..],
-                &src[lo + di..],
-                &src[lo - ps..],
-                &src[lo + ps..],
-                c1,
-                c2,
-            );
-        }
-        rowexec::scatter_stride2(&mut av[lo..], &scratch[..m]);
+        rowexec::redblack_row(plane, nbr, j * di + i0, di, &mut scratch[..m], c1, c2);
     });
     if nk >= 2 && n >= 2 {
         rowexec::note_sweep(
@@ -193,6 +182,16 @@ pub fn sweep(a: &mut Array3<f64>, c1: f64, c2: f64, schedule: Schedule) {
             FLOPS_PER_POINT,
         );
     }
+}
+
+/// The per-point accesses of one stride-2 row, in source order: the
+/// centre load, the six neighbour loads, the centre store (array at byte
+/// `base`, row stride `di`, plane stride `ps`).
+pub(crate) fn row_shape(di: usize, ps: usize, base: u64) -> RowShape {
+    let (b, di8, ps8) = (base as i64, 8 * di as i64, 8 * ps as i64);
+    RowShape::new(16)
+        .reads([b, b - 8, b - di8, b + 8, b + di8, b - ps8, b + ps8])
+        .write(b)
 }
 
 /// Replays the exact address trace of one iteration (array `A` at byte 0,
@@ -209,10 +208,7 @@ pub fn trace<S: AccessSink>(
 ) {
     assert!(di >= n && dj >= n);
     let ps = di * dj;
-    let (di8, ps8) = (8 * di as i64, 8 * ps as i64);
-    let shape = RowShape::new(16)
-        .reads([0, -8, -di8, 8, di8, -ps8, ps8])
-        .write(0);
+    let shape = row_shape(di, ps, 0);
     visit_rows(n, nk, schedule, |i0, i1, j, k| {
         sink.row(
             &shape,

@@ -1,7 +1,7 @@
 //! Per-point reference sweeps — the semantics the row engine must match.
 //!
 //! Every kernel's production sweep now runs on the row-segment engine
-//! ([`rowexec`](crate::rowexec)); the functions here keep the original
+//! ([`rowexec`]); the functions here keep the original
 //! per-point formulation alive as an executable specification. Each one:
 //!
 //! * hoists the row base `j * di + k * ps` once per row (no hidden
@@ -23,17 +23,14 @@ use tiling3d_loopnest::{for_each_rows, for_each_tiled_rows, IterSpace, TileDims}
 use crate::redblack::{self, Schedule};
 use crate::redblack2d::Schedule2D;
 use crate::resid::Coeffs;
+use crate::rowexec;
 
 /// One per-point 3D Jacobi sweep (untiled, or the Fig 6 tiled order).
 ///
 /// # Panics
 /// Panics if the two arrays differ in logical or allocated extents.
 pub fn jacobi3d(a: &mut Array3<f64>, b: &Array3<f64>, c: f64, tile: Option<TileDims>) {
-    assert_eq!(
-        (a.ni(), a.nj(), a.nk(), a.di(), a.dj()),
-        (b.ni(), b.nj(), b.nk(), b.di(), b.dj()),
-        "A and B must share logical and allocated extents"
-    );
+    rowexec::check_pair(a, b, "A and B");
     let (di, ps) = (b.di(), b.plane_stride());
     let space = IterSpace::interior(b.ni(), b.nj(), b.nk());
     let (av, bv) = (a.as_mut_slice(), b.as_slice());
@@ -138,12 +135,8 @@ pub fn resid(
     coeffs: &Coeffs,
     tile: Option<TileDims>,
 ) {
-    for pair in [(r.ni(), u.ni()), (r.di(), u.di()), (r.dj(), u.dj())] {
-        assert_eq!(pair.0, pair.1, "R and U extents differ");
-    }
-    for pair in [(u.ni(), v.ni()), (u.di(), v.di()), (u.dj(), v.dj())] {
-        assert_eq!(pair.0, pair.1, "U and V extents differ");
-    }
+    rowexec::check_pair(r, u, "R and U");
+    rowexec::check_pair(u, v, "U and V");
     let (di, ps) = (u.di(), u.plane_stride());
     let space = IterSpace::interior(u.ni(), u.nj(), u.nk());
     let rv = r.as_mut_slice();
@@ -180,10 +173,10 @@ pub fn resid(
 /// The per-point interior copy-back nest of Fig 5 (`B = A`).
 ///
 /// # Panics
-/// Panics if extents mismatch.
+/// Panics if the two arrays differ in logical or allocated extents.
 #[allow(clippy::manual_memcpy)] // deliberately per-point: this is the reference formulation
 pub fn copy_back(b: &mut Array3<f64>, a: &Array3<f64>) {
-    assert_eq!((a.di(), a.dj(), a.nk()), (b.di(), b.dj(), b.nk()));
+    rowexec::check_pair(b, a, "B and A");
     let (di, ps) = (a.di(), a.plane_stride());
     let space = IterSpace::interior(a.ni(), a.nj(), a.nk());
     let av = a.as_slice();
@@ -195,4 +188,31 @@ pub fn copy_back(b: &mut Array3<f64>, a: &Array3<f64>) {
             bv[row + i] = av[row + i];
         }
     });
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// `a` at 10x10x10 and `b` at 8x10x10, both allocated 12x10: a check
+    /// of `(di, dj, nk)` alone would let the copy overwrite `b`'s boundary
+    /// column `i = 7` and its padding `i = 8`.
+    #[test]
+    #[should_panic(expected = "must share")]
+    fn copy_back_ni_mismatch_panics() {
+        let a = Array3::with_padding(10, 10, 10, 12, 10);
+        let mut b = Array3::with_padding(8, 10, 10, 12, 10);
+        copy_back(&mut b, &a);
+    }
+
+    /// `r` at `nj = 8` under `u` and `v` at `nj = 12`, all allocated
+    /// `dj = 12`: a check of `(ni, di, dj)` alone would let the sweep write
+    /// `r`'s boundary row `j = 7` and its padding row `j = 10`.
+    #[test]
+    #[should_panic(expected = "must share")]
+    fn resid_nj_mismatch_panics() {
+        let mut r = Array3::with_padding(10, 8, 10, 10, 12);
+        let u = Array3::with_padding(10, 12, 10, 10, 12);
+        resid(&mut r, &u, &u, &Coeffs::MGRID_A, None);
+    }
 }

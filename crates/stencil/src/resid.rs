@@ -95,51 +95,73 @@ pub(crate) fn corners(di: i64, ps: i64) -> [i64; 8] {
     ]
 }
 
-/// One RESID sweep, optionally tiled (`Some(tile)` = the Fig 13 right-hand
-/// schedule, tiling `I2`/`I1` and leaving `I3` untouched).
+/// One RESID sweep `r = v - A u`, optionally tiled (`Some(tile)` = the
+/// Fig 13 right-hand schedule, tiling `I2`/`I1` and leaving `I3`
+/// untouched). `v = None` means `v` is `r` itself — MGRID's in-place
+/// `resid(u, r, r)` on the intermediate levels.
 ///
 /// Runs on the row engine: the 27-point box becomes nine overlapping
 /// unit-stride `U` rows per output row (see [`rowexec::resid_row`]), with
 /// accumulation order identical to [`crate::reference::resid`] — results
-/// are bitwise identical.
+/// are bitwise identical. In place, each row's pre-update values are
+/// copied to a scratch row first; the `v` role reads only the centre
+/// point, so this equals the per-point in-place update. The sweep is the
+/// one-slab case of [`crate::parallel::resid_sweep`].
 ///
 /// # Panics
-/// Panics if the three arrays differ in logical or allocated extents.
+/// Panics if the arrays differ in logical or allocated extents.
 pub fn sweep(
     r: &mut Array3<f64>,
     u: &Array3<f64>,
-    v: &Array3<f64>,
+    v: Option<&Array3<f64>>,
     coeffs: &Coeffs,
     tile: Option<TileDims>,
 ) {
     rowexec::check_pair(r, u, "R and U");
-    rowexec::check_pair(u, v, "U and V");
-    let (di, ps) = (u.di(), u.plane_stride());
+    if let Some(v) = v {
+        rowexec::check_pair(u, v, "U and V");
+    }
     let space = IterSpace::interior(u.ni(), u.nj(), u.nk());
-    let rv = r.as_mut_slice();
-    let (uv, vv) = (u.as_slice(), v.as_slice());
+    let (_, out) = rowexec::split_interior(r);
+    slab(out, 1, u.nk() - 2, u, v, coeffs, tile);
+    rowexec::note_sweep(space.points(), FLOPS_PER_POINT);
+}
+
+/// Updates the residual planes `k0..=k1` of one K-slab, stored
+/// consecutively in `out`, in the (tiled) row order; `v = None` reads
+/// each row's own pre-update values as `v`.
+pub(crate) fn slab(
+    out: &mut [f64],
+    k0: usize,
+    k1: usize,
+    u: &Array3<f64>,
+    v: Option<&Array3<f64>>,
+    coeffs: &Coeffs,
+    tile: Option<TileDims>,
+) {
+    let (di, ps) = (u.di(), u.plane_stride());
+    let space = IterSpace {
+        lo: (1, 1, k0),
+        hi: (u.ni() - 2, u.nj() - 2, k1),
+    };
+    let (uv, vv) = (u.as_slice(), v.map(Array3::as_slice));
+    let mut pre = vec![0.0; if vv.is_some() { 0 } else { u.ni() }];
     let row = |i0: usize, i1: usize, j: usize, k: usize| {
-        let lo = j * di + k * ps + i0;
-        let len = i1 - i0 + 1;
-        let h = lo - 1; // halo start: one element left of the row
-        let rows: rowexec::Rows9 = [
-            &uv[h - di - ps..],
-            &uv[h - ps..],
-            &uv[h + di - ps..],
-            &uv[h - di..],
-            &uv[h..],
-            &uv[h + di..],
-            &uv[h - di + ps..],
-            &uv[h + ps..],
-            &uv[h + di + ps..],
-        ];
-        rowexec::resid_row(&mut rv[lo..lo + len], &vv[lo..], rows, coeffs);
+        let at = j * di + i0;
+        let dst = &mut out[(k - k0) * ps + at..][..i1 - i0 + 1];
+        let v = match vv {
+            Some(vv) => &vv[k * ps + at..],
+            None => {
+                pre[..dst.len()].copy_from_slice(dst);
+                &pre[..]
+            }
+        };
+        rowexec::resid_row(dst, v, rowexec::planes(uv, k, ps), at, di, coeffs);
     };
     match tile {
         None => for_each_rows(space, row),
         Some(t) => for_each_tiled_rows(space, t, row),
     }
-    rowexec::note_sweep(space.points(), FLOPS_PER_POINT);
 }
 
 /// Replays the exact address trace of one sweep, one [`AccessSink::row`]
@@ -242,7 +264,7 @@ mod tests {
             a2: 0.25,
             a3: 0.125,
         };
-        sweep(&mut r, &u, &v, &c, None);
+        sweep(&mut r, &u, Some(&v), &c, None);
         let w = c.a0 + 6.0 * c.a1 + 12.0 * c.a2 + 8.0 * c.a3;
         for k in 1..n - 1 {
             for j in 1..n - 1 {
@@ -262,7 +284,7 @@ mod tests {
         let (mut r, mut u, mut v) = arrays(n, n, n);
         u.fill(5.0);
         fill_random(&mut v, 3);
-        sweep(&mut r, &u, &v, &Coeffs::MGRID_A, None);
+        sweep(&mut r, &u, Some(&v), &Coeffs::MGRID_A, None);
         for k in 1..n - 1 {
             for j in 1..n - 1 {
                 for i in 1..n - 1 {
@@ -281,14 +303,9 @@ mod tests {
         ] {
             let (mut r1, u, v) = arrays(n, di, dj);
             let mut r2 = r1.clone();
-            sweep(&mut r1, &u, &v, &Coeffs::MGRID_A, None);
-            sweep(
-                &mut r2,
-                &u,
-                &v,
-                &Coeffs::MGRID_A,
-                Some(TileDims::new(ti, tj)),
-            );
+            sweep(&mut r1, &u, Some(&v), &Coeffs::MGRID_A, None);
+            let tile = Some(TileDims::new(ti, tj));
+            sweep(&mut r2, &u, Some(&v), &Coeffs::MGRID_A, tile);
             assert!(r1.logical_eq(&r2), "n={n} tile=({ti},{tj})");
         }
     }
@@ -363,7 +380,7 @@ mod tests {
         let mut r = Array3::with_padding(10, 8, 10, 10, 12);
         let u = Array3::with_padding(10, 12, 10, 10, 12);
         let v = u.clone();
-        sweep(&mut r, &u, &v, &Coeffs::MGRID_A, None);
+        sweep(&mut r, &u, Some(&v), &Coeffs::MGRID_A, None);
     }
 
     #[test]
@@ -371,6 +388,6 @@ mod tests {
     fn nk_mismatch_panics() {
         let (mut r, u, _) = arrays(9, 9, 9);
         let v = Array3::with_padding(9, 9, 7, 9, 9);
-        sweep(&mut r, &u, &v, &Coeffs::MGRID_A, None);
+        sweep(&mut r, &u, Some(&v), &Coeffs::MGRID_A, None);
     }
 }

@@ -1,15 +1,16 @@
 //! Row kernels: the bounds-check-free compute layer of the row engine.
 //!
 //! Every function here updates one contiguous (or stride-2) row segment.
-//! The caller has already split the row into overlapping *read* slices —
-//! one per stencil offset, each starting at the first point's neighbour —
-//! and one disjoint *write* slice. Each kernel re-slices every source to
-//! the exact length it will touch before the loop, so the optimizer can
-//! hoist all bounds checks out of the loop and autovectorize the `I`
-//! walk. The floating-point expression (operand order included) is
-//! copied verbatim from the per-point reference in
-//! [`reference`](crate::reference), which keeps the engine bit-identical
-//! to it.
+//! A 3D kernel takes three things: the destination row (for red-black,
+//! the plane it updates in place), the source planes `K-1`, `K` and `K+1`
+//! it reads, and the row's plane-local offset `at = j * di + i0`. It cuts
+//! its own neighbour slices from the planes, each to the exact length it
+//! will touch, before the loop, so the optimizer can hoist all bounds
+//! checks out of the loop and autovectorize the `I` walk. Executors only
+//! pick planes: no other module computes a neighbour offset. The
+//! floating-point expression (operand order included) is copied verbatim
+//! from the per-point reference in [`reference`](crate::reference), which
+//! keeps the engine bit-identical to it.
 //!
 //! The kernels stay `#[inline(never)]`: as standalone functions their
 //! slice parameters get `noalias` and the vectorized loop is the same in
@@ -41,26 +42,64 @@ pub(crate) fn note_sweep(points: u64, flops_per_point: u64) {
     }
 }
 
-/// One Jacobi 3D row: `dst[i] = c * (w[i] + e[i] + n[i] + s[i] + d[i] + u[i])`.
-///
-/// Sources are the six neighbour rows (west/east along `I`, north/south
-/// along `J`, down/up along `K`), each at least `dst.len()` long.
-#[allow(clippy::too_many_arguments)]
+/// Planes `k - 1`, `k` and `k + 1` of a flat array with plane stride `ps`
+/// — the source operand of a whole-array row update.
+#[inline]
+pub(crate) fn planes(v: &[f64], k: usize, ps: usize) -> [&[f64]; 3] {
+    [
+        &v[(k - 1) * ps..k * ps],
+        &v[k * ps..(k + 1) * ps],
+        &v[(k + 1) * ps..(k + 2) * ps],
+    ]
+}
+
+/// Splits `a` into its outermost planes `[0, nk - 1]`, which no sweep
+/// writes, and the interior planes `1..=nk-2` between them.
+pub(crate) fn split_interior(a: &mut Array3<f64>) -> ([&[f64]; 2], &mut [f64]) {
+    let ps = a.plane_stride();
+    let (head, rest) = a.as_mut_slice().split_at_mut(ps);
+    let (interior, tail) = rest.split_at_mut(rest.len() - ps);
+    ([head, tail], interior)
+}
+
+/// Splits plane `l` of the consecutive planes in `slab` off for an in-place
+/// update and returns it with its two neighbours: planes `l - 1` and
+/// `l + 1` of the slab, or `outer[0]` / `outer[1]` past the slab's first /
+/// last plane.
+#[inline]
+pub(crate) fn split_plane<'a>(
+    slab: &'a mut [f64],
+    l: usize,
+    ps: usize,
+    outer: [&'a [f64]; 2],
+) -> (&'a mut [f64], [&'a [f64]; 2]) {
+    let (below, rest) = slab.split_at_mut(l * ps);
+    let (plane, above) = rest.split_at_mut(ps);
+    let (below, above): (&[f64], &[f64]) = (below, above);
+    let down = if l == 0 {
+        outer[0]
+    } else {
+        &below[(l - 1) * ps..]
+    };
+    let up = if above.is_empty() {
+        outer[1]
+    } else {
+        &above[..ps]
+    };
+    (plane, [down, up])
+}
+
+/// One Jacobi 3D row: `dst[x] = c * (w + e + n + s + d + u)` at plane-local
+/// offset `at + x`, reading west/east/north/south from plane `K` and
+/// down/up from planes `K-1` / `K+1` of `src` (`[K-1, K, K+1]`, row stride
+/// `di`).
 #[inline(never)]
-pub fn jacobi3d_row(
-    dst: &mut [f64],
-    w: &[f64],
-    e: &[f64],
-    n: &[f64],
-    s: &[f64],
-    d: &[f64],
-    u: &[f64],
-    c: f64,
-) {
+pub fn jacobi3d_row(dst: &mut [f64], src: [&[f64]; 3], at: usize, di: usize, c: f64) {
     let len = dst.len();
-    let (w, e) = (&w[..len], &e[..len]);
-    let (n, s) = (&n[..len], &s[..len]);
-    let (d, u) = (&d[..len], &u[..len]);
+    let [d, ctr, u] = src;
+    let (w, e) = (&ctr[at - 1..][..len], &ctr[at + 1..][..len]);
+    let (n, s) = (&ctr[at - di..][..len], &ctr[at + di..][..len]);
+    let (d, u) = (&d[at..][..len], &u[at..][..len]);
     for i in 0..len {
         dst[i] = c * (w[i] + e[i] + n[i] + s[i] + d[i] + u[i]);
     }
@@ -76,23 +115,36 @@ pub fn jacobi2d_row(dst: &mut [f64], w: &[f64], e: &[f64], n: &[f64], s: &[f64],
     }
 }
 
-/// The nine unit-stride `U` rows a RESID row update reads: index
-/// `(dk + 1) * 3 + (dj + 1)` holds the row at `(j + dj, k + dk)`, each
-/// starting one element *left* of the output row (`i0 - 1`) and at least
-/// `dst.len() + 2` long, so offsets `-1/0/+1` along `I` become indices
-/// `x`, `x + 1`, `x + 2`.
-pub type Rows9<'a> = [&'a [f64]; 9];
-
-/// One RESID row. Accumulation order matches the reference exactly:
-/// `s1` over the 6 faces, `s2` over the 12 edges, `s3` over the 8
-/// corners, each starting from `0.0` and adding in the offset-table
-/// order of [`resid`](crate::resid).
-#[inline(never)]
-pub fn resid_row(dst: &mut [f64], v: &[f64], rows: Rows9<'_>, c: &Coeffs) {
-    let len = dst.len();
-    if len == 0 {
+/// One RESID row at plane-local offset `at`: `dst[x] = v[x] - A u` over
+/// the 27-point box of `u` (`[K-1, K, K+1]`, row stride `di`). `v` starts
+/// at the output row.
+///
+/// Cuts the nine unit-stride `U` rows and hands them to the outlined
+/// kernel: as nine separate parameters the loop keeps the codegen of the
+/// per-operand form, which slicing inside the kernel loses (~13% on
+/// untiled 128² rows, DESIGN.md §12).
+#[inline]
+pub fn resid_row(dst: &mut [f64], v: &[f64], u: [&[f64]; 3], at: usize, di: usize, c: &Coeffs) {
+    if dst.is_empty() {
         return;
     }
+    // Each row starts one element left of the output row, so offsets
+    // -1/0/+1 along I become indices x, x + 1, x + 2.
+    let x0 = at - 1;
+    let [[nd, cd, sd], [nc, cc, sc], [nu, cu, su]] =
+        u.map(|p| [&p[x0 - di..], &p[x0..], &p[x0 + di..]]);
+    resid_row9(dst, v, [nd, cd, sd, nc, cc, sc, nu, cu, su], c);
+}
+
+/// The RESID row loop over the nine `U` rows of [`resid_row`], index
+/// `(dk + 1) * 3 + (dj + 1)` holding the row at `(j + dj, k + dk)`.
+/// Accumulation order matches the reference exactly: `s1` over the 6
+/// faces, `s2` over the 12 edges, `s3` over the 8 corners, each starting
+/// from `0.0` and adding in the offset-table order of
+/// [`resid`](crate::resid).
+#[inline(never)]
+fn resid_row9(dst: &mut [f64], v: &[f64], rows: [&[f64]; 9], c: &Coeffs) {
+    let len = dst.len();
     let v = &v[..len];
     let h = len + 2;
     let [nd, cd, sd, nc, cc, sc, nu, cu, su] = rows.map(|r| &r[..h]);
@@ -130,26 +182,23 @@ pub fn resid_row(dst: &mut [f64], v: &[f64], rows: Rows9<'_>, c: &Coeffs) {
     }
 }
 
-/// Computes the new values of one stride-2 red-black row into `scratch`
-/// (one slot per updated point, in row order). Sources all start at the
-/// first updated point plus their stencil offset, so update `t` reads
-/// index `2 * t`; each must be at least `2 * scratch.len() - 1` long.
+/// One stride-2 red-black row of `plane`, updated in place: the
+/// `scratch.len()` points at plane-local offsets `at, at + 2, ...` become
+/// `c1 * centre + c2 * (w + n + e + s + d + u)`, with down/up read from
+/// `nbr` (`[K-1, K+1]`, row stride `di`).
 ///
-/// The caller scatters `scratch` back with [`scatter_stride2`] *after*
-/// this returns; because every in-row read (`w`/`e` at `±1`) lands on the
-/// opposite color, the split never observes its own writes and stays
+/// The new values are computed into `scratch` first and scattered back
+/// after; because every in-row read (`w`/`e` at `±1`) lands on the
+/// opposite colour, the split never observes its own writes and stays
 /// bit-identical to the in-place per-point reference.
 #[allow(clippy::too_many_arguments)]
 #[inline(never)]
 pub fn redblack_row(
+    plane: &mut [f64],
+    nbr: [&[f64]; 2],
+    at: usize,
+    di: usize,
     scratch: &mut [f64],
-    ctr: &[f64],
-    w: &[f64],
-    n: &[f64],
-    e: &[f64],
-    s: &[f64],
-    d: &[f64],
-    u: &[f64],
     c1: f64,
     c2: f64,
 ) {
@@ -158,16 +207,23 @@ pub fn redblack_row(
         return;
     }
     let l = 2 * m - 1;
-    let (ctr, w, n) = (&ctr[..l], &w[..l], &n[..l]);
-    let (e, s) = (&e[..l], &s[..l]);
-    let (d, u) = (&d[..l], &u[..l]);
-    for (t, slot) in scratch.iter_mut().enumerate() {
-        let x = 2 * t;
-        *slot = c1 * ctr[x] + c2 * (w[x] + n[x] + e[x] + s[x] + d[x] + u[x]);
+    {
+        let p: &[f64] = plane;
+        let (ctr, w, e) = (&p[at..][..l], &p[at - 1..][..l], &p[at + 1..][..l]);
+        let (n, s) = (&p[at - di..][..l], &p[at + di..][..l]);
+        let (d, u) = (&nbr[0][at..][..l], &nbr[1][at..][..l]);
+        for (t, slot) in scratch.iter_mut().enumerate() {
+            let x = 2 * t;
+            *slot = c1 * ctr[x] + c2 * (w[x] + n[x] + e[x] + s[x] + d[x] + u[x]);
+        }
     }
+    scatter_stride2(&mut plane[at..], scratch);
 }
 
-/// 2D variant of [`redblack_row`] (no down/up planes).
+/// 2D variant of [`redblack_row`] (no down/up planes): computes the new
+/// values into `scratch` from pre-sliced sources that all start at the
+/// first updated point plus their stencil offset (update `t` reads index
+/// `2 * t`); the caller scatters them back with [`scatter_stride2`].
 #[allow(clippy::too_many_arguments)]
 #[inline(never)]
 pub fn redblack2d_row(

@@ -18,7 +18,7 @@ use tiling3d_cachesim::AccessSink;
 use tiling3d_grid::Array3;
 use tiling3d_loopnest::{for_each_rows, IterSpace, TileDims};
 
-use crate::jacobi3d;
+use crate::{jacobi3d, rowexec};
 
 /// FLOPs of one full time step (stencil sweep; the copy-back is pure data
 /// movement).
@@ -42,8 +42,11 @@ pub fn run(a: &mut Array3<f64>, b: &mut Array3<f64>, c: f64, tile: Option<TileDi
 /// The second nest of Fig 5: `B(I,J,K) = A(I,J,K)` over the interior.
 ///
 /// Row-segment form: each interior row is one contiguous `copy_from_slice`.
+///
+/// # Panics
+/// Panics if the two arrays differ in logical or allocated extents.
 pub fn copy_back(b: &mut Array3<f64>, a: &Array3<f64>) {
-    assert_eq!((a.di(), a.dj(), a.nk()), (b.di(), b.dj(), b.nk()));
+    rowexec::check_pair(b, a, "B and A");
     let (di, ps) = (a.di(), a.plane_stride());
     let space = IterSpace::interior(a.ni(), a.nj(), a.nk());
     let av = a.as_slice();
@@ -166,6 +169,17 @@ mod tests {
         // Per step: stencil (6 reads + 1 write) + copy (1 read + 1 write).
         assert_eq!(c.reads, 2 * (6 + 1) * pts);
         assert_eq!(c.writes, 2 * 2 * pts);
+    }
+
+    /// `a` at 10x10x10 and `b` at 8x10x10, both allocated 12x10: a check
+    /// of `(di, dj, nk)` alone would let the copy overwrite `b`'s boundary
+    /// column `i = 7` and its padding `i = 8`.
+    #[test]
+    #[should_panic(expected = "must share")]
+    fn ni_mismatch_panics() {
+        let a = Array3::with_padding(10, 10, 10, 12, 10);
+        let mut b = Array3::with_padding(8, 10, 10, 12, 10);
+        copy_back(&mut b, &a);
     }
 
     #[test]

@@ -30,23 +30,31 @@
 //! wavefront_blocks_are_dependence_free` checks the block geometry
 //! directly).
 //!
-//! Row updates go through [`rowexec`] — the same
-//! bounds-check-free kernels as the spatial engine — so every schedule
-//! here is **bitwise identical** to [`mod@reference`]
+//! A sequential run (`threads == 1`) goes through the same executor:
+//! each block runs as its own one-block wave, in `skewed_blocks` order —
+//! the band-major order above. Each kernel contributes only a per-plane
+//! block body, which picks the source planes of one `(t, K)` step and
+//! hands them to the [`rowexec`] row kernels (the spatial engine's), so
+//! every schedule here is **bitwise identical** to [`mod@reference`]
 //! iterated `steps` times, for any tile shape and any thread count
 //! (`tests/time_tiled_golden.rs` is the gate). Red-black is scheduled at
 //! *colour-pass* granularity: pass `p = 2t + colour`, so a time tile of
 //! `st` full steps spans `2 * st` passes and the half-step dependences
 //! (`DepKind::Flow (1, ·)` between colours, `(2, 0, 0, 0)` for the
 //! centre self-dependence) are honoured by the same skew.
+//!
+//! The cache traces of both schedules are row walks: one
+//! [`AccessSink::row`] per row, over the same `RowShape`s the spatial
+//! traces build.
 
-use tiling3d_cachesim::AccessSink;
+use tiling3d_cachesim::{AccessSink, RowShape};
 use tiling3d_grid::Array3;
 
+use crate::jacobi3d;
 use crate::redblack;
 use crate::reference;
 use crate::rowexec;
-use crate::timeskew::{skewed_blocks, SkewedBlock};
+use crate::timeskew::{for_each_skewed, skewed_blocks, SkewedBlock};
 
 /// A temporal tile: `st` time steps by `sk` skewed K planes.
 ///
@@ -70,13 +78,25 @@ struct Geom {
     ps: usize,
 }
 
-fn geom_of(a: &Array3<f64>) -> Geom {
-    Geom {
-        ni: a.ni(),
-        nj: a.nj(),
-        nk: a.nk(),
-        di: a.di(),
-        ps: a.plane_stride(),
+impl Geom {
+    fn of(a: &Array3<f64>) -> Geom {
+        Geom {
+            ni: a.ni(),
+            nj: a.nj(),
+            nk: a.nk(),
+            di: a.di(),
+            ps: a.plane_stride(),
+        }
+    }
+
+    /// Whether the grid has no interior point.
+    fn degenerate(self) -> bool {
+        self.ni < 3 || self.nj < 3 || self.nk < 3
+    }
+
+    /// Byte offset of point `(i, j, k)` from its array's base.
+    fn addr(self, i: usize, j: usize, k: usize) -> u64 {
+        ((i + j * self.di + k * self.ps) * 8) as u64
     }
 }
 
@@ -104,19 +124,28 @@ fn wavefronts(blocks: &[SkewedBlock]) -> Vec<Vec<SkewedBlock>> {
     waves
 }
 
-/// Looks a source plane up in a tile's owned set, falling back to the
-/// wavefront's shared read-only pool. A `None` in both places means the
-/// plane is owned by *another* tile of the same wavefront — a dependence
-/// the skew proves cannot exist — so this panics rather than race.
-fn read_plane<'a>(
-    own: &'a [(usize, &'a mut [f64])],
-    shared: &'a [Option<&'a [f64]>],
-    key: usize,
-) -> &'a [f64] {
-    if let Some((_, p)) = own.iter().find(|&&(k, _)| k == key) {
-        return &p[..];
+/// The planes a tile owns for one wavefront, keyed `buffer * nk + k`.
+type OwnedPlanes<'a> = Vec<(usize, &'a mut [f64])>;
+
+/// The planes a tile may read while it updates one: its own planes and
+/// the wavefront's shared read-only pool, keyed `buffer * nk + k`.
+struct Planes<'a, 'p> {
+    own: &'a [(usize, &'p mut [f64])],
+    shared: &'a [Option<&'p [f64]>],
+}
+
+impl<'a> Planes<'a, '_> {
+    /// Looks a source plane up in the tile's owned set, falling back to
+    /// the shared pool. A `None` in both places means the plane is owned
+    /// by *another* tile of the same wavefront — a dependence the skew
+    /// proves cannot exist — so this panics rather than race.
+    fn get(&self, key: usize) -> &'a [f64] {
+        if let Some((_, p)) = self.own.iter().find(|&&(k, _)| k == key) {
+            return p;
+        }
+        self.shared[key]
+            .expect("wavefront isolation violated: source plane owned by a concurrent tile")
     }
-    shared[key].expect("wavefront isolation violated: source plane owned by a concurrent tile")
 }
 
 /// Deals per-tile work units round-robin across `workers` groups.
@@ -126,6 +155,114 @@ fn deal<T>(work: Vec<T>, workers: usize) -> Vec<Vec<T>> {
         groups[i % workers].push(item);
     }
     groups
+}
+
+/// The one time-tile executor. Runs `blocks` (in `skewed_blocks` order)
+/// over the flat buffers `bufs` — `g.nk` planes each, plane `k` of buffer
+/// `b` keyed `b * nk + k` — wave by wave: the anti-diagonals of the tile
+/// grid across `threads` scoped threads, or every block as its own
+/// one-block wave when `threads == 1`.
+///
+/// Per wave it builds the plane-ownership map (the tile that writes a
+/// plane this wave owns it exclusively; everything else is shared
+/// read-only), routes each plane slice to its owner or the shared pool,
+/// and joins the scope at the end — the wavefront barrier. `writes(t, k)`
+/// keys the plane step `(t, k)` updates; `body(t, k, dst, src, scratch)`
+/// updates it from the planes in `src` and returns the points updated.
+fn run_waves<W, B>(
+    bufs: &mut [&mut [f64]],
+    g: Geom,
+    blocks: &[SkewedBlock],
+    threads: usize,
+    parent: u64,
+    writes: W,
+    body: B,
+) where
+    W: Fn(usize, usize) -> usize + Sync,
+    B: Fn(usize, usize, &mut [f64], &Planes<'_, '_>, &mut [f64]) -> u64 + Sync,
+{
+    let waves = if threads == 1 {
+        blocks.iter().map(|b| vec![*b]).collect()
+    } else {
+        wavefronts(blocks)
+    };
+    let keys = bufs.len() * g.nk;
+    for wave in waves {
+        let span = tiling3d_obs::span_at("wavefront", parent);
+        span.add("tiles", wave.len() as u64);
+        // Two same-wave tiles claiming one plane would be a write-write
+        // conflict the skew has already excluded.
+        let mut owner: Vec<Option<usize>> = vec![None; keys];
+        for (bi, blk) in wave.iter().enumerate() {
+            blk.for_each(1, g.nk - 2, |t, k| {
+                let key = writes(t, k);
+                match owner[key] {
+                    None => owner[key] = Some(bi),
+                    Some(o) => assert_eq!(o, bi, "two tiles of one wavefront write plane {k}"),
+                }
+            });
+        }
+        let mut own: Vec<OwnedPlanes> = wave.iter().map(|_| Vec::new()).collect();
+        let mut shared: Vec<Option<&[f64]>> = vec![None; keys];
+        let planes = bufs.iter_mut().flat_map(|b| b.chunks_mut(g.ps));
+        for (key, plane) in planes.enumerate() {
+            match owner[key] {
+                Some(bi) => own[bi].push((key, plane)),
+                None => {
+                    let ro: &[f64] = plane;
+                    shared[key] = Some(ro);
+                }
+            }
+        }
+        let work: Vec<(SkewedBlock, OwnedPlanes)> = wave.into_iter().zip(own).collect();
+        let workers = threads.min(work.len());
+        let (shared, writes, body, wid) = (&shared, &writes, &body, span.id());
+        let run = move |group: Vec<(SkewedBlock, OwnedPlanes)>| {
+            for (blk, mut own) in group {
+                run_block(&blk, &mut own, shared, g, writes, body, wid);
+            }
+        };
+        if workers == 1 {
+            run(work);
+        } else {
+            std::thread::scope(|scope| {
+                for group in deal(work, workers) {
+                    scope.spawn(move || run(group));
+                }
+            });
+        }
+    }
+}
+
+/// One tile against its owned planes: each step's destination plane is
+/// pulled out of the owned set so the source planes can be read around it.
+fn run_block<W, B>(
+    blk: &SkewedBlock,
+    own: &mut OwnedPlanes,
+    shared: &[Option<&[f64]>],
+    g: Geom,
+    writes: &W,
+    body: &B,
+    parent: u64,
+) where
+    W: Fn(usize, usize) -> usize,
+    B: Fn(usize, usize, &mut [f64], &Planes<'_, '_>, &mut [f64]) -> u64,
+{
+    let span = tiling3d_obs::span_at("timeblock", parent);
+    let mut scratch = vec![0.0; g.ni / 2 + 1];
+    let mut points = 0u64;
+    blk.for_each(1, g.nk - 2, |t, k| {
+        let key = writes(t, k);
+        let pos = own
+            .iter()
+            .position(|&(o, _)| o == key)
+            .expect("wavefront isolation violated: destination plane not owned by its tile");
+        let (key, dst) = own.swap_remove(pos);
+        let src = Planes { own, shared };
+        points += body(t, k, dst, &src, &mut scratch);
+        own.push((key, dst));
+    });
+    span.add("points", points);
 }
 
 // ---------------------------------------------------------------------------
@@ -139,7 +276,7 @@ fn deal<T>(work: Vec<T>, workers: usize) -> Vec<Vec<T>> {
 /// # Panics
 /// Panics if the two buffers differ in extents.
 pub fn jacobi_steps_reference(bufs: &mut [Array3<f64>; 2], c: f64, steps: usize) {
-    if bufs[0].ni() < 3 || bufs[0].nj() < 3 || bufs[0].nk() < 3 {
+    if Geom::of(&bufs[0]).degenerate() {
         return;
     }
     for t in 0..steps {
@@ -168,163 +305,35 @@ pub fn jacobi_time_tiled(
     assert!(tile.st > 0 && tile.sk > 0, "tile extents must be nonzero");
     assert!(threads > 0, "threads must be at least 1");
     rowexec::check_pair(&bufs[0], &bufs[1], "ping-pong buffers");
-    let g = geom_of(&bufs[0]);
-    if steps == 0 || g.ni < 3 || g.nj < 3 || g.nk < 3 {
+    let g = Geom::of(&bufs[0]);
+    if steps == 0 || g.degenerate() {
         return;
     }
     let blocks = skewed_blocks(steps, 1, g.nk - 2, tile.st, tile.sk);
     let span = tiling3d_obs::span("timetile:jacobi");
     span.add("steps", steps as u64);
     span.add("tiles", blocks.len() as u64);
-    if threads == 1 {
-        for blk in &blocks {
-            jacobi_block_seq(bufs, c, blk, g, span.id());
-        }
-    } else {
-        for wave in wavefronts(&blocks) {
-            run_jacobi_wave(bufs, c, &wave, g, threads, span.id());
-        }
-    }
-    let per_step = (g.ni - 2) as u64 * (g.nj - 2) as u64 * (g.nk - 2) as u64;
-    rowexec::note_sweep(per_step * steps as u64, crate::jacobi3d::FLOPS_PER_POINT);
-}
-
-/// One tile in the sequential band-major order: global indexing, the
-/// ping-pong split re-borrowed per point.
-fn jacobi_block_seq(bufs: &mut [Array3<f64>; 2], c: f64, blk: &SkewedBlock, g: Geom, parent: u64) {
-    let span = tiling3d_obs::span_at("timeblock", parent);
-    let mut points = 0u64;
-    blk.for_each(1, g.nk - 2, |t, k| {
-        let (src, dst) = split3(bufs, t);
-        let (sv, dv) = (src.as_slice(), dst.as_mut_slice());
-        let base = k * g.ps;
-        for j in 1..=g.nj - 2 {
-            let lo = base + j * g.di + 1;
-            rowexec::jacobi3d_row(
-                &mut dv[lo..lo + g.ni - 2],
-                &sv[lo - 1..],
-                &sv[lo + 1..],
-                &sv[lo - g.di..],
-                &sv[lo + g.di..],
-                &sv[lo - g.ps..],
-                &sv[lo + g.ps..],
-                c,
-            );
-        }
-        points += (g.ni - 2) as u64 * (g.nj - 2) as u64;
-    });
-    span.add("points", points);
-}
-
-/// The planes a tile owns for one wavefront, keyed `buffer * nk + k`.
-type OwnedPlanes<'a> = Vec<(usize, &'a mut [f64])>;
-
-/// One wavefront of Jacobi tiles: builds the plane-ownership map, splits
-/// both buffers into per-plane slices routed to their owning tile (or
-/// the shared read-only pool), then runs every tile on scoped threads.
-/// `thread::scope` joins at the end — the wavefront barrier.
-fn run_jacobi_wave(
-    bufs: &mut [Array3<f64>; 2],
-    c: f64,
-    wave: &[SkewedBlock],
-    g: Geom,
-    threads: usize,
-    parent: u64,
-) {
-    let span = tiling3d_obs::span_at("wavefront", parent);
-    span.add("tiles", wave.len() as u64);
-    let nk = g.nk;
-    // Plane (buffer b, index k) has key b * nk + k; the tile that writes
-    // it this wave owns it. Two same-wave tiles claiming one plane would
-    // be a write-write conflict the skew has already excluded.
-    let mut owner: Vec<Option<usize>> = vec![None; 2 * nk];
-    for (bi, blk) in wave.iter().enumerate() {
-        blk.for_each(1, nk - 2, |t, k| {
-            let key = (t + 1) % 2 * nk + k;
-            match owner[key] {
-                None => owner[key] = Some(bi),
-                Some(o) => assert_eq!(o, bi, "two tiles of one wavefront write plane {k}"),
+    let Geom { ni, nj, nk, di, .. } = g;
+    run_waves(
+        &mut bufs.each_mut().map(Array3::as_mut_slice),
+        g,
+        &blocks,
+        threads,
+        span.id(),
+        // Step t reads buffer t % 2 and writes the other one.
+        |t, k| (t + 1) % 2 * nk + k,
+        |t, k, dst, src, _| {
+            let s = t % 2 * nk + k;
+            let src = [src.get(s - 1), src.get(s), src.get(s + 1)];
+            for j in 1..=nj - 2 {
+                let at = j * di + 1;
+                rowexec::jacobi3d_row(&mut dst[at..][..ni - 2], src, at, di, c);
             }
-        });
-    }
-    let (left, right) = bufs.split_at_mut(1);
-    let mut own: Vec<OwnedPlanes> = wave.iter().map(|_| Vec::new()).collect();
-    let mut shared: Vec<Option<&[f64]>> = vec![None; 2 * nk];
-    for (b, buf) in [&mut left[0], &mut right[0]].into_iter().enumerate() {
-        for (k, plane) in buf.as_mut_slice().chunks_mut(g.ps).enumerate() {
-            match owner[b * nk + k] {
-                Some(bi) => own[bi].push((b * nk + k, plane)),
-                None => {
-                    let ro: &[f64] = plane;
-                    shared[b * nk + k] = Some(ro);
-                }
-            }
-        }
-    }
-    let work: Vec<(SkewedBlock, OwnedPlanes)> = wave.iter().copied().zip(own).collect();
-    let workers = threads.min(work.len()).max(1);
-    if workers == 1 {
-        for (blk, mut planes) in work {
-            run_jacobi_block(&blk, &mut planes, &shared, g, c, span.id());
-        }
-        return;
-    }
-    let shared_ref = &shared;
-    let wid = span.id();
-    std::thread::scope(|scope| {
-        for group in deal(work, workers) {
-            scope.spawn(move || {
-                for (blk, mut planes) in group {
-                    run_jacobi_block(&blk, &mut planes, shared_ref, g, c, wid);
-                }
-            });
-        }
-    });
-}
-
-/// One Jacobi tile against its owned planes: plane-local indexing, the
-/// destination plane temporarily pulled out of the owned set so the
-/// source planes can be read around it.
-fn run_jacobi_block(
-    blk: &SkewedBlock,
-    own: &mut Vec<(usize, &mut [f64])>,
-    shared: &[Option<&[f64]>],
-    g: Geom,
-    c: f64,
-    parent: u64,
-) {
-    let span = tiling3d_obs::span_at("timeblock", parent);
-    let mut points = 0u64;
-    let nk = g.nk;
-    blk.for_each(1, nk - 2, |t, k| {
-        let (sb, db) = (t % 2, (t + 1) % 2);
-        let pos = own
-            .iter()
-            .position(|&(key, _)| key == db * nk + k)
-            .expect("wavefront isolation violated: destination plane not owned by its tile");
-        let (key, dst) = own.swap_remove(pos);
-        {
-            let d = read_plane(own, shared, sb * nk + k - 1);
-            let ctr = read_plane(own, shared, sb * nk + k);
-            let u = read_plane(own, shared, sb * nk + k + 1);
-            for j in 1..=g.nj - 2 {
-                let lo = j * g.di + 1;
-                rowexec::jacobi3d_row(
-                    &mut dst[lo..lo + g.ni - 2],
-                    &ctr[lo - 1..],
-                    &ctr[lo + 1..],
-                    &ctr[lo - g.di..],
-                    &ctr[lo + g.di..],
-                    &d[lo..],
-                    &u[lo..],
-                    c,
-                );
-            }
-        }
-        own.push((key, dst));
-        points += (g.ni - 2) as u64 * (g.nj - 2) as u64;
-    });
-    span.add("points", points);
+            ((ni - 2) * (nj - 2)) as u64
+        },
+    );
+    let per_step = (ni - 2) as u64 * (nj - 2) as u64 * (nk - 2) as u64;
+    rowexec::note_sweep(per_step * steps as u64, jacobi3d::FLOPS_PER_POINT);
 }
 
 // ---------------------------------------------------------------------------
@@ -337,7 +346,7 @@ fn run_jacobi_block(
 /// # Panics
 /// Panics unless the `I`/`J` logical extents are equal.
 pub fn redblack_steps_reference(a: &mut Array3<f64>, c1: f64, c2: f64, steps: usize) {
-    if a.ni() < 3 || a.nj() < 3 || a.nk() < 3 {
+    if Geom::of(a).degenerate() {
         return;
     }
     for _ in 0..steps {
@@ -368,206 +377,60 @@ pub fn redblack_time_tiled(
         a.nj() == a.ni(),
         "red-black kernel expects square I/J extents"
     );
-    let g = geom_of(a);
-    if steps == 0 || g.ni < 3 || g.nj < 3 || g.nk < 3 {
+    let g = Geom::of(a);
+    if steps == 0 || g.degenerate() {
         return;
     }
     let blocks = skewed_blocks(2 * steps, 1, g.nk - 2, 2 * tile.st, tile.sk);
     let span = tiling3d_obs::span("timetile:redblack");
     span.add("steps", steps as u64);
     span.add("tiles", blocks.len() as u64);
-    if threads == 1 {
-        for blk in &blocks {
-            redblack_block_seq(a, c1, c2, blk, g, span.id());
-        }
-    } else {
-        for wave in wavefronts(&blocks) {
-            run_redblack_wave(a, c1, c2, &wave, g, threads, span.id());
-        }
-    }
-    let per_step = (g.ni - 2) as u64 * (g.nj - 2) as u64 * (g.nk - 2) as u64;
-    rowexec::note_sweep(per_step * steps as u64, redblack::FLOPS_PER_POINT);
-}
-
-/// Updates one colour pass of one plane through the stride-2 row
-/// kernels. `av` is the plane slice (`base` 0) or the whole array
-/// (`base = k * ps`); `d`/`u` are the neighbouring source planes at the
-/// same offsets.
-#[allow(clippy::too_many_arguments)]
-fn redblack_plane_pass(
-    av: &mut [f64],
-    d: &[f64],
-    u: &[f64],
-    scratch: &mut [f64],
-    g: Geom,
-    base: usize,
-    k: usize,
-    color: usize,
-    c1: f64,
-    c2: f64,
-) -> u64 {
-    let mut points = 0u64;
-    for j in 1..=g.nj - 2 {
-        let i0 = 1 + (k + j + color) % 2;
-        if i0 > g.ni - 2 {
-            continue;
-        }
-        let m = (g.ni - 2 - i0) / 2 + 1;
-        let lo = base + j * g.di + i0;
-        rowexec::redblack_row(
-            &mut scratch[..m],
-            &av[lo..],
-            &av[lo - 1..],
-            &av[lo - g.di..],
-            &av[lo + 1..],
-            &av[lo + g.di..],
-            &d[lo..],
-            &u[lo..],
-            c1,
-            c2,
-        );
-        rowexec::scatter_stride2(&mut av[lo..], &scratch[..m]);
-        points += m as u64;
-    }
-    points
-}
-
-/// One red-black tile in the sequential band-major order (global
-/// indexing, in place).
-fn redblack_block_seq(
-    a: &mut Array3<f64>,
-    c1: f64,
-    c2: f64,
-    blk: &SkewedBlock,
-    g: Geom,
-    parent: u64,
-) {
-    let span = tiling3d_obs::span_at("timeblock", parent);
-    let mut points = 0u64;
-    let mut scratch = vec![0.0; g.ni / 2 + 1];
-    let av = a.as_mut_slice();
-    blk.for_each(1, g.nk - 2, |p, k| {
-        // Split the in-place array around plane k so its down/up
-        // neighbours can be read while the plane is written; all three
-        // use the same plane-local offsets.
-        let base = k * g.ps;
-        let (head, tail) = av.split_at_mut(base);
-        let (plane, up) = tail.split_at_mut(g.ps);
-        let down = &head[base - g.ps..];
-        points += redblack_plane_pass(plane, down, up, &mut scratch, g, 0, k, p % 2, c1, c2);
-    });
-    span.add("points", points);
-}
-
-/// One wavefront of red-black tiles: plane ownership over the single
-/// in-place array, scoped threads, barrier at scope exit.
-fn run_redblack_wave(
-    a: &mut Array3<f64>,
-    c1: f64,
-    c2: f64,
-    wave: &[SkewedBlock],
-    g: Geom,
-    threads: usize,
-    parent: u64,
-) {
-    let span = tiling3d_obs::span_at("wavefront", parent);
-    span.add("tiles", wave.len() as u64);
-    let nk = g.nk;
-    let mut owner: Vec<Option<usize>> = vec![None; nk];
-    for (bi, blk) in wave.iter().enumerate() {
-        blk.for_each(1, nk - 2, |_p, k| match owner[k] {
-            None => owner[k] = Some(bi),
-            Some(o) => assert_eq!(o, bi, "two tiles of one wavefront write plane {k}"),
-        });
-    }
-    let mut own: Vec<OwnedPlanes> = wave.iter().map(|_| Vec::new()).collect();
-    let mut shared: Vec<Option<&[f64]>> = vec![None; nk];
-    for (k, plane) in a.as_mut_slice().chunks_mut(g.ps).enumerate() {
-        match owner[k] {
-            Some(bi) => own[bi].push((k, plane)),
-            None => {
-                let ro: &[f64] = plane;
-                shared[k] = Some(ro);
-            }
-        }
-    }
-    let work: Vec<(SkewedBlock, OwnedPlanes)> = wave.iter().copied().zip(own).collect();
-    let workers = threads.min(work.len()).max(1);
-    if workers == 1 {
-        for (blk, mut planes) in work {
-            run_redblack_block(&blk, &mut planes, &shared, g, c1, c2, span.id());
-        }
-        return;
-    }
-    let shared_ref = &shared;
-    let wid = span.id();
-    std::thread::scope(|scope| {
-        for group in deal(work, workers) {
-            scope.spawn(move || {
-                for (blk, mut planes) in group {
-                    run_redblack_block(&blk, &mut planes, shared_ref, g, c1, c2, wid);
-                }
+    let Geom { ni: n, nk, di, .. } = g;
+    run_waves(
+        &mut [a.as_mut_slice()],
+        g,
+        &blocks,
+        threads,
+        span.id(),
+        |_, k| k,
+        |p, k, plane, src, scratch| {
+            let nbr = [src.get(k - 1), src.get(k + 1)];
+            let mut points = 0;
+            redblack::plane_rows(n, k, p % 2, |i0, i1, j| {
+                let m = (i1 - i0) / 2 + 1;
+                rowexec::redblack_row(plane, nbr, j * di + i0, di, &mut scratch[..m], c1, c2);
+                points += m as u64;
             });
-        }
-    });
-}
-
-/// One red-black tile against its owned planes (plane-local indexing).
-fn run_redblack_block(
-    blk: &SkewedBlock,
-    own: &mut Vec<(usize, &mut [f64])>,
-    shared: &[Option<&[f64]>],
-    g: Geom,
-    c1: f64,
-    c2: f64,
-    parent: u64,
-) {
-    let span = tiling3d_obs::span_at("timeblock", parent);
-    let mut points = 0u64;
-    let mut scratch = vec![0.0; g.ni / 2 + 1];
-    blk.for_each(1, g.nk - 2, |p, k| {
-        let pos = own
-            .iter()
-            .position(|&(key, _)| key == k)
-            .expect("wavefront isolation violated: destination plane not owned by its tile");
-        let (key, plane) = own.swap_remove(pos);
-        {
-            let d = read_plane(own, shared, k - 1);
-            let u = read_plane(own, shared, k + 1);
-            points += redblack_plane_pass(plane, d, u, &mut scratch, g, 0, k, p % 2, c1, c2);
-        }
-        own.push((key, plane));
-    });
-    span.add("points", points);
+            points
+        },
+    );
+    let per_step = (n - 2) as u64 * (n - 2) as u64 * (nk - 2) as u64;
+    rowexec::note_sweep(per_step * steps as u64, redblack::FLOPS_PER_POINT);
 }
 
 // ---------------------------------------------------------------------------
 // Address traces — the cachesim forms of the same schedules
 // ---------------------------------------------------------------------------
 
-fn pick(bases: [u64; 2], t: usize) -> (u64, u64) {
-    if t.is_multiple_of(2) {
-        (bases[0], bases[1])
-    } else {
-        (bases[1], bases[0])
-    }
+/// The Jacobi row shapes of even and odd steps: step `t` reads the
+/// buffer at `bases[t % 2]` and writes the other one.
+fn jacobi_shapes(g: Geom, [b0, b1]: [u64; 2]) -> [RowShape; 2] {
+    [
+        jacobi3d::row_shape(g.di, g.ps, b1, b0),
+        jacobi3d::row_shape(g.di, g.ps, b0, b1),
+    ]
 }
 
-/// Per-point Jacobi accesses for one `(j, k)` row: six neighbour reads
-/// from `src`, one write to `dst` — operand order of
-/// [`rowexec::jacobi3d_row`].
-fn trace_jacobi_row<S: AccessSink>(g: Geom, src: u64, dst: u64, j: usize, k: usize, sink: &mut S) {
-    let (dii, psi) = (g.di as i64, g.ps as i64);
-    for i in 1..=g.ni - 2 {
-        let idx = (i + j * g.di + k * g.ps) as i64;
-        let at = |base: u64, off: i64| base.wrapping_add(((idx + off) * 8) as u64);
-        sink.read(at(src, -1));
-        sink.read(at(src, 1));
-        sink.read(at(src, -dii));
-        sink.read(at(src, dii));
-        sink.read(at(src, -psi));
-        sink.read(at(src, psi));
-        sink.write(at(dst, 0));
+/// Step `t` of plane `k` of the Jacobi schedule: one row per `j`.
+fn trace_jacobi_plane<S: AccessSink>(
+    g: Geom,
+    shapes: &[RowShape; 2],
+    t: usize,
+    k: usize,
+    sink: &mut S,
+) {
+    for j in 1..=g.nj - 2 {
+        sink.row(&shapes[t % 2], g.addr(1, j, k), g.ni - 2);
     }
 }
 
@@ -579,16 +442,14 @@ pub fn trace_jacobi_steps<S: AccessSink>(
     bases: [u64; 2],
     sink: &mut S,
 ) {
-    let g = geom_of(g_arr);
-    if g.ni < 3 || g.nj < 3 || g.nk < 3 {
+    let g = Geom::of(g_arr);
+    if g.degenerate() {
         return;
     }
+    let shapes = jacobi_shapes(g, bases);
     for t in 0..steps {
-        let (src, dst) = pick(bases, t);
         for k in 1..=g.nk - 2 {
-            for j in 1..=g.nj - 2 {
-                trace_jacobi_row(g, src, dst, j, k, sink);
-            }
+            trace_jacobi_plane(g, &shapes, t, k, sink);
         }
     }
 }
@@ -603,75 +464,70 @@ pub fn trace_jacobi_time_tiled<S: AccessSink>(
     bases: [u64; 2],
     sink: &mut S,
 ) {
-    let g = geom_of(g_arr);
-    if steps == 0 || g.ni < 3 || g.nj < 3 || g.nk < 3 {
+    let g = Geom::of(g_arr);
+    if steps == 0 || g.degenerate() {
         return;
     }
-    crate::timeskew::for_each_skewed(steps, 1, g.nk - 2, tile.st, tile.sk, |t, k| {
-        let (src, dst) = pick(bases, t);
-        for j in 1..=g.nj - 2 {
-            trace_jacobi_row(g, src, dst, j, k, sink);
-        }
+    let shapes = jacobi_shapes(g, bases);
+    for_each_skewed(steps, 1, g.nk - 2, tile.st, tile.sk, |t, k| {
+        trace_jacobi_plane(g, &shapes, t, k, sink);
     });
 }
 
-/// Per-point red-black accesses for one colour pass of one `(j, k)` row
-/// (stride-2): centre + six neighbour reads, one write, in
-/// [`rowexec::redblack_row`] operand order.
-fn trace_redblack_row<S: AccessSink>(
+/// Colour pass `p` of plane `k` of the red-black schedule: its stride-2
+/// rows (array at byte `shape`'s base).
+fn trace_redblack_plane<S: AccessSink>(
     g: Geom,
-    base: u64,
-    j: usize,
+    shape: &RowShape,
+    p: usize,
     k: usize,
-    color: usize,
     sink: &mut S,
 ) {
-    let (dii, psi) = (g.di as i64, g.ps as i64);
-    let i0 = 1 + (k + j + color) % 2;
-    if i0 > g.ni - 2 {
-        return;
-    }
-    let mut i = i0;
-    while i <= g.ni - 2 {
-        let idx = (i + j * g.di + k * g.ps) as i64;
-        let at = |off: i64| base.wrapping_add(((idx + off) * 8) as u64);
-        sink.read(at(0));
-        sink.read(at(-1));
-        sink.read(at(-dii));
-        sink.read(at(1));
-        sink.read(at(dii));
-        sink.read(at(-psi));
-        sink.read(at(psi));
-        sink.write(at(0));
-        i += 2;
-    }
+    redblack::plane_rows(g.ni, k, p % 2, |i0, i1, j| {
+        sink.row(shape, g.addr(i0, j, k), (i1 - i0) / 2 + 1);
+    });
+}
+
+/// The geometry and row shape of a red-black trace at byte base `base`.
+///
+/// # Panics
+/// Panics unless the `I`/`J` logical extents are equal.
+fn redblack_trace_setup(a: &Array3<f64>, base: u64) -> (Geom, RowShape) {
+    assert!(
+        a.nj() == a.ni(),
+        "red-black kernel expects square I/J extents"
+    );
+    let g = Geom::of(a);
+    (g, redblack::row_shape(g.di, g.ps, base))
 }
 
 /// Trace of `steps` naive red-black iterations (red pass over the whole
 /// grid, then black) at byte base `base`.
+///
+/// # Panics
+/// Panics unless the `I`/`J` logical extents are equal.
 pub fn trace_redblack_steps<S: AccessSink>(
     g_arr: &Array3<f64>,
     steps: usize,
     base: u64,
     sink: &mut S,
 ) {
-    let g = geom_of(g_arr);
-    if g.ni < 3 || g.nj < 3 || g.nk < 3 {
+    let (g, shape) = redblack_trace_setup(g_arr, base);
+    if g.degenerate() {
         return;
     }
-    for _ in 0..steps {
-        for color in 0..2 {
-            for k in 1..=g.nk - 2 {
-                for j in 1..=g.nj - 2 {
-                    trace_redblack_row(g, base, j, k, color, sink);
-                }
-            }
+    for p in 0..2 * steps {
+        for k in 1..=g.nk - 2 {
+            trace_redblack_plane(g, &shape, p, k, sink);
         }
     }
 }
 
 /// Trace of the time-skewed red-black schedule at colour-pass
 /// granularity (sequential band-major order).
+///
+/// # Panics
+/// Panics unless the `I`/`J` logical extents are equal.
 pub fn trace_redblack_time_tiled<S: AccessSink>(
     g_arr: &Array3<f64>,
     steps: usize,
@@ -679,14 +535,12 @@ pub fn trace_redblack_time_tiled<S: AccessSink>(
     base: u64,
     sink: &mut S,
 ) {
-    let g = geom_of(g_arr);
-    if steps == 0 || g.ni < 3 || g.nj < 3 || g.nk < 3 {
+    let (g, shape) = redblack_trace_setup(g_arr, base);
+    if steps == 0 || g.degenerate() {
         return;
     }
-    crate::timeskew::for_each_skewed(2 * steps, 1, g.nk - 2, 2 * tile.st, tile.sk, |p, k| {
-        for j in 1..=g.nj - 2 {
-            trace_redblack_row(g, base, j, k, p % 2, sink);
-        }
+    for_each_skewed(2 * steps, 1, g.nk - 2, 2 * tile.st, tile.sk, |p, k| {
+        trace_redblack_plane(g, &shape, p, k, sink);
     });
 }
 
@@ -765,6 +619,93 @@ mod tests {
         assert_eq!(naive.reads, tiled.reads);
         assert_eq!(naive.writes, tiled.writes);
         assert_eq!(naive.writes, (steps * 7 * 7 * 6) as u64);
+    }
+
+    /// Records every access, expanding rows through the default
+    /// [`AccessSink::row`].
+    #[derive(Default)]
+    struct Record(Vec<(bool, u64)>);
+
+    impl AccessSink for Record {
+        fn read(&mut self, a: u64) {
+            self.0.push((false, a));
+        }
+        fn write(&mut self, a: u64) {
+            self.0.push((true, a));
+        }
+    }
+
+    /// Jacobi step `t` of plane `k`, access by access: per point the six
+    /// source reads (W, E, N, S, D, U), then the destination write.
+    fn jacobi_plane(a: &Array3<f64>, bases: [u64; 2], t: usize, k: usize, out: &mut Record) {
+        let (di, ps) = (a.di(), a.plane_stride());
+        let (src, dst) = (bases[t % 2], bases[(t + 1) % 2]);
+        for j in 1..a.nj() - 1 {
+            for i in 1..a.ni() - 1 {
+                let x = i + j * di + k * ps;
+                for y in [x - 1, x + 1, x - di, x + di, x - ps, x + ps] {
+                    out.read(src + 8 * y as u64);
+                }
+                out.write(dst + 8 * x as u64);
+            }
+        }
+    }
+
+    /// Red-black colour pass `p` of plane `k`, access by access: per
+    /// updated point the centre and six neighbour reads (C, W, N, E, S,
+    /// D, U), then the centre write.
+    fn redblack_plane(a: &Array3<f64>, base: u64, p: usize, k: usize, out: &mut Record) {
+        let (n, di, ps) = (a.ni(), a.di(), a.plane_stride());
+        for j in 1..n - 1 {
+            for i in (1 + (k + j + p) % 2..n - 1).step_by(2) {
+                let x = i + j * di + k * ps;
+                for y in [x, x - 1, x - di, x + 1, x + di, x - ps, x + ps] {
+                    out.read(base + 8 * y as u64);
+                }
+                out.write(base + 8 * x as u64);
+            }
+        }
+    }
+
+    #[test]
+    fn traces_expand_to_the_per_access_order() {
+        let (steps, tile) = (3, TimeTile { st: 2, sk: 3 });
+        let a = Array3::<f64>::with_padding(9, 8, 7, 11, 10);
+        let bases = [64u64, 8 * a.len() as u64 + 4096];
+        let mut want = Record::default();
+        for t in 0..steps {
+            for k in 1..6 {
+                jacobi_plane(&a, bases, t, k, &mut want);
+            }
+        }
+        let mut got = Record::default();
+        trace_jacobi_steps(&a, steps, bases, &mut got);
+        assert_eq!(got.0, want.0, "jacobi naive");
+        let mut want = Record::default();
+        for_each_skewed(steps, 1, 5, tile.st, tile.sk, |t, k| {
+            jacobi_plane(&a, bases, t, k, &mut want);
+        });
+        let mut got = Record::default();
+        trace_jacobi_time_tiled(&a, steps, tile, bases, &mut got);
+        assert_eq!(got.0, want.0, "jacobi time-tiled");
+
+        let sq = Array3::<f64>::with_padding(9, 9, 7, 11, 10);
+        let mut want = Record::default();
+        for p in 0..2 * steps {
+            for k in 1..6 {
+                redblack_plane(&sq, 128, p, k, &mut want);
+            }
+        }
+        let mut got = Record::default();
+        trace_redblack_steps(&sq, steps, 128, &mut got);
+        assert_eq!(got.0, want.0, "red-black naive");
+        let mut want = Record::default();
+        for_each_skewed(2 * steps, 1, 5, 2 * tile.st, tile.sk, |p, k| {
+            redblack_plane(&sq, 128, p, k, &mut want);
+        });
+        let mut got = Record::default();
+        trace_redblack_time_tiled(&sq, steps, tile, 128, &mut got);
+        assert_eq!(got.0, want.0, "red-black time-tiled");
     }
 
     #[test]

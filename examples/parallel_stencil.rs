@@ -52,7 +52,7 @@ fn main() {
     fill_random(&mut u, 2);
     fill_random(&mut v, 3);
     let mut seq_r = u.clone();
-    resid::sweep(&mut seq_r, &u, &v, &Coeffs::MGRID_A, tile);
+    resid::sweep(&mut seq_r, &u, Some(&v), &Coeffs::MGRID_A, tile);
     for threads in [1, cores.max(2)] {
         let mut par_r = u.clone();
         let t0 = Instant::now();

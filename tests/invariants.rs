@@ -163,7 +163,7 @@ fn parallel_equals_sequential() {
         fill_random(&mut u, seed);
         fill_random(&mut v, seed ^ 1);
         let mut seq = Array3::new(n, n, nk);
-        resid::sweep(&mut seq, &u, &v, &resid::Coeffs::MGRID_A, None);
+        resid::sweep(&mut seq, &u, Some(&v), &resid::Coeffs::MGRID_A, None);
         let mut par = Array3::new(n, n, nk);
         tiling3d::stencil::parallel::resid_sweep(
             &mut par,
