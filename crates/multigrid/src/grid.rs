@@ -84,34 +84,26 @@ impl PeriodicGrid {
     /// the opposite ghost layer, axis by axis (so edges and corners end up
     /// correct).
     pub fn comm3(&mut self) {
-        let m = self.m;
-        let n = self.n();
+        let (m, n) = (self.m, self.n());
+        let (di, ps) = (self.data.di(), self.data.plane_stride());
+        let v = self.data.as_mut_slice();
         // Axis I.
-        for k in 0..n {
-            for j in 0..n {
-                let lo = self.data.get(1, j, k);
-                let hi = self.data.get(m, j, k);
-                self.data.set(0, j, k, hi);
-                self.data.set(m + 1, j, k, lo);
+        for plane in v.chunks_exact_mut(ps) {
+            for row in plane.chunks_exact_mut(di).take(n) {
+                let (lo, hi) = (row[1], row[m]);
+                row[0] = hi;
+                row[m + 1] = lo;
             }
         }
-        // Axis J (sees updated I ghosts).
-        for k in 0..n {
-            for i in 0..n {
-                let lo = self.data.get(i, 1, k);
-                let hi = self.data.get(i, m, k);
-                self.data.set(i, 0, k, hi);
-                self.data.set(i, m + 1, k, lo);
-            }
+        // Axis J (sees updated I ghosts): rows m and 1 to rows 0 and m + 1.
+        for plane in v.chunks_exact_mut(ps) {
+            plane.copy_within(m * di..m * di + n, 0);
+            plane.copy_within(di..di + n, (m + 1) * di);
         }
-        // Axis K.
-        for j in 0..n {
-            for i in 0..n {
-                let lo = self.data.get(i, j, 1);
-                let hi = self.data.get(i, j, m);
-                self.data.set(i, j, 0, hi);
-                self.data.set(i, j, m + 1, lo);
-            }
+        // Axis K: planes m and 1 to planes 0 and m + 1, row by row.
+        for at in (0..n).map(|j| j * di) {
+            v.copy_within(m * ps + at..m * ps + at + n, at);
+            v.copy_within(ps + at..ps + at + n, (m + 1) * ps + at);
         }
     }
 
@@ -121,15 +113,17 @@ impl PeriodicGrid {
     }
 
     /// L2 norm over the interior, normalised by the point count — the
-    /// `norm2u3`-style convergence metric.
+    /// `norm2u3`-style convergence metric. One sequential sum in `(k, j, i)`
+    /// order.
     pub fn interior_l2(&self) -> f64 {
         let m = self.m;
+        let (di, ps) = (self.data.di(), self.data.plane_stride());
+        let v = self.data.as_slice();
         let mut s = 0.0;
         for k in 1..=m {
             for j in 1..=m {
-                for i in 1..=m {
-                    let v = self.data.get(i, j, k);
-                    s += v * v;
+                for &x in &v[k * ps + j * di + 1..][..m] {
+                    s += x * x;
                 }
             }
         }

@@ -11,9 +11,12 @@
 //!   boundary exchange;
 //! * [`ops`] — the four MG routines: `resid` (the paper's Fig 13 kernel,
 //!   reused from `tiling3d-stencil`), the `psinv` smoother, the `rprj3`
-//!   full-weighting restriction, and the `interp` trilinear prolongation;
-//! * [`MgSolver`] — the `mg3P` V-cycle driver with per-routine time and
-//!   FLOP accounting, and optional tiling + padding of the finest-level
+//!   full-weighting restriction, and the `interp` trilinear prolongation,
+//!   each a walk over rows that calls a `tiling3d_stencil::rowexec` row
+//!   kernel;
+//! * [`MgSolver`] — the `mg3P` V-cycle driver with per-routine wall-clock
+//!   time and call counts ([`RoutineStats`]; no FLOP counts), and
+//!   optional tiling + padding of the finest-level
 //!   `resid`/`psinv` (the Section 4.6 transformation: "array padding
 //!   cannot be performed directly in MGRID ... instead, we can enable
 //!   padding by declaring a new padded array" — here padding is a

@@ -6,9 +6,13 @@
 //! remaining subroutines" — `psinv` here accepts a tile too, as that
 //! extension). All routines finish with a `comm3` ghost exchange, like the
 //! benchmark.
+//!
+//! Every loop body is a [`rowexec`] row kernel; the routines here only
+//! pick the planes and rows it runs on, as the stencil sweeps do.
 
-use tiling3d_loopnest::{for_each, for_each_tiled, IterSpace, TileDims};
+use tiling3d_loopnest::{for_each_rows, for_each_tiled_rows, IterSpace, TileDims};
 use tiling3d_stencil::resid::Coeffs;
+use tiling3d_stencil::rowexec;
 
 use crate::grid::PeriodicGrid;
 
@@ -66,7 +70,8 @@ pub fn resid_inplace(r: &mut PeriodicGrid, u: &PeriodicGrid, a: &Coeffs, tile: O
 }
 
 /// The `psinv` smoother: `u = u + C (convolved with) r` over the interior,
-/// then `comm3(u)`.
+/// then `comm3(u)`. `tile` walks the interior in the tiled row order; each
+/// point reads only `r`, so the result does not depend on it.
 pub fn psinv(u: &mut PeriodicGrid, r: &PeriodicGrid, c: &SmootherCoeffs, tile: Option<TileDims>) {
     let m = u.m();
     assert_eq!(m, r.m());
@@ -75,56 +80,21 @@ pub fn psinv(u: &mut PeriodicGrid, r: &PeriodicGrid, c: &SmootherCoeffs, tile: O
         (r.array().di(), r.array().dj())
     );
     let (di, ps) = (r.array().di(), r.array().plane_stride());
-    let (dii, psi) = (di as i64, ps as i64);
-    let c = *c;
+    let c = [c.c0, c.c1, c.c2, c.c3];
     let rv = r.array().as_slice();
-    let uvm = u.array_mut().as_mut_slice();
+    let uv = u.array_mut().as_mut_slice();
     let space = IterSpace {
         lo: (1, 1, 1),
         hi: (m, m, m),
     };
-    let body = |i: usize, j: usize, k: usize| {
-        let idx = i + j * di + k * ps;
-        let at = |off: i64| rv[(idx as i64 + off) as usize];
-        let mut s1 = 0.0;
-        for o in [-1i64, 1, -dii, dii, -psi, psi] {
-            s1 += at(o);
-        }
-        let mut s2 = 0.0;
-        for o in [
-            -1 - dii,
-            1 - dii,
-            -1 + dii,
-            1 + dii,
-            -dii - psi,
-            dii - psi,
-            -dii + psi,
-            dii + psi,
-            -1 - psi,
-            -1 + psi,
-            1 - psi,
-            1 + psi,
-        ] {
-            s2 += at(o);
-        }
-        let mut s3 = 0.0;
-        for o in [
-            -1 - dii - psi,
-            1 - dii - psi,
-            -1 + dii - psi,
-            1 + dii - psi,
-            -1 - dii + psi,
-            1 - dii + psi,
-            -1 + dii + psi,
-            1 + dii + psi,
-        ] {
-            s3 += at(o);
-        }
-        uvm[idx] += c.c0 * rv[idx] + c.c1 * s1 + c.c2 * s2 + c.c3 * s3;
+    let row = |i0: usize, i1: usize, j: usize, k: usize| {
+        let at = j * di + i0;
+        let dst = &mut uv[k * ps + at..][..i1 - i0 + 1];
+        rowexec::psinv_row(dst, rowexec::planes(rv, k, ps), at, di, c);
     };
     match tile {
-        None => for_each(space, body),
-        Some(t) => for_each_tiled(space, t, body),
+        None => for_each_rows(space, row),
+        Some(t) => for_each_tiled_rows(space, t, row),
     }
     u.comm3();
 }
@@ -139,52 +109,15 @@ pub fn psinv(u: &mut PeriodicGrid, r: &PeriodicGrid, c: &SmootherCoeffs, tile: O
 pub fn rprj3(coarse: &mut PeriodicGrid, fine: &PeriodicGrid) {
     let mc = coarse.m();
     assert_eq!(fine.m(), 2 * mc, "restriction needs a 2:1 grid pair");
-    let fa = fine.array();
-    let (di, ps) = (fa.di(), fa.plane_stride());
-    let (dii, psi) = (di as i64, ps as i64);
-    let fv = fa.as_slice();
+    let (fdi, fps) = (fine.array().di(), fine.array().plane_stride());
+    let (cdi, cps) = (coarse.array().di(), coarse.array().plane_stride());
+    let fv = fine.array().as_slice();
+    let cv = coarse.array_mut().as_mut_slice();
     for kc in 1..=mc {
+        let planes = rowexec::planes(fv, 2 * kc, fps);
         for jc in 1..=mc {
-            for ic in 1..=mc {
-                let idx = (2 * ic + 2 * jc * di + 2 * kc * ps) as i64;
-                let at = |o: i64| fv[(idx + o) as usize];
-                let mut faces = 0.0;
-                for o in [-1i64, 1, -dii, dii, -psi, psi] {
-                    faces += at(o);
-                }
-                let mut edges = 0.0;
-                for o in [
-                    -1 - dii,
-                    1 - dii,
-                    -1 + dii,
-                    1 + dii,
-                    -dii - psi,
-                    dii - psi,
-                    -dii + psi,
-                    dii + psi,
-                    -1 - psi,
-                    -1 + psi,
-                    1 - psi,
-                    1 + psi,
-                ] {
-                    edges += at(o);
-                }
-                let mut corners = 0.0;
-                for o in [
-                    -1 - dii - psi,
-                    1 - dii - psi,
-                    -1 + dii - psi,
-                    1 + dii - psi,
-                    -1 - dii + psi,
-                    1 - dii + psi,
-                    -1 + dii + psi,
-                    1 + dii + psi,
-                ] {
-                    corners += at(o);
-                }
-                let v = 0.5 * at(0) + 0.25 * faces + 0.125 * edges + 0.0625 * corners;
-                coarse.set(ic, jc, kc, v);
-            }
+            let dst = &mut cv[kc * cps + jc * cdi + 1..][..mc];
+            rowexec::rprj3_row(dst, planes, 2 * jc * fdi + 2, fdi);
         }
     }
     coarse.comm3();
@@ -193,6 +126,11 @@ pub fn rprj3(coarse: &mut PeriodicGrid, fine: &PeriodicGrid) {
 /// Trilinear prolongation `interp`: adds the coarse correction into the
 /// fine grid (fine index `2 * coarse index` aligned; odd fine indices
 /// average their two/four/eight coarse neighbours), then `comm3`.
+///
+/// Each fine row sums its 1, 2 or 4 contributing coarse rows, in
+/// `kc`-then-`jc` order, into a scratch row that starts at `0.0`, then adds
+/// it into the fine row: every fine point sees the additions of the
+/// per-point `kc`/`jc`/`ic` loop in the same order.
 ///
 /// # Panics
 /// Panics unless `fine.m() == 2 * coarse.m()`.
@@ -203,38 +141,28 @@ pub fn interp(fine: &mut PeriodicGrid, coarse: &PeriodicGrid) {
     // Per-dim stencil: even fine index 2c -> coarse c with weight 1;
     // odd fine index 2c+1 -> coarse c and c+1 with weight 1/2 each.
     // Coarse index 0 is a (periodic) ghost, valid after comm3.
-    let contrib = |f: usize| -> [(usize, f64); 2] {
-        if f.is_multiple_of(2) {
-            [(f / 2, 1.0), (0, 0.0)]
-        } else {
-            [(f / 2, 0.5), (f / 2 + 1, 0.5)]
-        }
+    let taps = |f: usize| {
+        let w = if f.is_multiple_of(2) { 1.0 } else { 0.5 };
+        (f / 2..=f.div_ceil(2), w)
     };
+    let (cdi, cps) = (coarse.array().di(), coarse.array().plane_stride());
+    let (fdi, fps) = (fine.array().di(), fine.array().plane_stride());
+    let cv = coarse.array().as_slice();
+    let fv = fine.array_mut().as_mut_slice();
+    let mut acc = vec![0.0; mf];
     for kf in 1..=mf {
-        let ck = contrib(kf);
+        let (kcs, wk) = taps(kf);
         for jf in 1..=mf {
-            let cj = contrib(jf);
-            for if_ in 1..=mf {
-                let ci = contrib(if_);
-                let mut acc = 0.0;
-                for (kc, wk) in ck {
-                    if wk == 0.0 {
-                        continue;
-                    }
-                    for (jc, wj) in cj {
-                        if wj == 0.0 {
-                            continue;
-                        }
-                        for (ic, wi) in ci {
-                            if wi == 0.0 {
-                                continue;
-                            }
-                            acc += wk * wj * wi * coarse.get(ic, jc, kc);
-                        }
-                    }
+            let (jcs, wj) = taps(jf);
+            acc.fill(0.0);
+            for kc in kcs.clone() {
+                for jc in jcs.clone() {
+                    rowexec::interp_row(&mut acc, &cv[kc * cps + jc * cdi..], wk * wj);
                 }
-                let cur = fine.get(if_, jf, kf);
-                fine.set(if_, jf, kf, cur + acc);
+            }
+            let row = &mut fv[kf * fps + jf * fdi + 1..][..mf];
+            for (f, a) in row.iter_mut().zip(&acc) {
+                *f += *a;
             }
         }
     }

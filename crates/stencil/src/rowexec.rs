@@ -10,7 +10,10 @@
 //! pick planes: no other module computes a neighbour offset. The
 //! floating-point expression (operand order included) is copied verbatim
 //! from the per-point reference in [`reference`](crate::reference), which
-//! keeps the engine bit-identical to it.
+//! keeps the engine bit-identical to it. MGRID's smoother, restriction
+//! and prolongation rows (`psinv_row`, `rprj3_row`, `interp_row`) keep
+//! the expressions of the multigrid crate's former per-point loops, which
+//! its `row_golden` test carries as their specification.
 //!
 //! The kernels stay `#[inline(never)]`: as standalone functions their
 //! slice parameters get `noalias` and the vectorized loop is the same in
@@ -45,7 +48,7 @@ pub(crate) fn note_sweep(points: u64, flops_per_point: u64) {
 /// Planes `k - 1`, `k` and `k + 1` of a flat array with plane stride `ps`
 /// — the source operand of a whole-array row update.
 #[inline]
-pub(crate) fn planes(v: &[f64], k: usize, ps: usize) -> [&[f64]; 3] {
+pub fn planes(v: &[f64], k: usize, ps: usize) -> [&[f64]; 3] {
     [
         &v[(k - 1) * ps..k * ps],
         &v[k * ps..(k + 1) * ps],
@@ -128,12 +131,60 @@ pub fn resid_row(dst: &mut [f64], v: &[f64], u: [&[f64]; 3], at: usize, di: usiz
     if dst.is_empty() {
         return;
     }
-    // Each row starts one element left of the output row, so offsets
-    // -1/0/+1 along I become indices x, x + 1, x + 2.
+    resid_row9(dst, v, box_rows(u, at, di), c);
+}
+
+/// The nine rows of the 27-point box around the row at plane-local offset
+/// `at` of `planes` (`[K-1, K, K+1]`, row stride `di`), index
+/// `(dk + 1) * 3 + (dj + 1)` holding the row at `(j + dj, k + dk)`. Each
+/// starts one element left of `at`, so offsets -1/0/+1 along I from the
+/// point at `at + p` become indices `p`, `p + 1`, `p + 2`.
+#[inline]
+fn box_rows(planes: [&[f64]; 3], at: usize, di: usize) -> [&[f64]; 9] {
     let x0 = at - 1;
     let [[nd, cd, sd], [nc, cc, sc], [nu, cu, su]] =
-        u.map(|p| [&p[x0 - di..], &p[x0..], &p[x0 + di..]]);
-    resid_row9(dst, v, [nd, cd, sd, nc, cc, sc, nu, cu, su], c);
+        planes.map(|p| [&p[x0 - di..], &p[x0..], &p[x0 + di..]]);
+    [nd, cd, sd, nc, cc, sc, nu, cu, su]
+}
+
+/// The face, edge and corner sums `[s1, s2, s3]` of the 27-point box
+/// centred on index `p + 1` of the nine [`box_rows`]: `s1` over the 6
+/// faces, `s2` over the 12 edges, `s3` over the 8 corners, each starting
+/// from `0.0` and adding in the offset-table order of
+/// [`resid`](crate::resid) (the order [`resid_row9`] spells out).
+#[inline(always)]
+fn box_sums(rows: &[&[f64]; 9], p: usize) -> [f64; 3] {
+    let [nd, cd, sd, nc, cc, sc, nu, cu, su] = rows;
+    let mut s1 = 0.0;
+    s1 += cc[p];
+    s1 += cc[p + 2];
+    s1 += nc[p + 1];
+    s1 += sc[p + 1];
+    s1 += cd[p + 1];
+    s1 += cu[p + 1];
+    let mut s2 = 0.0;
+    s2 += nc[p];
+    s2 += nc[p + 2];
+    s2 += sc[p];
+    s2 += sc[p + 2];
+    s2 += nd[p + 1];
+    s2 += sd[p + 1];
+    s2 += nu[p + 1];
+    s2 += su[p + 1];
+    s2 += cd[p];
+    s2 += cu[p];
+    s2 += cd[p + 2];
+    s2 += cu[p + 2];
+    let mut s3 = 0.0;
+    s3 += nd[p];
+    s3 += nd[p + 2];
+    s3 += sd[p];
+    s3 += sd[p + 2];
+    s3 += nu[p];
+    s3 += nu[p + 2];
+    s3 += su[p];
+    s3 += su[p + 2];
+    [s1, s2, s3]
 }
 
 /// The RESID row loop over the nine `U` rows of [`resid_row`], index
@@ -179,6 +230,78 @@ fn resid_row9(dst: &mut [f64], v: &[f64], rows: [&[f64]; 9], c: &Coeffs) {
         s3 += su[x];
         s3 += su[x + 2];
         dst[x] = v[x] - c.a0 * cc[x + 1] - c.a1 * s1 - c.a2 * s2 - c.a3 * s3;
+    }
+}
+
+/// One row of MGRID's `psinv` smoother at plane-local offset `at`:
+/// `dst[x] += c0 * ctr + c1 * s1 + c2 * s2 + c3 * s3` over the 27-point
+/// box of `r` (`[K-1, K, K+1]`, row stride `di`), with `c = [c0, c1, c2,
+/// c3]` and the sums of [`box_sums`].
+///
+/// Cuts the nine `R` rows and hands them to the outlined loop, as
+/// [`resid_row`] does.
+#[inline]
+pub fn psinv_row(dst: &mut [f64], r: [&[f64]; 3], at: usize, di: usize, c: [f64; 4]) {
+    if dst.is_empty() {
+        return;
+    }
+    psinv_row9(dst, box_rows(r, at, di), c);
+}
+
+/// The `psinv` row loop over the nine rows of [`psinv_row`].
+#[inline(never)]
+fn psinv_row9(dst: &mut [f64], rows: [&[f64]; 9], c: [f64; 4]) {
+    let len = dst.len();
+    let rows = rows.map(|r| &r[..len + 2]);
+    let [c0, c1, c2, c3] = c;
+    for x in 0..len {
+        let [s1, s2, s3] = box_sums(&rows, x);
+        dst[x] += c0 * rows[4][x + 1] + c1 * s1 + c2 * s2 + c3 * s3;
+    }
+}
+
+/// One coarse row of MGRID's full-weighting restriction `rprj3`: coarse
+/// point `t` gathers the 27-point box of the fine point at plane-local
+/// offset `at + 2 * t` of `fine` (fine planes `[2kc-1, 2kc, 2kc+1]`, row
+/// stride `di`), `dst[t] = 0.5 * ctr + 0.25 * faces + 0.125 * edges +
+/// 0.0625 * corners` with the sums of [`box_sums`]. For coarse row
+/// `(jc, kc)` from coarse `i = 1`, `at = 2 * jc * di + 2`.
+#[inline]
+pub fn rprj3_row(dst: &mut [f64], fine: [&[f64]; 3], at: usize, di: usize) {
+    if dst.is_empty() {
+        return;
+    }
+    rprj3_row9(dst, box_rows(fine, at, di));
+}
+
+/// The `rprj3` row loop over the nine fine rows of [`rprj3_row`], read at
+/// stride 2.
+#[inline(never)]
+fn rprj3_row9(dst: &mut [f64], rows: [&[f64]; 9]) {
+    let len = dst.len();
+    let rows = rows.map(|r| &r[..2 * len + 1]);
+    for (t, d) in dst.iter_mut().enumerate() {
+        let p = 2 * t;
+        let [s1, s2, s3] = box_sums(&rows, p);
+        *d = 0.5 * rows[4][p + 1] + 0.25 * s1 + 0.125 * s2 + 0.0625 * s3;
+    }
+}
+
+/// One coarse row's share of MGRID's trilinear prolongation `interp`:
+/// adds its terms, weighted by the row's J-by-K weight `w`, into the fine
+/// row accumulator `acc` (fine `i = 1..=acc.len()`, an even length).
+/// `coarse` starts at coarse `i = 0`. An odd fine `i` adds
+/// `(w * 0.5) * c[i / 2]` and then `(w * 0.5) * c[i / 2 + 1]`; an even
+/// `i` adds `(w * 1.0) * c[i / 2]`.
+#[inline(never)]
+pub fn interp_row(acc: &mut [f64], coarse: &[f64], w: f64) {
+    let mc = acc.len() / 2;
+    let (lo, hi) = (&coarse[..mc], &coarse[1..mc + 1]);
+    let (half, whole) = (w * 0.5, w * 1.0);
+    for ((pair, &a), &b) in acc.chunks_exact_mut(2).zip(lo).zip(hi) {
+        pair[0] += half * a;
+        pair[0] += half * b;
+        pair[1] += whole * b;
     }
 }
 
