@@ -118,14 +118,17 @@ fn engine_matches_reference_at_pathological_size() {
 }
 
 /// Paper-geometry spot check of row replay: every kernel and transform at
-/// a size whose untransformed planes conflict in the 16 KB L1 (N = 256,
-/// the point-major fallback) and at one where they do not (N = 304, the
-/// clean classes), against the per-access reference.
+/// the two sizes whose untransformed planes conflict in the 16 KB L1 (the
+/// memoized conflict classes) and at one where they do not (N = 304, the
+/// clean classes), against the per-access reference. The conflicts differ:
+/// at N = 256 every plane maps onto the same sets, while at N = 352 planes
+/// K-1 and K+1 collide, K sits half a cache away, and V and R alias U's
+/// centre plane.
 #[test]
 fn row_replay_matches_reference_at_paper_sizes() {
     for kernel in Kernel::ALL {
         for t in ALGORITHMS {
-            for n in [256usize, 304] {
+            for n in [256usize, 304, 352] {
                 let (fast, reference) = fast_and_reference_stats(kernel, t, n, 6);
                 assert_eq!(
                     fast.0,

@@ -240,6 +240,22 @@ impl Cache {
         }
     }
 
+    /// Adds counts replayed elsewhere: a memoized outcome of a row class.
+    /// Direct-mapped only, where no LRU clock advances.
+    #[inline]
+    pub(crate) fn record_stats(&mut self, s: &AccessStats) {
+        debug_assert_eq!(self.cfg.ways, 1);
+        self.stats.merge(s);
+    }
+
+    /// Makes the line containing `addr` resident without counting an
+    /// access: the end state of a memoized row class. Direct-mapped only.
+    #[inline]
+    pub(crate) fn install(&mut self, addr: u64) {
+        let line = addr >> self.line_shift;
+        self.dm_tags[(line & self.set_mask) as usize] = line >> self.tag_shift;
+    }
+
     /// Line size helper for run segmentation.
     #[inline]
     pub(crate) fn line_bytes(&self) -> u64 {
@@ -247,7 +263,8 @@ impl Cache {
     }
 
     /// True when the line containing `addr` is currently resident —
-    /// a test/debug probe that does not perturb stats or LRU state.
+    /// a probe that does not perturb stats or LRU state.
+    #[inline]
     pub fn probe(&self, addr: u64) -> bool {
         let line = addr >> self.line_shift;
         let set = (line & self.set_mask) as usize;

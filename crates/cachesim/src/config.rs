@@ -25,7 +25,8 @@ pub enum ReplacementPolicy {
 /// Geometry and policy of one cache level.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct CacheConfig {
-    /// Total capacity in bytes. Must be a power of two.
+    /// Total capacity in bytes: a whole number of lines, not necessarily a
+    /// power of two (a 48 KB 12-way cache has 64 sets).
     pub size_bytes: usize,
     /// Line (block) size in bytes. Must be a power of two dividing
     /// `size_bytes`.
@@ -89,19 +90,19 @@ impl CacheConfig {
 
     /// Validates the geometry; called by [`crate::Cache::new`].
     ///
+    /// Indexing needs power-of-two lines and sets, not capacity, so a
+    /// capacity such as 48 KB is valid when its set count is a power of two.
+    ///
     /// # Errors
     /// Returns a description of the first violated constraint.
     pub fn validate(&self) -> Result<(), String> {
-        if !self.size_bytes.is_power_of_two() {
-            return Err(format!("size_bytes {} not a power of two", self.size_bytes));
-        }
         if !self.line_bytes.is_power_of_two() {
             return Err(format!("line_bytes {} not a power of two", self.line_bytes));
         }
-        if self.line_bytes == 0 || self.line_bytes > self.size_bytes {
+        if self.line_bytes > self.size_bytes || !self.size_bytes.is_multiple_of(self.line_bytes) {
             return Err(format!(
-                "line_bytes {} must be in 1..={}",
-                self.line_bytes, self.size_bytes
+                "size_bytes {} is not a whole number of {}-byte lines",
+                self.size_bytes, self.line_bytes
             ));
         }
         if self.ways == 0 || !self.num_lines().is_multiple_of(self.ways) {
@@ -144,7 +145,9 @@ mod tests {
     #[test]
     fn validate_rejects_bad_geometry() {
         let mut c = CacheConfig::direct_mapped(1000, 32);
-        assert!(c.validate().is_err()); // non power of two size
+        assert!(c.validate().is_err()); // not a whole number of lines
+        c = CacheConfig::direct_mapped(96, 32);
+        assert!(c.validate().is_err()); // 3 sets
         c = CacheConfig::direct_mapped(1024, 48);
         assert!(c.validate().is_err()); // non power of two line
         c = CacheConfig::direct_mapped(1024, 2048);
@@ -153,6 +156,19 @@ mod tests {
         c.ways = 3;
         assert!(c.validate().is_err()); // ways must divide lines
         c.ways = 0;
+        assert!(c.validate().is_err());
+    }
+
+    #[test]
+    fn host_shaped_capacity_is_valid_when_sets_are_a_power_of_two() {
+        // A 48 KB, 12-way L1 with 64-byte lines: 768 lines in 64 sets.
+        let mut c = CacheConfig::direct_mapped(48 * 1024, 64);
+        c.ways = 12;
+        assert!(c.validate().is_ok());
+        assert_eq!((c.num_lines(), c.num_sets()), (768, 64));
+        c.ways = 8; // 96 sets
+        assert!(c.validate().is_err());
+        c.ways = 1; // 768 sets
         assert!(c.validate().is_err());
     }
 

@@ -2,7 +2,10 @@
 
 use crate::cache::Cache;
 use crate::config::CacheConfig;
-use crate::row::{self, Class, CleanClass, RowPlans, RowShape, CHUNK_POINTS, MIN_PLANNED_POINTS};
+use crate::row::{
+    self, Class, CleanClass, Outcome, PointMajorClass, RowPlans, RowShape, CHUNK_POINTS,
+    MIN_PLANNED_POINTS,
+};
 use crate::sinks::AccessSink;
 use crate::stats::AccessStats;
 
@@ -132,7 +135,7 @@ impl Hierarchy {
     }
 
     /// Replays one class of a row chunk of `points` points at `base`.
-    fn replay_class(&mut self, class: &Class, step: i64, base: u64, points: usize) {
+    fn replay_class(&mut self, class: &mut Class, step: i64, base: u64, points: usize) {
         match class {
             Class::Run(s) => {
                 let a = base.wrapping_add(s.offset as u64);
@@ -143,7 +146,59 @@ impl Hierarchy {
                 }
             }
             Class::Clean(c) => self.replay_clean(c, base),
-            Class::PointMajor(slots) => row::expand_slots(self, slots, step, base, points),
+            Class::PointMajor(c) if self.l1.config().ways == 1 && self.l2.config().ways == 1 => {
+                self.replay_memoized(c, step, base, points);
+            }
+            Class::PointMajor(c) => row::expand_slots(self, &c.slots, step, base, points),
+        }
+    }
+
+    /// A conflicting class on direct-mapped levels. An access's outcome
+    /// there depends only on whether its set holds its line; no other class
+    /// of the chunk touches the class's sets; and every set it touches ends
+    /// holding one of its lines or the tag it started with. So which of its
+    /// lines are resident at the start determines every counter and the end
+    /// state: a known starting state replays from the memo, a new one
+    /// point-major, recording the outcome.
+    fn replay_memoized(&mut self, c: &mut PointMajorClass, step: i64, base: u64, points: usize) {
+        self.residency(c, base);
+        if let Some(o) = c.memo.get() {
+            self.l1.record_stats(&o.l1);
+            self.l2.record_stats(&o.l2);
+            for (w, &word) in o.resident.iter().enumerate() {
+                let mut bits = word;
+                while bits != 0 {
+                    let i = w * 64 + bits.trailing_zeros() as usize;
+                    bits &= bits - 1;
+                    let a = base.wrapping_add(c.lines[i] as u64);
+                    if i < c.l1_lines {
+                        self.l1.install(a);
+                    } else {
+                        self.l2.install(a);
+                    }
+                }
+            }
+            return;
+        }
+        let (l1, l2) = (self.l1.stats(), self.l2.stats());
+        row::expand_slots(self, &c.slots, step, base, points);
+        let (l1, l2) = (self.l1.stats().since(&l1), self.l2.stats().since(&l2));
+        let start = std::mem::take(&mut c.memo.key);
+        self.residency(c, base);
+        let resident = std::mem::replace(&mut c.memo.key, start).into_boxed_slice();
+        c.memo.insert(Outcome { l1, l2, resident });
+    }
+
+    /// Sets `c.memo.key` to one bit per line of `c`, set when the line is
+    /// resident at its level in the chunk at `base`.
+    fn residency(&self, c: &mut PointMajorClass, base: u64) {
+        let key = &mut c.memo.key;
+        key.clear();
+        key.resize(c.lines.len().div_ceil(64), 0);
+        for (i, &offset) in c.lines.iter().enumerate() {
+            let level = if i < c.l1_lines { &self.l1 } else { &self.l2 };
+            let resident = level.probe(base.wrapping_add(offset as u64));
+            key[i / 64] |= u64::from(resident) << (i % 64);
         }
     }
 
@@ -262,12 +317,10 @@ impl AccessSink for Hierarchy {
                 shape.expand(self, b, n);
             } else {
                 let mut plan = plans.get(n, b & phase_mask, &l1, &l2);
-                if let Some(strict) = &plan.strict {
-                    if self.any_l1_resident(&plan.quiet, b) {
-                        plan = strict;
-                    }
+                if plan.strict.is_some() && self.any_l1_resident(&plan.quiet, b) {
+                    plan = plan.strict.as_deref_mut().expect("checked above");
                 }
-                for class in &plan.classes {
+                for class in &mut plan.classes {
                     self.replay_class(class, step, b, n);
                 }
             }
@@ -337,6 +390,40 @@ mod tests {
         assert_eq!(h.l2_stats().misses, 2);
         assert!((h.l2_miss_rate_pct() - 20.0).abs() < 1e-12);
         assert!(h.l2_local_miss_rate_pct() > h.l2_miss_rate_pct());
+    }
+
+    #[test]
+    fn conflict_memo_never_exceeds_its_cap() {
+        // Three loads a whole 256-byte L1 apart: every 32-point chunk is one
+        // point-major class over all 8 L1 sets. Random loads between rows
+        // leave each set holding one of four lines, far more starting
+        // states than the memo keeps.
+        let l1 = CacheConfig::direct_mapped(256, 32);
+        let l2 = CacheConfig {
+            size_bytes: 2048,
+            ..CacheConfig::ULTRASPARC2_L2
+        };
+        let shape = RowShape::new(8).read(0).read(256).read(512);
+        let mut h = Hierarchy::new(l1, l2);
+        let mut twin = Hierarchy::new(l1, l2);
+        let mut x = 0x2545_F491_4F6C_DD1Du64;
+        for _ in 0..400 {
+            for set in 0..8 {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                let a = 256 * (x % 4) + 32 * set;
+                h.read(a);
+                twin.read(a);
+            }
+            h.row(&shape, 0, 32);
+            shape.expand(&mut twin, 0, 32);
+        }
+        assert_eq!(h.l1_stats(), twin.l1_stats());
+        assert_eq!(h.l2_stats(), twin.l2_stats());
+        let lens = h.rows.memo_lens();
+        assert_eq!(lens.len(), 1);
+        assert_eq!(lens[0], row::MEMO_CAP);
     }
 
     #[test]

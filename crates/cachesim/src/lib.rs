@@ -18,7 +18,8 @@
 //!   the paper's cost model);
 //! * [`RowShape`] — one stencil point's accesses, so a walker can hand a
 //!   whole row segment to [`AccessSink::row`], which [`Hierarchy`] replays
-//!   a cache line at a time.
+//!   a cache line at a time, and on direct-mapped levels replays rows
+//!   whose streams conflict from a memo of their outcomes.
 //!
 //! Addresses are **byte** addresses; stencil traces scale element offsets by
 //! `size_of::<f64>()` and place each array at a configurable base.

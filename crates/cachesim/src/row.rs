@@ -10,9 +10,11 @@
 //! without expanding it access by access (see [`RowPlan`]).
 
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 use crate::config::{CacheConfig, WritePolicy};
 use crate::sinks::AccessSink;
+use crate::stats::AccessStats;
 
 /// One access of a row point.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -169,6 +171,98 @@ pub(crate) struct CleanClass {
     pub stores: u64,
 }
 
+/// Most starting states one [`PointMajorClass`] memoizes. The figure's
+/// conflicting points meet at most a few dozen per class; once the memo
+/// is full, new states replay point-major without being recorded.
+pub(crate) const MEMO_CAP: usize = 64;
+
+/// A class with set conflicts or stores without a preceding load, replayed
+/// point-major over its own slots, or from its memo when both levels are
+/// direct-mapped.
+#[derive(Clone, Debug)]
+pub(crate) struct PointMajorClass {
+    pub slots: Vec<Slot>,
+    /// Byte offset, from the chunk base, of one address in each L1 line the
+    /// class touches, then of each L2 line it touches. Adding the base with
+    /// wrapping arithmetic gives an address of the line, exactly as the
+    /// per-access expansion computes its addresses.
+    pub lines: Vec<i64>,
+    /// How many of `lines` are L1 lines.
+    pub l1_lines: usize,
+    pub memo: Memo,
+}
+
+/// What replaying a class did from one starting state.
+#[derive(Clone, Debug)]
+pub(crate) struct Outcome {
+    pub l1: AccessStats,
+    pub l2: AccessStats,
+    /// Which of the class's lines are resident at the end, one bit per
+    /// entry of [`PointMajorClass::lines`].
+    pub resident: Box<[u64]>,
+}
+
+/// A class's outcomes keyed by which of its lines are resident at the
+/// start of the chunk, at most [`MEMO_CAP`] of them.
+#[derive(Clone, Debug, Default)]
+pub(crate) struct Memo {
+    /// The key of the chunk being replayed (scratch, reused).
+    pub key: Vec<u64>,
+    outcomes: HashMap<Box<[u64]>, Outcome, BuildHasherDefault<WordHasher>>,
+}
+
+impl Memo {
+    /// The outcome recorded for the starting state in `self.key`.
+    pub(crate) fn get(&self) -> Option<&Outcome> {
+        self.outcomes.get(&self.key[..])
+    }
+
+    /// Records `outcome` for the starting state in `self.key`, unless the
+    /// memo is full.
+    pub(crate) fn insert(&mut self, outcome: Outcome) {
+        if self.len() < MEMO_CAP {
+            self.outcomes
+                .insert(self.key.clone().into_boxed_slice(), outcome);
+        }
+    }
+
+    /// Starting states recorded so far.
+    pub(crate) fn len(&self) -> usize {
+        self.outcomes.len()
+    }
+}
+
+/// A multiply-rotate hash over 64-bit words for the keys of the plan map
+/// and the memos, far cheaper than the default SipHash on keys of one or
+/// two words. Both kinds of key are computed by the simulator itself, so
+/// no input can choose them to collide.
+#[derive(Default)]
+pub(crate) struct WordHasher(u64);
+
+impl Hasher for WordHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.write_u64(u64::from_le_bytes(word));
+        }
+    }
+
+    fn write_u64(&mut self, x: u64) {
+        self.0 = (self.0.rotate_left(26) ^ x).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    }
+
+    fn write_usize(&mut self, x: usize) {
+        self.write_u64(x as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        // The multiply leaves the low bits, which pick the bucket, depending
+        // only on the low bits of the words; fold the high bits down.
+        self.0 ^ self.0 >> 32
+    }
+}
+
 /// A set of streams replayed together. Classes touch disjoint sets at both
 /// levels (quiet stores aside, see [`RowPlan::quiet`]), so each can be
 /// replayed on its own, in any order.
@@ -179,9 +273,8 @@ pub(crate) enum Class {
     Run(Slot),
     /// See [`CleanClass`].
     Clean(CleanClass),
-    /// Anything else (set conflicts, stores without a preceding load):
-    /// point-major replay over the class's own slots.
-    PointMajor(Vec<Slot>),
+    /// See [`PointMajorClass`].
+    PointMajor(PointMajorClass),
 }
 
 /// How one row chunk splits into independently replayable classes.
@@ -213,7 +306,7 @@ pub(crate) fn plannable(shape: &RowShape, l1: &CacheConfig, l2: &CacheConfig) ->
 #[derive(Clone, Debug, Default)]
 pub(crate) struct RowPlans {
     shape: Option<RowShape>,
-    plans: HashMap<(usize, u64), RowPlan>,
+    plans: HashMap<(usize, u64), RowPlan, BuildHasherDefault<WordHasher>>,
 }
 
 impl RowPlans {
@@ -232,11 +325,27 @@ impl RowPlans {
         phase: u64,
         l1: &CacheConfig,
         l2: &CacheConfig,
-    ) -> &RowPlan {
+    ) -> &mut RowPlan {
         let shape = self.shape.as_ref().expect("a shape is selected");
         self.plans
             .entry((points, phase))
             .or_insert_with(|| plan(shape, points, phase, l1, l2))
+    }
+}
+
+#[cfg(test)]
+impl RowPlans {
+    /// The memo size of every point-major class planned so far.
+    pub(crate) fn memo_lens(&self) -> Vec<usize> {
+        self.plans
+            .values()
+            .flat_map(|p| std::iter::once(p).chain(p.strict.as_deref()))
+            .flat_map(|p| &p.classes)
+            .filter_map(|c| match c {
+                Class::PointMajor(c) => Some(c.memo.len()),
+                _ => None,
+            })
+            .collect()
     }
 }
 
@@ -413,7 +522,16 @@ fn split(
             if clean {
                 Class::Clean(plan_clean(shape, &slots, points, phase, s1, s2))
             } else {
-                Class::PointMajor(slots.iter().map(|&i| shape.slots[i]).collect())
+                let slots: Vec<Slot> = slots.iter().map(|&i| shape.slots[i]).collect();
+                let mut lines = touched_lines(&slots, phase, span, s1);
+                let l1_lines = lines.len();
+                lines.extend(touched_lines(&slots, phase, span, s2));
+                Class::PointMajor(PointMajorClass {
+                    slots,
+                    lines,
+                    l1_lines,
+                    memo: Memo::default(),
+                })
             }
         })
         .collect();
@@ -428,6 +546,26 @@ fn split(
         quiet,
         strict: None,
     }
+}
+
+/// One byte offset from the chunk base into each line of `1 << shift`
+/// bytes that `slots` touch over a chunk spanning `span` bytes, ascending.
+/// The step is at most a line, so each slot touches every line between
+/// its first and last address.
+fn touched_lines(slots: &[Slot], phase: u64, span: i64, shift: u32) -> Vec<i64> {
+    let mut lines: Vec<i64> = slots
+        .iter()
+        .flat_map(|s| {
+            let lo = phase as i64 + s.offset;
+            (lo >> shift)..=((lo + span) >> shift)
+        })
+        .collect();
+    lines.sort_unstable();
+    lines.dedup();
+    lines
+        .into_iter()
+        .map(|line| (line << shift) - phase as i64)
+        .collect()
 }
 
 /// Precomputes the first touch of every L1 line of a clean class and the

@@ -49,6 +49,19 @@ impl AccessStats {
         self.write_misses += other.write_misses;
     }
 
+    /// The counts added since `earlier`, an earlier snapshot of the same
+    /// counters.
+    pub(crate) fn since(&self, earlier: &AccessStats) -> AccessStats {
+        AccessStats {
+            accesses: self.accesses - earlier.accesses,
+            misses: self.misses - earlier.misses,
+            reads: self.reads - earlier.reads,
+            read_misses: self.read_misses - earlier.read_misses,
+            writes: self.writes - earlier.writes,
+            write_misses: self.write_misses - earlier.write_misses,
+        }
+    }
+
     /// Folds this stats block into the global observability metrics
     /// registry as deterministic counters under `prefix` (no-op when the
     /// recorder is off). Counters are jobs-invariant because the underlying

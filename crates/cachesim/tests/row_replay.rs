@@ -66,7 +66,8 @@ fn level(
 
 /// The geometries under test: the paper's UltraSPARC-2, small LRU
 /// hierarchies of 2, 4 and 8 ways (small, so random shapes conflict
-/// often), a write-allocate L1 and a write-around L2.
+/// often), a write-allocate L1 and a write-around L2, and a host-shaped
+/// hierarchy whose L1 capacity is not a power of two.
 fn geometries() -> Vec<(&'static str, CacheConfig, CacheConfig)> {
     use WritePolicy::{WriteAllocate, WriteAround};
     vec![
@@ -111,6 +112,13 @@ fn geometries() -> Vec<(&'static str, CacheConfig, CacheConfig)> {
             "l2-few-sets",
             level(1024, 32, 1, WriteAround),
             level(512, 64, 1, WriteAllocate),
+        ),
+        // A 48 KB, 12-way L1 (64 sets) over a 2 MB, 16-way L2, as on a
+        // current x86 core: associative, so conflicts replay point-major.
+        (
+            "host",
+            level(48 * 1024, 64, 12, WriteAround),
+            level(2 * 1024 * 1024, 64, 16, WriteAllocate),
         ),
     ]
 }
@@ -243,6 +251,110 @@ fn row_equals_per_access_expansion() {
                 a += 32;
             }
             traffic(&mut rng, &mut fast, &mut slow, lo, hi, 400);
+            assert_same(&fast, &slow, &format!("{what} after follow-up traffic"));
+        }
+    }
+}
+
+/// A shape whose slots conflict: each is a load or a store a whole number
+/// of L1 or L2 spans (the bytes one way covers) from the previous slot,
+/// give or take a word, so most slots share sets with another and the
+/// chunk's classes replay point-major. Offsets may be negative, and about
+/// a third of the slots are stores.
+fn conflict_shape(rng: &mut Xorshift64, l1: &CacheConfig, l2: &CacheConfig) -> RowShape {
+    let step = if rng.below(2) == 0 { 8 } else { 16 };
+    let l1_span = (l1.size_bytes / l1.ways) as i64;
+    let l2_span = (l2.size_bytes / l2.ways) as i64;
+    let mut shape = RowShape::new(step);
+    let mut prev = 8 * rng.range(-8, 8);
+    for _ in 0..rng.range(2, 9) {
+        let apart = if rng.below(3) == 0 { l2_span } else { l1_span };
+        let offset = prev + apart * rng.range(-3, 3) + 8 * rng.range(-1, 1);
+        shape = if rng.below(3) == 0 {
+            shape.write(offset)
+        } else {
+            shape.read(offset)
+        };
+        prev = offset;
+    }
+    shape
+}
+
+/// A few accesses into the lines a row of `shape` at `base` touches, the
+/// same in both hierarchies: each lands on a random point's slot address,
+/// on the other L1 line of its L2 line, or a whole L1 span or L2 size
+/// away, so it loads, evicts or stores to a line of the row at either
+/// level. Addresses wrap, like the row's own.
+fn row_traffic(
+    rng: &mut Xorshift64,
+    fast: &mut Hierarchy,
+    slow: &mut PerAccess,
+    shape: &RowShape,
+    base: u64,
+    points: usize,
+) {
+    let l1 = fast.l1().config();
+    let l1_span = (l1.size_bytes / l1.ways) as i64;
+    let l2_size = fast.l2().config().size_bytes as i64;
+    for _ in 0..rng.below(4) {
+        let slot = shape.slots()[rng.below(shape.slots().len() as u64) as usize];
+        let p = rng.below(points as u64) as i64;
+        let mut a = base.wrapping_add((slot.offset + p * shape.step()) as u64);
+        a = match rng.below(4) {
+            0 => a,
+            1 => a ^ 32,
+            2 => a.wrapping_add((l1_span * rng.range(-2, 2)) as u64),
+            _ => (a ^ 32).wrapping_add((l2_size * rng.range(-1, 1)) as u64),
+        };
+        if rng.below(4) == 0 {
+            fast.write(a);
+            slow.write(a);
+        } else {
+            fast.read(a);
+            slow.read(a);
+        }
+    }
+}
+
+/// Memoized replay of conflicting classes on direct-mapped levels: each
+/// conflict-heavy shape replays as many rows translated by whole chunks
+/// (so the same plans and classes recur) with a little traffic into the
+/// row's lines between rows, so each class meets starting states it has
+/// seen and ones it has not. Some bases lie near 0 and the offsets reach
+/// below it, so line addresses wrap. After every row the counters must
+/// equal the per-access expansion's, and identical follow-up traffic must
+/// behave identically.
+#[test]
+fn memoized_conflict_classes_equal_per_access_expansion() {
+    let direct_mapped = geometries()
+        .into_iter()
+        .filter(|(_, l1, l2)| l1.ways == 1 && l2.ways == 1);
+    for (name, l1, l2) in direct_mapped {
+        let mut rng = Xorshift64(0xC0_FF1C7 + l1.size_bytes as u64 + l2.size_bytes as u64);
+        for case in 0..40 {
+            let shape = conflict_shape(&mut rng, &l1, &l2);
+            let points = [32usize, 64, 100, 37][case % 4];
+            let base = if case % 3 == 0 {
+                8 * rng.below(64)
+            } else {
+                (1u64 << 40) + 8 * rng.below(1 << 20)
+            };
+            let chunk = 32 * shape.step() as u64;
+            let what = format!("{name} case {case}: points={points} base={base} {shape:?}");
+
+            let mut fast = Hierarchy::new(l1, l2);
+            let mut slow = PerAccess(Hierarchy::new(l1, l2));
+            for row in 0..60u64 {
+                let b = base.wrapping_add(chunk * rng.below(8));
+                row_traffic(&mut rng, &mut fast, &mut slow, &shape, b, points);
+                fast.row(&shape, b, points);
+                slow.row(&shape, b, points);
+                assert_same(&fast, &slow, &format!("{what}, row {row} at {b}"));
+            }
+            for _ in 0..50 {
+                let b = base.wrapping_add(chunk * rng.below(8));
+                row_traffic(&mut rng, &mut fast, &mut slow, &shape, b, points);
+            }
             assert_same(&fast, &slow, &format!("{what} after follow-up traffic"));
         }
     }
