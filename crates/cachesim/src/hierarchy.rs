@@ -130,7 +130,8 @@ impl Hierarchy {
         ranges.iter().any(|&(lo, hi)| {
             let first = base.wrapping_add(lo as u64) & !(line - 1);
             let last = base.wrapping_add(hi as u64);
-            (0..=last.wrapping_sub(first) / line).any(|i| self.l1.probe(first + i * line))
+            (0..=last.wrapping_sub(first) / line)
+                .any(|i| self.l1.probe(first.wrapping_add(i * line)))
         })
     }
 

@@ -31,15 +31,8 @@ pub fn sweep(a: &mut Array2<f64>, b: &Array2<f64>, c: f64) {
     let (av, bv) = (a.as_mut_slice(), b.as_slice());
     let len = ni - 2;
     for j in 1..nj - 1 {
-        let lo = j * di + 1;
-        rowexec::jacobi2d_row(
-            &mut av[lo..lo + len],
-            &bv[lo - 1..],
-            &bv[lo + 1..],
-            &bv[lo - di..],
-            &bv[lo + di..],
-            c,
-        );
+        let at = j * di + 1;
+        rowexec::jacobi2d_row(&mut av[at..at + len], bv, at, di, c);
     }
     rowexec::note_sweep(((ni - 2) * (nj - 2)) as u64, FLOPS_PER_POINT);
 }

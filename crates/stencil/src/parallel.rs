@@ -162,7 +162,7 @@ pub fn resid_sweep(
 /// Race-freedom and bitwise determinism: within one colour pass every
 /// stencil read is an opposite-colour point (no same-colour point is a
 /// neighbour of another — all six neighbours flip parity) except the
-/// centre, which the row engine reads into scratch before scattering, so
+/// centre, which the row engine reads into scratch before copying back, so
 /// any update order within a colour yields bitwise-identical results.
 /// The only cross-slab reads are the `K±1` planes at slab boundaries;
 /// those positions are opposite-colour, so a pre-pass snapshot of each
@@ -222,11 +222,11 @@ pub fn redblack_sweep(
         run_slabs(interior, &chunks, ps, |c, k0, k1, slab| {
             let down = if c == 0 { head } else { &halos[c][0] };
             let up = if c == last { tail } else { &halos[c][1] };
-            let mut scratch = vec![0.0f64; n / 2 + 1];
+            let mut scratch = vec![0.0f64; n];
             color_rows(n, k0, k1, parity, tile, |i0, i1, j, k| {
                 let (plane, nbr) = rowexec::split_plane(slab, k - k0, ps, [down, up]);
-                let m = (i1 - i0) / 2 + 1;
-                rowexec::redblack_row(plane, nbr, j * di + i0, di, &mut scratch[..m], c1, c2);
+                let row = &mut scratch[..=i1 - i0];
+                rowexec::redblack_row(plane, nbr, j * di + i0, di, row, c1, c2);
             });
         });
     }

@@ -155,11 +155,12 @@ pub fn visit(n: usize, nk: usize, schedule: Schedule, mut f: impl FnMut(usize, u
 /// One full red-black iteration in the chosen schedule, updating `a` in
 /// place: `A = C1*A + C2*(sum of 6 face neighbours)`.
 ///
-/// Runs on the row engine: each stride-2 row segment is computed into a
-/// scratch buffer from an immutable view of the array, then scattered
-/// back. Within one segment every read lands on the opposite color (or on
-/// the not-yet-written center), so the split is bitwise identical to the
-/// per-point in-place update in [`crate::reference::redblack`].
+/// Runs on the row engine: each row segment `i0..=i1` is computed into a
+/// scratch row from an immutable view of the array, the other colour's
+/// points keeping their own bits, then copied back. Within one segment
+/// every read lands on the opposite color (or on the not-yet-written
+/// center), so the split is bitwise identical to the per-point in-place
+/// update in [`crate::reference::redblack`].
 ///
 /// # Panics
 /// Panics unless the `I`/`J` logical extents are equal (the `K` extent may
@@ -170,11 +171,11 @@ pub fn sweep(a: &mut Array3<f64>, c1: f64, c2: f64, schedule: Schedule) {
     assert!(a.nj() == n, "red-black kernel expects square I/J extents");
     let (di, ps) = (a.di(), a.plane_stride());
     let (outer, interior) = rowexec::split_interior(a);
-    let mut scratch = vec![0.0f64; n / 2 + 1];
+    let mut scratch = vec![0.0f64; n];
     visit_rows(n, nk, schedule, |i0, i1, j, k| {
         let (plane, nbr) = rowexec::split_plane(interior, k - 1, ps, outer);
-        let m = (i1 - i0) / 2 + 1;
-        rowexec::redblack_row(plane, nbr, j * di + i0, di, &mut scratch[..m], c1, c2);
+        let row = &mut scratch[..=i1 - i0];
+        rowexec::redblack_row(plane, nbr, j * di + i0, di, row, c1, c2);
     });
     if nk >= 2 && n >= 2 {
         rowexec::note_sweep(

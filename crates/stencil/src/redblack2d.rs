@@ -79,7 +79,7 @@ pub fn visit(n: usize, schedule: Schedule2D, mut f: impl FnMut(usize, usize)) {
 /// One full 2D red-black iteration in place:
 /// `A = C1*A + C2*(4-point neighbour sum)`.
 ///
-/// Runs on the row engine (scratch-compute then stride-2 scatter);
+/// Runs on the row engine (scratch-compute then one copy back per row);
 /// bitwise identical to [`crate::reference::redblack2d`].
 ///
 /// # Panics
@@ -89,24 +89,9 @@ pub fn sweep(a: &mut Array2<f64>, c1: f64, c2: f64, schedule: Schedule2D) {
     assert_eq!(a.nj(), n, "2D red-black expects a square grid");
     let di = a.di();
     let av = a.as_mut_slice();
-    let mut scratch = vec![0.0f64; n / 2 + 1];
+    let mut scratch = vec![0.0f64; n];
     visit_rows(n, schedule, |i0, i1, j| {
-        let lo = j * di + i0;
-        let m = (i1 - i0) / 2 + 1;
-        {
-            let src: &[f64] = av;
-            rowexec::redblack2d_row(
-                &mut scratch[..m],
-                &src[lo..],
-                &src[lo - 1..],
-                &src[lo - di..],
-                &src[lo + 1..],
-                &src[lo + di..],
-                c1,
-                c2,
-            );
-        }
-        rowexec::scatter_stride2(&mut av[lo..], &scratch[..m]);
+        rowexec::redblack2d_row(av, j * di + i0, di, &mut scratch[..=i1 - i0], c1, c2);
     });
     if n >= 2 {
         rowexec::note_sweep(((n - 2) * (n - 2)) as u64, FLOPS_PER_POINT);

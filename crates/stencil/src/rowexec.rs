@@ -1,9 +1,10 @@
 //! Row kernels: the bounds-check-free compute layer of the row engine.
 //!
-//! Every function here updates one contiguous (or stride-2) row segment.
+//! Every function here updates one contiguous row segment.
 //! A 3D kernel takes three things: the destination row (for red-black,
 //! the plane it updates in place), the source planes `K-1`, `K` and `K+1`
-//! it reads, and the row's plane-local offset `at = j * di + i0`. It cuts
+//! it reads, and the row's plane-local offset `at = j * di + i0` (a 2D
+//! kernel takes its one plane and `at`). It cuts
 //! its own neighbour slices from the planes, each to the exact length it
 //! will touch, before the loop, so the optimizer can hoist all bounds
 //! checks out of the loop and autovectorize the `I` walk. Executors only
@@ -108,11 +109,13 @@ pub fn jacobi3d_row(dst: &mut [f64], src: [&[f64]; 3], at: usize, di: usize, c: 
     }
 }
 
-/// One Jacobi 2D row: `dst[i] = c * (w[i] + e[i] + n[i] + s[i])`.
+/// One Jacobi 2D row: `dst[x] = c * (w + e + n + s)` at offset `at + x`
+/// of `src` (row stride `di`).
 #[inline(never)]
-pub fn jacobi2d_row(dst: &mut [f64], w: &[f64], e: &[f64], n: &[f64], s: &[f64], c: f64) {
+pub fn jacobi2d_row(dst: &mut [f64], src: &[f64], at: usize, di: usize, c: f64) {
     let len = dst.len();
-    let (w, e, n, s) = (&w[..len], &e[..len], &n[..len], &s[..len]);
+    let (w, e) = (&src[at - 1..][..len], &src[at + 1..][..len]);
+    let (n, s) = (&src[at - di..][..len], &src[at + di..][..len]);
     for i in 0..len {
         dst[i] = c * (w[i] + e[i] + n[i] + s[i]);
     }
@@ -236,7 +239,7 @@ fn resid_row9(dst: &mut [f64], v: &[f64], rows: [&[f64]; 9], c: &Coeffs) {
 /// One row of MGRID's `psinv` smoother at plane-local offset `at`:
 /// `dst[x] += c0 * ctr + c1 * s1 + c2 * s2 + c3 * s3` over the 27-point
 /// box of `r` (`[K-1, K, K+1]`, row stride `di`), with `c = [c0, c1, c2,
-/// c3]` and the sums of [`box_sums`].
+/// c3]` and the face, edge and corner sums of `box_sums`.
 ///
 /// Cuts the nine `R` rows and hands them to the outlined loop, as
 /// [`resid_row`] does.
@@ -264,7 +267,7 @@ fn psinv_row9(dst: &mut [f64], rows: [&[f64]; 9], c: [f64; 4]) {
 /// point `t` gathers the 27-point box of the fine point at plane-local
 /// offset `at + 2 * t` of `fine` (fine planes `[2kc-1, 2kc, 2kc+1]`, row
 /// stride `di`), `dst[t] = 0.5 * ctr + 0.25 * faces + 0.125 * edges +
-/// 0.0625 * corners` with the sums of [`box_sums`]. For coarse row
+/// 0.0625 * corners` with the sums of `box_sums`. For coarse row
 /// `(jc, kc)` from coarse `i = 1`, `at = 2 * jc * di + 2`.
 #[inline]
 pub fn rprj3_row(dst: &mut [f64], fine: [&[f64]; 3], at: usize, di: usize) {
@@ -305,15 +308,18 @@ pub fn interp_row(acc: &mut [f64], coarse: &[f64], w: f64) {
     }
 }
 
-/// One stride-2 red-black row of `plane`, updated in place: the
-/// `scratch.len()` points at plane-local offsets `at, at + 2, ...` become
-/// `c1 * centre + c2 * (w + n + e + s + d + u)`, with down/up read from
-/// `nbr` (`[K-1, K+1]`, row stride `di`).
+/// One red-black row of `plane`, updated in place: over the
+/// `scratch.len()`-point segment from plane-local offset `at`, the points
+/// at `at, at + 2, ...` become `c1 * centre + c2 * (w + n + e + s + d +
+/// u)`, with down/up read from `nbr` (`[K-1, K+1]`, row stride `di`), and
+/// the points between them keep their bits.
 ///
-/// The new values are computed into `scratch` first and scattered back
-/// after; because every in-row read (`w`/`e` at `±1`) lands on the
-/// opposite colour, the split never observes its own writes and stays
-/// bit-identical to the in-place per-point reference.
+/// One unit-stride loop computes every point of the segment into
+/// `scratch`, and a parity select (never arithmetic) keeps the other
+/// colour's own value; one copy writes the segment back. Every `w`/`e`
+/// read of an updated point lands on the other colour, which the pass
+/// never changes, so the split is bit-identical to the in-place per-point
+/// reference.
 #[allow(clippy::too_many_arguments)]
 #[inline(never)]
 pub fn redblack_row(
@@ -325,63 +331,142 @@ pub fn redblack_row(
     c1: f64,
     c2: f64,
 ) {
-    let m = scratch.len();
-    if m == 0 {
+    let l = scratch.len();
+    if l == 0 {
         return;
     }
-    let l = 2 * m - 1;
     {
         let p: &[f64] = plane;
         let (ctr, w, e) = (&p[at..][..l], &p[at - 1..][..l], &p[at + 1..][..l]);
         let (n, s) = (&p[at - di..][..l], &p[at + di..][..l]);
         let (d, u) = (&nbr[0][at..][..l], &nbr[1][at..][..l]);
-        for (t, slot) in scratch.iter_mut().enumerate() {
-            let x = 2 * t;
-            *slot = c1 * ctr[x] + c2 * (w[x] + n[x] + e[x] + s[x] + d[x] + u[x]);
+        for x in 0..l {
+            let v = c1 * ctr[x] + c2 * (w[x] + n[x] + e[x] + s[x] + d[x] + u[x]);
+            scratch[x] = if x.is_multiple_of(2) { v } else { ctr[x] };
         }
     }
-    scatter_stride2(&mut plane[at..], scratch);
+    plane[at..][..l].copy_from_slice(scratch);
 }
 
-/// 2D variant of [`redblack_row`] (no down/up planes): computes the new
-/// values into `scratch` from pre-sliced sources that all start at the
-/// first updated point plus their stencil offset (update `t` reads index
-/// `2 * t`); the caller scatters them back with [`scatter_stride2`].
-#[allow(clippy::too_many_arguments)]
+/// 2D variant of [`redblack_row`] (no down/up planes): over the
+/// `scratch.len()`-point segment of `plane` from offset `at` (row stride
+/// `di`), the points at `at, at + 2, ...` become `c1 * centre + c2 * (w +
+/// n + e + s)`, in the same contiguous-select form.
 #[inline(never)]
 pub fn redblack2d_row(
+    plane: &mut [f64],
+    at: usize,
+    di: usize,
     scratch: &mut [f64],
-    ctr: &[f64],
-    w: &[f64],
-    n: &[f64],
-    e: &[f64],
-    s: &[f64],
     c1: f64,
     c2: f64,
 ) {
-    let m = scratch.len();
-    if m == 0 {
+    let l = scratch.len();
+    if l == 0 {
         return;
     }
-    let l = 2 * m - 1;
-    let (ctr, w) = (&ctr[..l], &w[..l]);
-    let (n, e, s) = (&n[..l], &e[..l], &s[..l]);
-    for (t, slot) in scratch.iter_mut().enumerate() {
-        let x = 2 * t;
-        *slot = c1 * ctr[x] + c2 * (w[x] + n[x] + e[x] + s[x]);
+    {
+        let p: &[f64] = plane;
+        let (ctr, w, e) = (&p[at..][..l], &p[at - 1..][..l], &p[at + 1..][..l]);
+        let (n, s) = (&p[at - di..][..l], &p[at + di..][..l]);
+        for x in 0..l {
+            let v = c1 * ctr[x] + c2 * (w[x] + n[x] + e[x] + s[x]);
+            scratch[x] = if x.is_multiple_of(2) { v } else { ctr[x] };
+        }
     }
+    plane[at..][..l].copy_from_slice(scratch);
 }
 
-/// Writes `scratch[t]` to `row[2 * t]` — the scatter half of a stride-2
-/// red-black row update.
-#[inline]
-pub fn scatter_stride2(row: &mut [f64], scratch: &[f64]) {
-    let m = scratch.len();
-    if m == 0 {
-        return;
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use tiling3d_grid::Xorshift64;
+
+    /// Off-colour values the parity select must keep bit for bit: an
+    /// arithmetic blend such as `(1.0 - keep) * v + keep * ctr` turns
+    /// `-0.0` into `+0.0` and changes infinities and NaN payloads.
+    const SPECIAL: [f64; 7] = [
+        -0.0,
+        0.0,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        -3.25,
+        f64::from_bits(0x7ff8_0000_dead_beef),
+        -1e-300,
+    ];
+
+    /// `true` when `got` is `want` bit for bit, or both are NaN: Rust
+    /// leaves the payload of a NaN that arithmetic produces unspecified.
+    fn same(got: f64, want: f64) -> bool {
+        got.to_bits() == want.to_bits() || (got.is_nan() && want.is_nan())
     }
-    let row = &mut row[..2 * m - 1];
-    for t in 0..m {
-        row[2 * t] = scratch[t];
+
+    /// Runs one red-black row kernel over the `2m - 1`-point segment that
+    /// starts at column `i0` of the middle row of a three-row plane (row
+    /// stride `di`, the segment ending one column before the row's last
+    /// logical point `ni - 1 = i0 + 2m - 1`). Off-colour points hold
+    /// [`SPECIAL`] values; every other plane point, rows `j ± 1` and the
+    /// padding included, holds a distinct finite sentinel. `expect(p, x)`
+    /// is the per-point expression for the point at plane offset `x`.
+    fn check_row(
+        m: usize,
+        i0: usize,
+        pad: usize,
+        run: impl Fn(&mut [f64], usize, usize, &mut [f64]),
+        expect: impl Fn(&[f64], usize, usize) -> f64,
+    ) {
+        let l = 2 * m - 1;
+        let di = i0 + l + 1 + pad;
+        let at = di + i0;
+        let mut rng = Xorshift64::new((m * 131 + i0 * 7 + pad) as u64);
+        let mut plane: Vec<f64> = (0..3 * di).map(|_| 0.5 + rng.next_f64()).collect();
+        for (t, x) in (at + 1..at + l).step_by(2).enumerate() {
+            plane[x] = SPECIAL[t % SPECIAL.len()];
+        }
+        let before = plane.clone();
+        let mut scratch = vec![f64::NAN; l];
+        run(&mut plane, at, di, &mut scratch);
+        for (x, (&got, &old)) in plane.iter().zip(&before).enumerate() {
+            let updated = (at..at + l).contains(&x) && (x - at).is_multiple_of(2);
+            let want = if updated { expect(&before, x, di) } else { old };
+            assert!(
+                same(got, want),
+                "m={m} i0={i0} di={di}: offset {x} is {got:e} ({:#x}), want {want:e} ({:#x})",
+                got.to_bits(),
+                want.to_bits()
+            );
+        }
+    }
+
+    #[test]
+    fn redblack_rows_keep_off_colour_bits_and_update_only_their_segment() {
+        let (c1, c2) = (0.4, 0.1);
+        let mut rng = Xorshift64::new(17);
+        for m in [1usize, 2, 3, 4, 5, 8, 9, 17] {
+            for i0 in [1usize, 2] {
+                for pad in [0usize, 5] {
+                    let len = 3 * (i0 + 2 * m + pad);
+                    let d: Vec<f64> = (0..len).map(|_| rng.next_f64() - 0.5).collect();
+                    let u: Vec<f64> = (0..len).map(|_| rng.next_f64() - 0.5).collect();
+                    check_row(
+                        m,
+                        i0,
+                        pad,
+                        |p, at, di, scratch| redblack_row(p, [&d, &u], at, di, scratch, c1, c2),
+                        |p, x, di| {
+                            c1 * p[x]
+                                + c2 * (p[x - 1] + p[x - di] + p[x + 1] + p[x + di] + d[x] + u[x])
+                        },
+                    );
+                    check_row(
+                        m,
+                        i0,
+                        pad,
+                        |p, at, di, scratch| redblack2d_row(p, at, di, scratch, c1, c2),
+                        |p, x, di| c1 * p[x] + c2 * (p[x - 1] + p[x - di] + p[x + 1] + p[x + di]),
+                    );
+                }
+            }
+        }
     }
 }

@@ -249,7 +249,7 @@ fn run_block<W, B>(
     B: Fn(usize, usize, &mut [f64], &Planes<'_, '_>, &mut [f64]) -> u64,
 {
     let span = tiling3d_obs::span_at("timeblock", parent);
-    let mut scratch = vec![0.0; g.ni / 2 + 1];
+    let mut scratch = vec![0.0; g.ni];
     let mut points = 0u64;
     blk.for_each(1, g.nk - 2, |t, k| {
         let key = writes(t, k);
@@ -397,9 +397,9 @@ pub fn redblack_time_tiled(
             let nbr = [src.get(k - 1), src.get(k + 1)];
             let mut points = 0;
             redblack::plane_rows(n, k, p % 2, |i0, i1, j| {
-                let m = (i1 - i0) / 2 + 1;
-                rowexec::redblack_row(plane, nbr, j * di + i0, di, &mut scratch[..m], c1, c2);
-                points += m as u64;
+                let row = &mut scratch[..=i1 - i0];
+                rowexec::redblack_row(plane, nbr, j * di + i0, di, row, c1, c2);
+                points += ((i1 - i0) / 2 + 1) as u64;
             });
             points
         },

@@ -5,12 +5,13 @@
 //!
 //! The property matrix is seeded and exhaustive over small sizes:
 //! `n in 3..=20`, pads `di/dj in {n, n+1, n+5}`, tiles including
-//! `TI >= NI` and `TJ = 1`, threads `{1, 2, 7}`. The planner-facing gate
-//! adds the exact padded geometry and tile `core::plan` picks for every
-//! kernel and transform.
+//! `TI >= NI` and `TJ = 1`, threads `{1, 2, 7}`. The red-black gates run
+//! a second, signed fill with exact `±0.0` points and `-0.0` bands. The
+//! planner-facing gate adds the exact padded geometry and tile
+//! `core::plan` picks for every kernel and transform.
 
 use tiling3d_core::{plan, CacheSpec, Transform};
-use tiling3d_grid::{fill_random, fill_random2, Array2, Array3};
+use tiling3d_grid::{fill_random, fill_random2, Array2, Array3, Xorshift64};
 use tiling3d_loopnest::TileDims;
 use tiling3d_stencil::kernels::{Kernel, KernelState};
 use tiling3d_stencil::redblack::Schedule;
@@ -38,6 +39,36 @@ fn shapes() -> Vec<(usize, usize, usize)> {
 
 /// Tiles covering the degenerate corners: `TI >= NI`, `TJ = 1`, tiny.
 const TILES: [(usize, usize); 3] = [(64, 64), (1, 1), (3, 2)];
+
+/// A signed fill in `[-1, 1)` for the red-black gates: rows `j ≡ 2, 3,
+/// 4 (mod 8)` hold exact `-0.0` and every seventh other point an exact
+/// `+0.0`. A red point inside such a band keeps `-0.0` through its own
+/// update, and during the other colour's pass its computed value turns
+/// positive once a band-edge neighbour has picked up a nonzero value
+/// from outside the band. A row that blends the kept colour
+/// arithmetically (`0.0 * v + (-0.0)`) then stores `+0.0` there, which
+/// no fill in `[0, 1)` can show.
+fn signed_value(rng: &mut Xorshift64, i: usize, j: usize, k: usize) -> f64 {
+    let v = 2.0 * rng.next_f64() - 1.0;
+    if (2..=4).contains(&(j % 8)) {
+        -0.0
+    } else if (i + j + k).is_multiple_of(7) {
+        0.0
+    } else {
+        v
+    }
+}
+
+/// The red-black gates' two initial fills of a 3D grid: uniform in
+/// `[0, 1)`, and [`signed_value`]'s.
+fn redblack_fills(n: usize, di: usize, dj: usize) -> [Array3<f64>; 2] {
+    let mut uniform = Array3::with_padding(n, n, n, di, dj);
+    fill_random(&mut uniform, seed(n, di, dj));
+    let mut signed = Array3::with_padding(n, n, n, di, dj);
+    let mut rng = Xorshift64::new(seed(n, di, dj) ^ 0x5167);
+    signed.fill_with(|i, j, k| signed_value(&mut rng, i, j, k));
+    [uniform, signed]
+}
 
 #[test]
 fn jacobi3d_engine_matches_reference_bitwise() {
@@ -81,16 +112,19 @@ fn jacobi2d_engine_matches_reference_bitwise() {
 #[test]
 fn redblack_engine_matches_reference_bitwise() {
     for (n, di, dj) in shapes() {
-        let mut init = Array3::with_padding(n, n, n, di, dj);
-        fill_random(&mut init, seed(n, di, dj));
-        let mut schedules = vec![Schedule::Naive, Schedule::Fused];
-        schedules.extend(TILES.map(|(ti, tj)| Schedule::Tiled(TileDims::new(ti, tj))));
-        for sched in schedules {
-            let mut want = init.clone();
-            reference::redblack(&mut want, 0.4, 0.1, sched);
-            let mut got = init.clone();
-            redblack::sweep(&mut got, 0.4, 0.1, sched);
-            assert!(want.logical_eq(&got), "{sched:?} n={n} di={di} dj={dj}");
+        for (f, init) in redblack_fills(n, di, dj).iter().enumerate() {
+            let mut schedules = vec![Schedule::Naive, Schedule::Fused];
+            schedules.extend(TILES.map(|(ti, tj)| Schedule::Tiled(TileDims::new(ti, tj))));
+            for sched in schedules {
+                let mut want = init.clone();
+                reference::redblack(&mut want, 0.4, 0.1, sched);
+                let mut got = init.clone();
+                redblack::sweep(&mut got, 0.4, 0.1, sched);
+                assert!(
+                    want.logical_eq(&got),
+                    "{sched:?} fill {f} n={n} di={di} dj={dj}"
+                );
+            }
         }
     }
 }
@@ -99,14 +133,19 @@ fn redblack_engine_matches_reference_bitwise() {
 fn redblack2d_engine_matches_reference_bitwise() {
     for n in 3..=20usize {
         for di in [n, n + 1, n + 5] {
-            let mut init = Array2::with_padding(n, n, di);
-            fill_random2(&mut init, seed(n, di, 1));
-            for sched in [Schedule2D::Naive, Schedule2D::Fused] {
-                let mut want = init.clone();
-                reference::redblack2d(&mut want, 0.4, 0.1, sched);
-                let mut got = init.clone();
-                redblack2d::sweep(&mut got, 0.4, 0.1, sched);
-                assert!(want.logical_eq(&got), "{sched:?} n={n} di={di}");
+            let mut uniform = Array2::with_padding(n, n, di);
+            fill_random2(&mut uniform, seed(n, di, 1));
+            let mut signed = Array2::with_padding(n, n, di);
+            let mut rng = Xorshift64::new(seed(n, di, 1) ^ 0x5167);
+            signed.fill_with(|i, j| signed_value(&mut rng, i, j, 0));
+            for (f, init) in [uniform, signed].iter().enumerate() {
+                for sched in [Schedule2D::Naive, Schedule2D::Fused] {
+                    let mut want = init.clone();
+                    reference::redblack2d(&mut want, 0.4, 0.1, sched);
+                    let mut got = init.clone();
+                    redblack2d::sweep(&mut got, 0.4, 0.1, sched);
+                    assert!(want.logical_eq(&got), "{sched:?} fill {f} n={n} di={di}");
+                }
             }
         }
     }
@@ -140,8 +179,11 @@ fn parallel_sweeps_match_reference_for_every_thread_count() {
 
         let mut jac_want = Array3::with_padding(n, n, n, di, dj);
         reference::jacobi3d(&mut jac_want, &b, 1.0 / 6.0, None);
-        let mut rb_want = b.clone();
-        reference::redblack(&mut rb_want, 0.4, 0.1, Schedule::Naive);
+        let rb_init = redblack_fills(n, di, dj);
+        let rb_want = rb_init.clone().map(|mut a| {
+            reference::redblack(&mut a, 0.4, 0.1, Schedule::Naive);
+            a
+        });
         let mut res_want = Array3::with_padding(n, n, n, di, dj);
         reference::resid(&mut res_want, &b, &v, &Coeffs::MGRID_A, None);
 
@@ -153,12 +195,14 @@ fn parallel_sweeps_match_reference_for_every_thread_count() {
                     jac_want.logical_eq(&jac),
                     "jacobi threads={threads} tile={tile:?} n={n}"
                 );
-                let mut rb = b.clone();
-                parallel::redblack_sweep(&mut rb, 0.4, 0.1, tile, threads);
-                assert!(
-                    rb_want.logical_eq(&rb),
-                    "redblack threads={threads} tile={tile:?} n={n}"
-                );
+                for (f, (init, want)) in rb_init.iter().zip(&rb_want).enumerate() {
+                    let mut rb = init.clone();
+                    parallel::redblack_sweep(&mut rb, 0.4, 0.1, tile, threads);
+                    assert!(
+                        want.logical_eq(&rb),
+                        "redblack fill {f} threads={threads} tile={tile:?} n={n}"
+                    );
+                }
                 let mut res = Array3::with_padding(n, n, n, di, dj);
                 parallel::resid_sweep(&mut res, &b, &v, &Coeffs::MGRID_A, tile, threads);
                 assert!(
