@@ -25,7 +25,7 @@ fn flag_set() -> FlagSet {
 
 fn main() {
     let flags = driver::parse_or_exit(&flag_set());
-    let cfg = SweepConfig::from_flags(&flags);
+    let cfg = driver::or_exit(SweepConfig::from_flags(&flags));
     let csv = flags.switch("--csv");
 
     println!(

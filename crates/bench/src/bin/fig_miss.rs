@@ -41,11 +41,8 @@ fn main() {
             std::process::exit(2);
         }),
     };
-    let cfg = SweepConfig::from_flags(&flags);
-    let opts = SweepOptions::from_flags(&flags).unwrap_or_else(|e| {
-        eprintln!("{e}");
-        std::process::exit(2);
-    });
+    let cfg = driver::or_exit(SweepConfig::from_flags(&flags));
+    let opts = driver::or_exit(SweepOptions::from_flags(&flags));
     let csv = flags.switch("--csv");
     let transforms = Transform::ALL;
 

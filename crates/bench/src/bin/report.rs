@@ -90,10 +90,7 @@ fn main() {
         jobs: flags.usize("--jobs"),
         ..Default::default()
     };
-    let opts = SweepOptions::from_flags(&flags).unwrap_or_else(|e| {
-        eprintln!("{e}");
-        std::process::exit(2);
-    });
+    let opts = driver::or_exit(SweepOptions::from_flags(&flags));
     let mut verdict = SweepReport::default();
     for kernel in Kernel::ALL {
         let (l1, _, modeled, rep) =

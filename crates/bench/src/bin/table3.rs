@@ -38,11 +38,8 @@ fn flag_set() -> FlagSet {
 
 fn main() {
     let flags = driver::parse_or_exit(&flag_set());
-    let cfg = SweepConfig::from_flags(&flags);
-    let opts = SweepOptions::from_flags(&flags).unwrap_or_else(|e| {
-        eprintln!("{e}");
-        std::process::exit(2);
-    });
+    let cfg = driver::or_exit(SweepConfig::from_flags(&flags));
+    let opts = driver::or_exit(SweepOptions::from_flags(&flags));
     let mut verdict = SweepReport::default();
     let with_perf = !flags.switch("--no-perf");
 

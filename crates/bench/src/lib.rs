@@ -15,9 +15,10 @@
 //! | beyond paper | `ablation` | associativity / line size / write policy / ATD sweeps |
 //!
 //! This library holds the shared machinery: one-configuration cache
-//! simulation ([`simulate_misses`]), wall-clock MFlops measurement
-//! ([`measure_mflops`]), the sweep driver ([`run_sweep`]) and plain-text /
-//! CSV table rendering.
+//! simulation ([`simulate`]), wall-clock MFlops measurement
+//! ([`measure_mflops_checked`]), the supervised sweep drivers
+//! ([`run_sweep_supervised`], [`run_miss_sweeps_supervised`]) and
+//! plain-text / CSV table rendering.
 
 #![warn(missing_docs)]
 
@@ -25,7 +26,6 @@ pub mod checkpoint;
 pub mod fault;
 pub mod fuzz;
 pub mod jsonl;
-pub mod microbench;
 pub mod plot;
 pub mod pool;
 pub mod serve;
@@ -44,6 +44,34 @@ use tiling3d_grid::health;
 use tiling3d_obs as obs;
 use tiling3d_obs::flags::{FlagSpec, ParsedFlags};
 use tiling3d_stencil::kernels::Kernel;
+
+/// The smallest grid extent a stencil sweep accepts: every kernel updates
+/// the interior `1..=n-2` of each axis, so a smaller extent has nothing to
+/// compute.
+pub const MIN_EXTENT: usize = 3;
+
+/// Reads the grid-extent flag `flag` (`--n`, `--nk`, `--min`), or
+/// `default` when the command did not declare it, and rejects a missing
+/// value or one below [`MIN_EXTENT`] as a usage error before any work
+/// runs. The one extent check of the sweep drivers
+/// ([`SweepConfig::from_flags`]) and of the `tiling3d` commands.
+///
+/// # Errors
+/// `"<command> requires <flag> >= 3 (got <value>)"`.
+pub fn extent_flag(
+    flags: &ParsedFlags,
+    flag: &str,
+    default: Option<usize>,
+) -> Result<usize, String> {
+    match flags.opt_usize(flag).or(default) {
+        Some(v) if v >= MIN_EXTENT => Ok(v),
+        got => Err(format!(
+            "{} requires {flag} >= {MIN_EXTENT}{}",
+            flags.command(),
+            got.map_or(String::new(), |v| format!(" (got {v})"))
+        )),
+    }
+}
 
 /// Simulation / measurement configuration for one sweep.
 #[derive(Clone, Copy, Debug)]
@@ -101,18 +129,21 @@ impl SweepConfig {
     /// Builds a sweep config from parsed flags, reading whichever of the
     /// shared sweep flags the command declared (undeclared ones keep the
     /// [`SweepConfig::default`] value).
-    pub fn from_flags(flags: &ParsedFlags) -> Self {
+    ///
+    /// # Errors
+    /// Rejects `--min` or `--nk` below [`MIN_EXTENT`] ([`extent_flag`]).
+    pub fn from_flags(flags: &ParsedFlags) -> Result<Self, String> {
         let d = SweepConfig::default();
         let get = |name: &str, fallback: usize| flags.opt_usize(name).unwrap_or(fallback);
-        SweepConfig {
-            n_min: get("--min", d.n_min),
+        Ok(SweepConfig {
+            n_min: extent_flag(flags, "--min", Some(d.n_min))?,
             n_max: get("--max", d.n_max),
             step: get("--step", d.step),
-            nk: get("--nk", d.nk),
+            nk: extent_flag(flags, "--nk", Some(d.nk))?,
             reps: get("--reps", d.reps),
             jobs: get("--jobs", d.jobs),
             ..d
-        }
+        })
     }
 
     /// The `N` values this sweep visits.
@@ -285,7 +316,17 @@ pub struct SimPoint {
     pub l1_pct: f64,
     /// L2 miss rate (percent of total references).
     pub l2_pct: f64,
-    /// Model-derived MFlops (see [`modeled_mflops`]).
+    /// Model-derived MFlops: every access costs one cycle, an L1 miss
+    /// adds `10`, an L2 miss adds `60` (UltraSparc2-era penalties),
+    /// clocked at 360 MHz like the paper's machine.
+    ///
+    /// This regenerates the *shape* of the paper's performance figures
+    /// from the simulated miss profile. Modern hosts (large L3,
+    /// aggressive prefetching) capture 3D-stencil reuse in hardware at
+    /// the paper's problem sizes, so wall-clock measurements there — see
+    /// [`measure_mflops_checked`] — no longer show the 2000-era effect;
+    /// the model restores the paper's machine assumptions.
+    /// EXPERIMENTS.md discusses both columns.
     pub modeled: f64,
     /// Engine throughput while simulating this point.
     pub sim: Throughput,
@@ -508,32 +549,11 @@ pub fn simulate_grid(
     (rows, sg.throughput)
 }
 
-/// L1 and L2 miss rates only (compatibility helper).
-pub fn simulate_misses(cfg: &SweepConfig, kernel: Kernel, t: Transform, n: usize) -> (f64, f64) {
-    let p = simulate(cfg, kernel, t, n);
-    (p.l1_pct, p.l2_pct)
-}
-
-/// One measured data point: sustained MFlops of the kernel under the given
-/// transformation (best of `cfg.reps` timed sweeps after one warm-up).
-pub fn measure_mflops(cfg: &SweepConfig, kernel: Kernel, t: Transform, n: usize) -> f64 {
-    let p = plan_for(cfg, kernel, t, n);
-    let mut state = kernel.make_state(n, cfg.nk, &p, 0x5EED);
-    kernel.run(&mut state, p.tile); // warm-up (and page-in)
-    let flops = kernel.sweep_flops(n, cfg.nk) as f64;
-    let mut best = f64::INFINITY;
-    for _ in 0..cfg.reps.max(1) {
-        let t0 = Instant::now();
-        kernel.run(&mut state, p.tile);
-        best = best.min(t0.elapsed().as_secs_f64());
-    }
-    flops / best / 1e6
-}
-
-/// Like [`measure_mflops`] but running the K-slab parallel sweeps
+/// Sustained MFlops of the K-slab parallel sweeps
 /// ([`tiling3d_stencil::parallel`]) across `threads` workers (`0` = one
-/// per available core). Results are bitwise identical to the sequential
-/// sweep for every thread count, so this measures pure scaling.
+/// per available core): best of `cfg.reps` timed sweeps after one
+/// warm-up. Results are bitwise identical to the sequential sweep for
+/// every thread count, so this measures pure scaling.
 pub fn measure_mflops_parallel(
     cfg: &SweepConfig,
     kernel: Kernel,
@@ -555,8 +575,10 @@ pub fn measure_mflops_parallel(
     flops / best / 1e6
 }
 
-/// Like [`measure_mflops`] but with the numerical sentinel: after the
-/// warm-up sweep the kernel's output grid is scanned for NaN/Inf
+/// One measured data point: sustained MFlops of the kernel under the
+/// given transformation (best of `cfg.reps` timed sweeps after one
+/// warm-up), with the numerical sentinel: after the warm-up sweep the
+/// kernel's output grid is scanned for NaN/Inf
 /// ([`tiling3d_grid::health::scan`]) and a poisoned grid surfaces as
 /// [`SweepError::Unhealthy`] instead of silently contaminating the
 /// figure. `fault` (chaos harness only) may plant a NaN write first.
@@ -588,21 +610,6 @@ pub fn measure_mflops_checked(
         best = best.min(t0.elapsed().as_secs_f64());
     }
     Ok(flops / best / 1e6)
-}
-
-/// Model-derived MFlops from a cache simulation: every access costs one
-/// cycle, an L1 miss adds `10`, an L2 miss adds `60` (UltraSparc2-era
-/// penalties), clocked at 360 MHz like the paper's machine.
-///
-/// This regenerates the *shape* of the paper's performance figures from
-/// the simulated miss profile. Modern hosts (large L3, aggressive
-/// prefetching) capture 3D-stencil reuse in hardware at the paper's
-/// problem sizes, so raw wall-clock measurements there — see
-/// [`measure_mflops`] — no longer show the 2000-era effect; the model
-/// restores the paper's machine assumptions. EXPERIMENTS.md discusses
-/// both columns.
-pub fn modeled_mflops(cfg: &SweepConfig, kernel: Kernel, t: Transform, n: usize) -> f64 {
-    simulate(cfg, kernel, t, n).modeled
 }
 
 /// A full sweep of one metric over sizes x transforms.
@@ -689,7 +696,7 @@ impl SweepResult {
     }
 }
 
-/// Which metric [`run_sweep`] collects.
+/// Which metric [`run_sweep_supervised`] collects.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Metric {
     /// Simulated L1 miss rate (percent).
@@ -698,7 +705,7 @@ pub enum Metric {
     L2MissRate,
     /// Measured MFlops.
     MFlops,
-    /// Model-derived MFlops (see [`modeled_mflops`]).
+    /// Model-derived MFlops (see [`SimPoint::modeled`]).
     ModeledMFlops,
 }
 
@@ -707,8 +714,10 @@ pub enum Metric {
 /// [`SweepResult::means`].
 const FAILED_POINT: f64 = f64::NAN;
 
-/// Supervised [`run_sweep`]: one bad point degrades to a `-` cell and an
-/// entry in the returned [`SweepReport`] instead of aborting the sweep.
+/// Runs a metric sweep for one kernel over the configured sizes and the
+/// given transforms, with a progress line per size on stderr. One bad
+/// point degrades to a `-` cell and an entry in the returned
+/// [`SweepReport`] instead of aborting the sweep.
 /// Simulation metrics run on the pool under the policy; wall-clock MFlops
 /// stay sequential (so concurrent workers can't perturb timings) but each
 /// point is still panic-isolated, retried, deadline-checked, and
@@ -809,27 +818,9 @@ pub fn run_sweep_supervised(
     ))
 }
 
-/// Runs a metric sweep for one kernel over the configured sizes and the
-/// given transforms, with a progress line per size on stderr. Fail-fast
-/// wrapper over [`run_sweep_supervised`].
-///
-/// # Panics
-/// Panics if any point fails terminally.
-pub fn run_sweep(
-    cfg: &SweepConfig,
-    kernel: Kernel,
-    transforms: &[Transform],
-    metric: Metric,
-) -> SweepResult {
-    let (result, report) =
-        run_sweep_supervised(cfg, kernel, transforms, metric, &SweepOptions::default())
-            .unwrap_or_else(|e| panic!("sweep setup failed: {e}"));
-    assert!(report.is_ok(), "{}", report.summary());
-    result
-}
-
-/// Supervised [`run_miss_sweeps`]: the L1 / L2 / modeled-MFlops sweeps
-/// from one simulation pass, plus the failure report (failed points
+/// Runs the L1 / L2 / modeled-MFlops sweeps from one simulation pass (one
+/// simulation per configuration instead of three) — used by `table3`,
+/// `fig_miss` and `report` — plus the failure report (failed points
 /// render as `-` in all three tables).
 ///
 /// # Errors
@@ -875,24 +866,6 @@ pub fn run_miss_sweeps_supervised(
     ))
 }
 
-/// Runs the L1 and L2 miss-rate sweeps together (one simulation per
-/// configuration instead of two) — used by `table3` and `fig_miss --l2`.
-/// Fail-fast wrapper over [`run_miss_sweeps_supervised`].
-///
-/// # Panics
-/// Panics if any point fails terminally.
-pub fn run_miss_sweeps(
-    cfg: &SweepConfig,
-    kernel: Kernel,
-    transforms: &[Transform],
-) -> (SweepResult, SweepResult, SweepResult) {
-    let (r1, r2, r3, report) =
-        run_miss_sweeps_supervised(cfg, kernel, transforms, &SweepOptions::default())
-            .unwrap_or_else(|e| panic!("sweep setup failed: {e}"));
-    assert!(report.is_ok(), "{}", report.summary());
-    (r1, r2, r3)
-}
-
 /// Shared driver plumbing: every bench binary parses its command line
 /// through a [`FlagSet`](tiling3d_obs::flags::FlagSet) built from
 /// [`SweepConfig::FLAGS`] plus its own extras, then initialises the
@@ -906,13 +879,17 @@ pub mod driver {
     /// initialises the observability layer from the obs flags.
     pub fn parse_or_exit(set: &FlagSet) -> ParsedFlags {
         let raw: Vec<String> = std::env::args().skip(1).collect();
-        match parse_and_init(set, &raw) {
-            Ok(flags) => flags,
-            Err(e) => {
-                eprintln!("{e}");
-                std::process::exit(2);
-            }
-        }
+        or_exit(parse_and_init(set, &raw))
+    }
+
+    /// Unwraps a set-up result built from the flags; on error prints the
+    /// message and exits with status 2 (a usage error), before any work
+    /// runs.
+    pub fn or_exit<T>(r: Result<T, String>) -> T {
+        r.unwrap_or_else(|e| {
+            eprintln!("{e}");
+            std::process::exit(2);
+        })
     }
 
     /// Non-exiting core of [`parse_or_exit`], for tests.
@@ -967,7 +944,8 @@ mod tests {
     fn simulate_misses_returns_rates_in_range() {
         let cfg = small_cfg();
         for t in [Transform::Orig, Transform::GcdPad] {
-            let (l1, l2) = simulate_misses(&cfg, Kernel::Jacobi, t, 64);
+            let p = simulate(&cfg, Kernel::Jacobi, t, 64);
+            let (l1, l2) = (p.l1_pct, p.l2_pct);
             assert!((0.0..=100.0).contains(&l1));
             assert!((0.0..=100.0).contains(&l2));
             assert!(l2 <= l1 + 1e-9, "L2 global rate cannot exceed L1 rate");
@@ -977,7 +955,7 @@ mod tests {
     #[test]
     fn measure_mflops_is_positive() {
         let cfg = small_cfg();
-        let m = measure_mflops(&cfg, Kernel::Jacobi, Transform::Orig, 64);
+        let m = measure_mflops_checked(&cfg, Kernel::Jacobi, Transform::Orig, 64, None).unwrap();
         assert!(m > 0.0);
     }
 
@@ -1004,7 +982,7 @@ mod tests {
             .map(ToString::to_string)
             .collect();
         let flags = set.parse(&args).unwrap();
-        let cfg = SweepConfig::from_flags(&flags);
+        let cfg = SweepConfig::from_flags(&flags).unwrap();
         assert_eq!(cfg.n_min, 400);
         assert_eq!(cfg.n_max, 400); // declared default
         assert_eq!(cfg.nk, 30);
@@ -1017,10 +995,27 @@ mod tests {
         // keeps defaults for the rest.
         let tiny = FlagSet::new("t", "", None, &[FlagSpec::usize("--nk", Some("30"), "")]);
         let cfg =
-            SweepConfig::from_flags(&tiny.parse(&["--nk".to_string(), "12".to_string()]).unwrap());
+            SweepConfig::from_flags(&tiny.parse(&["--nk".to_string(), "12".to_string()]).unwrap())
+                .unwrap();
         assert_eq!(cfg.nk, 12);
         assert_eq!(cfg.n_min, SweepConfig::default().n_min);
         // Unknown flags are hard errors now.
         assert!(set.parse(&["--bogus".to_string()]).is_err());
+    }
+
+    #[test]
+    fn sweep_config_rejects_extents_below_three() {
+        use tiling3d_obs::flags::FlagSet;
+        let set = FlagSet::new("demo", "demo driver", None, SweepConfig::FLAGS);
+        let from = |args: &[&str]| {
+            let raw: Vec<String> = args.iter().map(ToString::to_string).collect();
+            SweepConfig::from_flags(&set.parse(&raw).unwrap())
+        };
+        for (flag, args) in [("--min", ["--min", "2"]), ("--nk", ["--nk", "2"])] {
+            let err = from(&args).unwrap_err();
+            assert!(err.contains(flag), "{err}");
+            assert!(err.contains("demo requires"), "{err}");
+        }
+        assert_eq!(from(&["--nk", "3"]).unwrap().nk, 3);
     }
 }

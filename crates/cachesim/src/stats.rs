@@ -99,8 +99,9 @@ impl AccessStats {
 /// Simulation throughput: accesses replayed against wall time.
 ///
 /// The harness accumulates one of these per sweep so every driver can
-/// report how fast the engine is actually running (the quantity the
-/// `cachesim` bench tracks across PRs in `BENCH_cachesim.json`).
+/// report how fast the engine is actually running. The end-to-end
+/// benchmark's `figure` workload reports the same quantity as
+/// `cachesim_macc_per_s`.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct Throughput {
     /// Accesses simulated.

@@ -119,8 +119,8 @@ use std::sync::Arc;
 use tiling3d_bench::fault::{FaultKind, FaultMode, FaultPlan};
 use tiling3d_bench::serve::{self, ServeConfig, ServeLimits};
 use tiling3d_bench::{
-    checkpoint, simulate_grid, simulate_grid_supervised, supervise, SimPoint, SimPool, SweepConfig,
-    SweepError, SweepOptions,
+    checkpoint, extent_flag, simulate_grid, simulate_grid_supervised, supervise, SimPoint, SimPool,
+    SweepConfig, SweepError, SweepOptions,
 };
 use tiling3d_cachesim::{AccessSink, CacheConfig, Hierarchy, MmuHierarchy, Tlb};
 use tiling3d_core::api::{
@@ -323,6 +323,15 @@ fn request_jobs(flags: &ParsedFlags, steps: usize) -> usize {
     } else {
         1
     }
+}
+
+/// The `--n` and `--nk` extents of a command that models, traces or runs
+/// a sweep, each through the one extent check ([`extent_flag`]).
+fn sweep_extents(flags: &ParsedFlags) -> Result<(usize, usize), String> {
+    Ok((
+        extent_flag(flags, "--n", None)?,
+        extent_flag(flags, "--nk", None)?,
+    ))
 }
 
 fn cache_spec(flags: &ParsedFlags) -> CacheSpec {
@@ -634,11 +643,7 @@ fn simulate_flags() -> FlagSet {
 
 fn cmd_simulate(flags: &ParsedFlags) -> Result<String, String> {
     let kernel = kernel(flags)?;
-    let n = flags.try_usize("--n").unwrap_or(0);
-    if n < 3 {
-        return Err("simulate requires --n >= 3".into());
-    }
-    let nk = flags.usize("--nk");
+    let (n, nk) = sweep_extents(flags)?;
     let cache = cache_spec(flags);
     let l1 = CacheConfig::direct_mapped(cache.elements * 8, flags.usize("--line"));
     l1.validate()
@@ -913,11 +918,7 @@ fn predict_flags() -> FlagSet {
 
 fn cmd_predict(flags: &ParsedFlags) -> Result<String, String> {
     let kernel = kernel(flags)?;
-    let n = flags.try_usize("--n").unwrap_or(0);
-    if n < 3 {
-        return Err("predict requires --n >= 3".into());
-    }
-    let nk = flags.usize("--nk");
+    let (n, nk) = sweep_extents(flags)?;
     let cache = cache_spec(flags);
     let line = flags.usize("--line") / 8;
     let spec = match kernel {
@@ -1042,10 +1043,7 @@ fn cmd_analyze(flags: &ParsedFlags) -> Result<String, String> {
         return analyze_locality(flags);
     }
     let stencil = req_kernel(flags)?;
-    let n = flags.usize("--n");
-    if n < 3 {
-        return Err("analyze requires --n >= 3".into());
-    }
+    let n = extent_flag(flags, "--n", None)?;
     let req = PlanRequest {
         query: PlanQuery::Legality {
             skewed: !flags.switch("--no-skew"),
@@ -1259,17 +1257,14 @@ fn requested_transforms(flags: &ParsedFlags) -> Result<Vec<Transform>, String> {
 /// lower bound, and every typed conflict witness. No trace is replayed.
 fn analyze_locality(flags: &ParsedFlags) -> Result<String, String> {
     let stencil = req_kernel(flags)?;
-    let n = flags.usize("--n");
-    if n < 3 {
-        return Err("analyze requires --n >= 3".into());
-    }
+    let (n, nk) = sweep_extents(flags)?;
     let geometry: GeometryPreset = flags.parse_str("--geometry")?;
     let req = PlanRequest {
         query: PlanQuery::Locality { geometry },
         stencil,
         di: n,
         dj: n,
-        nk: flags.usize("--nk"),
+        nk,
         cache: cache_spec(flags),
         transforms: transform_sel(flags)?,
         steps: 0,
@@ -1408,11 +1403,7 @@ fn oracle_flags() -> FlagSet {
 /// exits non-zero (the CI oracle gate).
 fn cmd_oracle(flags: &ParsedFlags) -> Result<String, String> {
     let kernel = kernel(flags)?;
-    let n = flags.usize("--n");
-    if n < 3 {
-        return Err("oracle requires --n >= 3".into());
-    }
-    let nk = flags.usize("--nk");
+    let (n, nk) = sweep_extents(flags)?;
     let cache = cache_spec(flags);
     let g = analysis_geometry(flags)?;
     let transforms = requested_transforms(flags)?;
@@ -1561,16 +1552,13 @@ fn measure_flags() -> FlagSet {
 /// engine, so any divergence is an `Err`, not a warning).
 fn cmd_measure(flags: &ParsedFlags) -> Result<String, String> {
     let kernel = kernel(flags)?;
-    let n = flags.usize("--n");
-    if n < 3 {
-        return Err("measure requires --n >= 3".into());
-    }
+    let (n, nk) = sweep_extents(flags)?;
     let t: Transform = flags.str("--transform").parse()?;
     let cfg = SweepConfig {
         n_min: n,
         n_max: n,
         step: 1,
-        nk: flags.usize("--nk"),
+        nk,
         reps: flags.usize("--reps").max(1),
         jobs: flags.usize("--jobs"),
         ..SweepConfig::default()
@@ -1670,10 +1658,7 @@ fn profile_flags() -> FlagSet {
 /// JSONL events; `--jobs N` shows the per-worker `SimPool` spans.
 fn cmd_profile(flags: &ParsedFlags) -> Result<String, String> {
     let kernel = kernel(flags)?;
-    let n = flags.usize("--n");
-    if n < 3 {
-        return Err("profile requires --n >= 3".into());
-    }
+    let (n, nk) = sweep_extents(flags)?;
     let steps = flags.usize("--steps");
     let tkern = if steps > 0 {
         Some(temporal_kernel(kernel)?)
@@ -1687,7 +1672,7 @@ fn cmd_profile(flags: &ParsedFlags) -> Result<String, String> {
         n_min: n,
         n_max: n,
         step: 1,
-        nk: flags.usize("--nk"),
+        nk,
         jobs: flags.usize("--jobs"),
         ..SweepConfig::default()
     };
@@ -1904,15 +1889,15 @@ fn cmd_chaos(flags: &ParsedFlags) -> Result<String, String> {
     }
     let kernel = kernel(flags)?;
     let cfg = SweepConfig {
-        n_min: flags.usize("--min"),
+        n_min: extent_flag(flags, "--min", None)?,
         n_max: flags.usize("--max"),
         step: flags.usize("--step").max(1),
-        nk: flags.usize("--nk"),
+        nk: extent_flag(flags, "--nk", None)?,
         jobs: flags.usize("--jobs"),
         ..SweepConfig::default()
     };
-    if cfg.n_min < 3 || cfg.n_max < cfg.n_min {
-        return Err("chaos requires 3 <= --min <= --max".into());
+    if cfg.n_max < cfg.n_min {
+        return Err("chaos requires --min <= --max".into());
     }
     let seed = flags.usize("--seed") as u64;
     let faults = flags.usize("--faults").max(1);
@@ -2804,6 +2789,20 @@ mod tests {
             ] {
                 assert!(out.contains(label), "missing campaign {label}:\n{out}");
             }
+        }
+    }
+
+    #[test]
+    fn sweep_commands_reject_an_extent_below_three_naming_the_flag() {
+        for cmd in [
+            "measure --kernel jacobi --n 8 --nk 2",
+            "profile --kernel jacobi --n 8 --nk 2",
+            "oracle --kernel jacobi --n 8 --nk 2",
+            "simulate --kernel jacobi --n 8 --nk 2",
+            "chaos --kernel jacobi --nk 2",
+        ] {
+            let err = run_line(cmd).expect_err(cmd);
+            assert!(err.contains("requires --nk >= 3"), "`{cmd}`: {err}");
         }
     }
 

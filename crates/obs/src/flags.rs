@@ -283,6 +283,11 @@ impl ParsedFlags {
             .or(spec.default)
     }
 
+    /// The command these flags were parsed for (its [`FlagSet::name`]).
+    pub fn command(&self) -> &'static str {
+        self.set.name
+    }
+
     /// The positional argument, if one was declared and given.
     pub fn positional(&self) -> Option<&str> {
         self.positional.as_deref()

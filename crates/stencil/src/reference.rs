@@ -14,8 +14,10 @@
 //!   the original kernels, so the engine's golden tests can require
 //!   **bitwise** equality.
 //!
-//! The benchmark baseline (`--bench stencil`) times these against the
-//! engine; they are deliberately *not* `#[cfg(test)]`-gated.
+//! They are deliberately *not* `#[cfg(test)]`-gated: the end-to-end
+//! benchmark's `sweep` workload checks every arm against them before
+//! timing, and other crates' tests (the stencil golden gates, the
+//! multigrid `row_golden` suite) call them as the specification.
 
 use tiling3d_grid::{Array2, Array3};
 use tiling3d_loopnest::{for_each_rows, for_each_tiled_rows, IterSpace, TileDims};
