@@ -149,6 +149,31 @@ fn warm_start_survives_a_kill_and_restart_byte_exactly() {
     std::fs::remove_file(&warm).ok();
 }
 
+/// A zero cache and a locality query with no interior plane (`nk < 3`)
+/// are client errors: typed `bad_request` replies, neither memoized nor
+/// appended to the warm-start file.
+#[test]
+fn unusable_cache_and_thin_locality_requests_are_rejected_uncached() {
+    let warm = tmp("reject-warm.jsonl");
+    std::fs::remove_file(&warm).ok();
+    let svc = PlanService::open(2, Some(&warm), false).unwrap();
+    for line in [
+        r#"{"query":"plan","stencil":"jacobi3d","n":200,"cache_kb":0}"#,
+        r#"{"query":"locality","kernel":"jacobi","n":48,"nk":2}"#,
+    ] {
+        let reply = svc.handle_line(line).reply().to_string();
+        assert!(
+            reply.starts_with(r#"{"ev":"error","code":"bad_request""#),
+            "{line}: {reply}"
+        );
+        assert_eq!(svc.entries(), 0, "{line}: the reply was memoized");
+    }
+    drop(svc);
+    let resumed = PlanService::open(2, Some(&warm), true).unwrap();
+    assert_eq!(resumed.entries(), 0, "a rejected reply was persisted");
+    std::fs::remove_file(&warm).ok();
+}
+
 #[test]
 fn warm_start_tolerates_a_torn_tail() {
     let warm = tmp("torn.jsonl");

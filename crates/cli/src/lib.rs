@@ -122,14 +122,15 @@ use tiling3d_bench::{
     checkpoint, extent_flag, simulate_grid, simulate_grid_supervised, supervise, SimPoint, SimPool,
     SweepConfig, SweepError, SweepOptions,
 };
-use tiling3d_cachesim::{AccessSink, CacheConfig, Hierarchy, MmuHierarchy, Tlb};
+use tiling3d_cachesim::{
+    AccessSink, CacheConfig, Hierarchy, MmuHierarchy, ReplacementPolicy, Tlb, WritePolicy,
+};
 use tiling3d_core::api::{
     respond, GeometryPreset, PlanQuery, PlanRequest, PlanResponse, ReqStencil, TransformSel,
 };
 use tiling3d_core::nonconflict::enumerate_array_tiles;
-use tiling3d_core::predict::{predict_tiled, predict_untiled, SweepSpec};
 use tiling3d_core::{
-    lower_bound_misses, plan, plan_temporal, predict_level, CacheSpec, KernelModel, LevelGeometry,
+    histogram, lower_bound_misses, plan, plan_temporal, CacheSpec, KernelModel, LevelGeometry,
     PlanSchedule, Problem, TemporalKernel, Transform,
 };
 use tiling3d_grid::{fill_random, Array3};
@@ -334,8 +335,40 @@ fn sweep_extents(flags: &ParsedFlags) -> Result<(usize, usize), String> {
     ))
 }
 
-fn cache_spec(flags: &ParsedFlags) -> CacheSpec {
-    CacheSpec::from_bytes(flags.usize("--cache-kb") * 1024)
+/// The `--cache-kb` capacity: the one check that it is a cache the
+/// planner can use (a zero capacity has no tile and no reuse).
+fn cache_spec(flags: &ParsedFlags) -> Result<CacheSpec, String> {
+    match flags.usize("--cache-kb") {
+        0 => Err(format!(
+            "{} requires --cache-kb >= 1 (got 0)",
+            flags.command()
+        )),
+        kb => Ok(CacheSpec::from_bytes(kb * 1024)),
+    }
+}
+
+/// Rejects an L1 that `--cache-kb` and `--line` describe but the
+/// simulator cannot build.
+fn checked_l1(l1: CacheConfig) -> Result<CacheConfig, String> {
+    l1.validate()
+        .map_err(|e| format!("bad cache geometry from --cache-kb/--line: {e}"))?;
+    Ok(l1)
+}
+
+/// The simulator's view of a static-model level: same capacity, line,
+/// associativity and write policy, LRU within a set.
+fn cache_config(level: &LevelGeometry) -> CacheConfig {
+    CacheConfig {
+        size_bytes: level.size_bytes,
+        line_bytes: level.line_bytes,
+        ways: level.ways,
+        write_policy: if level.write_allocate {
+            WritePolicy::WriteAllocate
+        } else {
+            WritePolicy::WriteAround
+        },
+        replacement: ReplacementPolicy::Lru,
+    }
 }
 
 /// The iterated-kernel counterpart of a runnable kernel, for the
@@ -398,7 +431,7 @@ fn cmd_plan(flags: &ParsedFlags) -> Result<String, String> {
         di,
         dj,
         nk: 0,
-        cache: cache_spec(flags),
+        cache: cache_spec(flags)?,
         transforms: TransformSel::All,
         steps,
         jobs: request_jobs(flags, steps),
@@ -488,6 +521,9 @@ fn cmd_tiles(flags: &ParsedFlags) -> Result<String, String> {
     let di = flags.usize("--di");
     let dj = flags.try_usize("--dj").unwrap_or(di);
     let cache = flags.usize("--cache");
+    if cache == 0 {
+        return Err(format!("{} requires --cache >= 1 (got 0)", flags.command()));
+    }
     let tkmax = flags.usize("--tkmax");
     let tiles = enumerate_array_tiles(cache, di, dj, tkmax);
     if json_format(flags)? {
@@ -549,7 +585,7 @@ fn cmd_advise(flags: &ParsedFlags) -> Result<String, String> {
         di: n,
         dj: n,
         nk: 0,
-        cache: cache_spec(flags),
+        cache: cache_spec(flags)?,
         transforms: TransformSel::All,
         steps,
         jobs: request_jobs(flags, steps),
@@ -644,10 +680,11 @@ fn simulate_flags() -> FlagSet {
 fn cmd_simulate(flags: &ParsedFlags) -> Result<String, String> {
     let kernel = kernel(flags)?;
     let (n, nk) = sweep_extents(flags)?;
-    let cache = cache_spec(flags);
-    let l1 = CacheConfig::direct_mapped(cache.elements * 8, flags.usize("--line"));
-    l1.validate()
-        .map_err(|e| format!("bad cache geometry: {e}"))?;
+    let cache = cache_spec(flags)?;
+    let l1 = checked_l1(CacheConfig::direct_mapped(
+        cache.elements * 8,
+        flags.usize("--line"),
+    ))?;
     if flags.usize("--steps") > 0 {
         if flags.switch("--tlb") {
             return Err("simulate: --tlb does not combine with --steps (temporal mode)".into());
@@ -916,28 +953,41 @@ fn predict_flags() -> FlagSet {
     )
 }
 
+/// `predict`: the static miss model's fully-associative histogram
+/// ([`histogram`]) evaluated at the cache's capacity. The level must be
+/// one `simulate` accepts, with lines of at least one double.
 fn cmd_predict(flags: &ParsedFlags) -> Result<String, String> {
     let kernel = kernel(flags)?;
     let (n, nk) = sweep_extents(flags)?;
-    let cache = cache_spec(flags);
-    let line = flags.usize("--line") / 8;
-    let spec = match kernel {
-        Kernel::Jacobi => SweepSpec::jacobi3d(),
-        Kernel::RedBlack => SweepSpec::redblack_naive(),
-        Kernel::Resid => SweepSpec::resid(),
+    let cache = cache_spec(flags)?;
+    let line = flags.usize("--line");
+    if line < 8 {
+        return Err(format!(
+            "{} requires --line >= 8 (got {line})",
+            flags.command()
+        ));
+    }
+    let level = LevelGeometry::fully_associative(cache.elements * 8, line);
+    checked_l1(cache_config(&level))?;
+    let model = match kernel {
+        Kernel::Jacobi => KernelModel::jacobi3d(),
+        Kernel::RedBlack => KernelModel::redblack_naive(),
+        Kernel::Resid => KernelModel::resid(),
     };
-    let pr = match flags.try_pair("--tile") {
-        None => predict_untiled(cache, line, &spec, n, nk, n, n),
-        Some((ti, tj)) => predict_tiled(cache, line, &spec, n, nk, ti, tj),
+    let sched = match flags.try_pair("--tile") {
+        None => PlanSchedule::Untiled,
+        Some((ti, tj)) => PlanSchedule::Tiled { ti, tj },
     };
+    let h = histogram(&model, sched, &Problem::cube(n, nk), &level);
+    let capacity = cache.elements as f64;
     Ok(format!(
         "analytic prediction for {} {n}x{n}x{nk} (conflict-free {}-double cache):\n\
          {:.0} misses / {:.0} accesses = {:.2}% miss rate\n",
         kernel.name(),
         cache.elements,
-        pr.misses,
-        pr.accesses,
-        pr.miss_rate_pct,
+        h.misses_at(capacity),
+        h.accesses,
+        h.miss_rate_pct_at(capacity),
     ))
 }
 
@@ -992,7 +1042,7 @@ fn analyze_temporal(flags: &ParsedFlags) -> Result<String, String> {
         di: 0,
         dj: 0,
         nk: 0,
-        cache: cache_spec(flags),
+        cache: cache_spec(flags)?,
         transforms: TransformSel::All,
         steps: 0,
         jobs: 1,
@@ -1052,7 +1102,7 @@ fn cmd_analyze(flags: &ParsedFlags) -> Result<String, String> {
         di: n,
         dj: n,
         nk: 0,
-        cache: cache_spec(flags),
+        cache: cache_spec(flags)?,
         transforms: transform_sel(flags)?,
         steps: 0,
         jobs: 1,
@@ -1115,139 +1165,43 @@ const GEOMETRY_FLAG: FlagSpec = FlagSpec::str(
     "cache geometry for locality analysis: us2|modern|fa",
 );
 
-/// One analysed memory system: the simulator configs plus the static
-/// model's view of the same two levels.
-struct AnalysisGeometry {
-    name: &'static str,
-    l1_cfg: CacheConfig,
-    l2_cfg: CacheConfig,
-    l1: LevelGeometry,
-    l2: LevelGeometry,
-}
-
-fn analysis_geometry(flags: &ParsedFlags) -> Result<AnalysisGeometry, String> {
-    use tiling3d_cachesim::{ReplacementPolicy, WritePolicy};
-    match flags.str("--geometry") {
-        "us2" => Ok(AnalysisGeometry {
-            name: "us2",
-            l1_cfg: CacheConfig::ULTRASPARC2_L1,
-            l2_cfg: CacheConfig::ULTRASPARC2_L2,
-            l1: LevelGeometry::ultrasparc2_l1(),
-            l2: LevelGeometry::ultrasparc2_l2(),
-        }),
-        "modern" => Ok(AnalysisGeometry {
-            name: "modern",
-            l1_cfg: CacheConfig {
-                size_bytes: 32 * 1024,
-                line_bytes: 64,
-                ways: 8,
-                write_policy: WritePolicy::WriteAllocate,
-                replacement: ReplacementPolicy::Lru,
-            },
-            l2_cfg: CacheConfig {
-                size_bytes: 1024 * 1024,
-                line_bytes: 64,
-                ways: 8,
-                write_policy: WritePolicy::WriteAllocate,
-                replacement: ReplacementPolicy::Lru,
-            },
-            l1: LevelGeometry::modern_l1(),
-            l2: LevelGeometry::modern_l2(),
-        }),
-        "fa" => Ok(AnalysisGeometry {
-            name: "fa",
-            l1_cfg: CacheConfig {
-                size_bytes: 16 * 1024,
-                line_bytes: 32,
-                ways: 512,
-                write_policy: WritePolicy::WriteAround,
-                replacement: ReplacementPolicy::Lru,
-            },
-            l2_cfg: CacheConfig::ULTRASPARC2_L2,
-            l1: LevelGeometry::fa_16k(),
-            l2: LevelGeometry::ultrasparc2_l2(),
-        }),
-        other => Err(format!(
-            "--geometry: unknown geometry '{other}' (expected us2, modern or fa)"
-        )),
-    }
-}
-
-/// One kernel × transform cell as the static model sees it. Red-black
-/// realises its locality transformation as the *fused* schedule (Fig 12)
-/// rather than the skewed tile: the skewed-tiled working set sits exactly
-/// on the capacity boundary by construction, where a static hit/miss
-/// classifier is not meaningful (DESIGN.md §15).
-struct LocalityCell {
-    model: KernelModel,
-    sched: PlanSchedule,
-    prob: Problem,
-    tile: Option<(usize, usize)>,
-}
-
-fn locality_cell(
+/// Replays the exact trace a locality row models (the oracle's simulated
+/// leg). Red-black realises its locality transformation as the *fused*
+/// schedule (Fig 12) rather than the skewed tile, so its rows run untiled
+/// (DESIGN.md §15).
+fn replay_row<S: AccessSink>(
     kernel: Kernel,
-    t: Transform,
-    cache: CacheSpec,
-    n: usize,
-    nk: usize,
-) -> LocalityCell {
-    let p = plan(t, cache, n, n, &kernel.shape());
-    let tile = if kernel == Kernel::RedBlack {
-        None
+    model: &KernelModel,
+    prob: &Problem,
+    tile: Option<(usize, usize)>,
+    sink: &mut S,
+) {
+    let Problem { n, nk, di, dj } = *prob;
+    if model.fused3d {
+        let fused = tiling3d_stencil::redblack::Schedule::Fused;
+        tiling3d_stencil::redblack::trace(n, nk, di, dj, fused, sink);
     } else {
-        p.tile
-    };
-    let sched = match tile {
-        Some((ti, tj)) => PlanSchedule::Tiled { ti, tj },
-        None => PlanSchedule::Untiled,
-    };
-    let model = match kernel {
-        Kernel::Jacobi => KernelModel::jacobi3d(),
-        Kernel::RedBlack if t == Transform::Orig => KernelModel::redblack_naive(),
-        Kernel::RedBlack => KernelModel::redblack_fused(),
-        Kernel::Resid => KernelModel::resid(),
-    };
-    LocalityCell {
-        model,
-        sched,
-        prob: Problem {
-            n,
-            nk,
-            di: p.padded_di,
-            dj: p.padded_dj,
-        },
-        tile,
+        kernel.trace(n, nk, di, dj, tile, sink);
     }
 }
 
-/// Replays the exact trace the cell models (the oracle's simulated leg).
-fn replay_cell<S: AccessSink>(kernel: Kernel, cell: &LocalityCell, sink: &mut S) {
-    use tiling3d_stencil::redblack;
-    let Problem { n, nk, di, dj } = cell.prob;
-    let tile = cell
-        .tile
-        .map(|(ti, tj)| tiling3d_loopnest::TileDims::new(ti, tj));
-    match kernel {
-        Kernel::Jacobi => tiling3d_stencil::jacobi3d::trace(n, n, nk, di, dj, tile, sink),
-        Kernel::RedBlack => {
-            let sched = if cell.model.fused3d {
-                redblack::Schedule::Fused
-            } else {
-                redblack::Schedule::Naive
-            };
-            redblack::trace(n, nk, di, dj, sched, sink);
-        }
-        Kernel::Resid => tiling3d_stencil::resid::trace(n, n, nk, di, dj, tile, sink),
-    }
-}
-
-fn requested_transforms(flags: &ParsedFlags) -> Result<Vec<Transform>, String> {
-    match flags.try_str("--transform") {
-        None => Ok(Transform::ALL.to_vec()),
-        Some(t) if t.eq_ignore_ascii_case("all") => Ok(Transform::ALL.to_vec()),
-        Some(t) => Ok(vec![t.parse()?]),
-    }
+/// The locality request behind `analyze --locality` and `oracle`: the
+/// preset named by `--geometry`, at `--n` x `--n` x `--nk`.
+fn locality_request(flags: &ParsedFlags) -> Result<PlanRequest, String> {
+    let stencil = req_kernel(flags)?;
+    let (n, nk) = sweep_extents(flags)?;
+    let geometry: GeometryPreset = flags.parse_str("--geometry")?;
+    Ok(PlanRequest {
+        query: PlanQuery::Locality { geometry },
+        stencil,
+        di: n,
+        dj: n,
+        nk,
+        cache: cache_spec(flags)?,
+        transforms: transform_sel(flags)?,
+        steps: 0,
+        jobs: 1,
+    })
 }
 
 /// `analyze --locality`: the purely static locality analyzer. For each
@@ -1256,21 +1210,7 @@ fn requested_transforms(flags: &ParsedFlags) -> Result<Vec<Transform>, String> {
 /// predictions with conflict-interference corrections, the analytic
 /// lower bound, and every typed conflict witness. No trace is replayed.
 fn analyze_locality(flags: &ParsedFlags) -> Result<String, String> {
-    let stencil = req_kernel(flags)?;
-    let (n, nk) = sweep_extents(flags)?;
-    let geometry: GeometryPreset = flags.parse_str("--geometry")?;
-    let req = PlanRequest {
-        query: PlanQuery::Locality { geometry },
-        stencil,
-        di: n,
-        dj: n,
-        nk,
-        cache: cache_spec(flags),
-        transforms: transform_sel(flags)?,
-        steps: 0,
-        jobs: 1,
-    };
-    let resp = respond(&req)?;
+    let resp = respond(&locality_request(flags)?)?;
     if json_format(flags)? {
         return Ok(format!("{}\n", resp.render()));
     }
@@ -1396,17 +1336,19 @@ fn oracle_flags() -> FlagSet {
 }
 
 /// `oracle`: the three-way cross-validation table. For each transform it
-/// replays the exact kernel trace through the simulator *and* runs the
-/// static model, printing `simulated / predicted / bound` per cache
-/// level. The analytic lower bound holds for any replacement policy, so
-/// `bound <= simulated` is asserted here — a violation is a model bug and
-/// exits non-zero (the CI oracle gate).
+/// replays the exact kernel trace through the simulator next to the
+/// plans and per-level predictions of the locality query, printing
+/// `simulated / predicted / bound` per cache level. The analytic lower
+/// bound holds for any replacement policy, so `bound <= simulated` is
+/// asserted here — a violation is a model bug and exits non-zero (the CI
+/// oracle gate).
 fn cmd_oracle(flags: &ParsedFlags) -> Result<String, String> {
     let kernel = kernel(flags)?;
-    let (n, nk) = sweep_extents(flags)?;
-    let cache = cache_spec(flags);
-    let g = analysis_geometry(flags)?;
-    let transforms = requested_transforms(flags)?;
+    let PlanResponse::Locality(r) = respond(&locality_request(flags)?)? else {
+        unreachable!("locality query answers with a locality report");
+    };
+    let (n, nk, geometry) = (r.n, r.nk, r.geometry);
+    let (l1, l2) = geometry.levels();
     struct OracleRow {
         transform: &'static str,
         level: &'static str,
@@ -1417,31 +1359,35 @@ fn cmd_oracle(flags: &ParsedFlags) -> Result<String, String> {
         pathological: bool,
     }
     let mut rows: Vec<OracleRow> = Vec::new();
-    for &t in &transforms {
-        let cell = locality_cell(kernel, t, cache, n, nk);
-        let mut h = Hierarchy::new(g.l1_cfg, g.l2_cfg);
-        replay_cell(kernel, &cell, &mut h);
+    for row in &r.rows {
+        let t = row.plan.transform;
+        let model = r.stencil.model(t)?;
+        let prob = Problem {
+            n,
+            nk,
+            di: row.plan.padded_di,
+            dj: row.plan.padded_dj,
+        };
+        let mut h = Hierarchy::new(cache_config(&l1), cache_config(&l2));
+        replay_row(kernel, &model, &prob, row.tile, &mut h);
         let acc = h.l1_stats().accesses as f64;
-        let p1 = predict_level(&cell.model, cell.sched, &cell.prob, &g.l1);
-        let p2 = predict_level(&cell.model, cell.sched, &cell.prob, &g.l2);
-        let b2 = lower_bound_misses(&cell.model, &cell.prob, &g.l2, g.l1.capacity_elements());
         rows.push(OracleRow {
             transform: t.name(),
             level: "L1",
             sim_pct: 100.0 * h.l1_stats().misses as f64 / acc,
-            pred_pct: p1.miss_rate_pct,
-            bound: p1.bound_misses,
+            pred_pct: row.l1.miss_rate_pct,
+            bound: row.l1.bound_misses,
             sim_misses: h.l1_stats().misses,
-            pathological: p1.conflicts.pathological,
+            pathological: row.l1.conflicts.pathological,
         });
         rows.push(OracleRow {
             transform: t.name(),
             level: "L2",
             sim_pct: 100.0 * h.l2_stats().misses as f64 / acc,
-            pred_pct: 100.0 * p2.misses / p2.accesses,
-            bound: b2,
+            pred_pct: row.l2.miss_rate_pct,
+            bound: lower_bound_misses(&model, &prob, &l2, l1.capacity_elements()),
             sim_misses: h.l2_stats().misses,
-            pathological: p2.conflicts.pathological,
+            pathological: row.l2.conflicts.pathological,
         });
     }
     let violations: Vec<String> = rows
@@ -1473,7 +1419,7 @@ fn cmd_oracle(flags: &ParsedFlags) -> Result<String, String> {
             ("kernel", Json::str(kernel.name())),
             ("n", Json::uint(n as u64)),
             ("nk", Json::uint(nk as u64)),
-            ("geometry", Json::str(g.name)),
+            ("geometry", Json::str(geometry.name())),
             ("bound_holds", Json::Bool(violations.is_empty())),
             ("rows", Json::Arr(jrows)),
         ]);
@@ -1488,7 +1434,7 @@ fn cmd_oracle(flags: &ParsedFlags) -> Result<String, String> {
         "locality oracle: {} {n}x{n}x{nk}, geometry {} — simulated vs predicted vs bound\n\
          {:<10}{:<5}{:>12}{:>12}{:>14}{:>8}\n",
         kernel.name(),
-        g.name,
+        geometry.name(),
         "transform",
         "lvl",
         "simulated",
@@ -2571,7 +2517,7 @@ mod tests {
     }
 
     #[test]
-    fn predict_untiled_and_tiled() {
+    fn predict_reports_untiled_and_tiled_sweeps() {
         let out = run_line("predict --kernel jacobi --n 280 --nk 30").unwrap();
         assert!(out.contains("25.00%"), "{out}");
         let out = run_line("predict --kernel jacobi --n 280 --nk 30 --tile 30x14").unwrap();
@@ -2803,6 +2749,51 @@ mod tests {
         ] {
             let err = run_line(cmd).expect_err(cmd);
             assert!(err.contains("requires --nk >= 3"), "`{cmd}`: {err}");
+        }
+    }
+
+    #[test]
+    fn commands_reject_a_cache_the_model_cannot_use_naming_the_flag() {
+        for (cmd, flag) in [
+            ("plan --dims 200x200 --cache-kb 0", "--cache-kb >= 1"),
+            ("advise --n 200 --cache-kb 0", "--cache-kb >= 1"),
+            (
+                "analyze --kernel jacobi --locality --cache-kb 0",
+                "--cache-kb >= 1",
+            ),
+            (
+                "oracle --kernel jacobi --n 8 --nk 4 --cache-kb 0",
+                "--cache-kb >= 1",
+            ),
+            (
+                "predict --kernel jacobi --n 100 --cache-kb 0",
+                "--cache-kb >= 1",
+            ),
+            ("predict --kernel jacobi --n 100 --line 4", "--line >= 8"),
+            ("predict --kernel jacobi --n 100 --line 12", "--line"),
+            ("tiles --cache 0", "--cache >= 1"),
+        ] {
+            let err = run_line(cmd).expect_err(cmd);
+            assert!(err.contains(flag), "`{cmd}`: {err}");
+        }
+    }
+
+    #[test]
+    fn preset_levels_convert_to_valid_simulator_configs() {
+        let (l1, l2) = GeometryPreset::Us2.levels();
+        assert_eq!(cache_config(&l1), CacheConfig::ULTRASPARC2_L1);
+        assert_eq!(cache_config(&l2), CacheConfig::ULTRASPARC2_L2);
+        for preset in GeometryPreset::ALL {
+            let (l1, l2) = preset.levels();
+            for level in [l1, l2] {
+                let cfg = cache_config(&level);
+                assert!(
+                    cfg.validate().is_ok(),
+                    "{} {}: {cfg:?}",
+                    preset.name(),
+                    level.name
+                );
+            }
         }
     }
 

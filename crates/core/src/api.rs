@@ -124,7 +124,8 @@ impl ReqStencil {
     /// The miss-model view of the kernel under a transform (red-black
     /// realises its locality transformation as the fused schedule; the
     /// original runs naive — DESIGN.md §15).
-    fn model(self, t: Transform) -> Result<KernelModel, String> {
+    #[inline]
+    pub fn model(self, t: Transform) -> Result<KernelModel, String> {
         match self {
             ReqStencil::Jacobi3d => Ok(KernelModel::jacobi3d()),
             ReqStencil::RedBlack if t == Transform::Orig => Ok(KernelModel::redblack_naive()),
@@ -157,10 +158,11 @@ impl std::str::FromStr for ReqStencil {
     }
 }
 
-/// A named two-level cache geometry for locality queries.
+/// A named two-level cache geometry for locality queries: the one list of
+/// the machines the static model and the oracle's simulator analyse.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum GeometryPreset {
-    /// UltraSPARC-2: 16KB direct-mapped L1, 512KB direct-mapped L2.
+    /// UltraSPARC-2: 16KB direct-mapped L1, 2MB direct-mapped L2.
     Us2,
     /// A modern core: 32KB 8-way L1, 1MB 8-way L2, 64B lines.
     Modern,
@@ -169,6 +171,14 @@ pub enum GeometryPreset {
 }
 
 impl GeometryPreset {
+    /// Every preset, in the order the `--geometry` help lists them:
+    /// parsing and the model-vs-simulator tests walk this list.
+    pub const ALL: [GeometryPreset; 3] = [
+        GeometryPreset::Us2,
+        GeometryPreset::Modern,
+        GeometryPreset::Fa,
+    ];
+
     /// Canonical lowercase spelling.
     pub fn name(self) -> &'static str {
         match self {
@@ -195,14 +205,13 @@ impl std::str::FromStr for GeometryPreset {
     type Err = String;
 
     fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s.to_ascii_lowercase().as_str() {
-            "us2" => Ok(GeometryPreset::Us2),
-            "modern" => Ok(GeometryPreset::Modern),
-            "fa" => Ok(GeometryPreset::Fa),
-            other => Err(format!(
-                "--geometry: unknown geometry '{other}' (expected us2, modern or fa)"
-            )),
-        }
+        let s = s.to_ascii_lowercase();
+        GeometryPreset::ALL
+            .into_iter()
+            .find(|g| g.name() == s)
+            .ok_or_else(|| {
+                format!("--geometry: unknown geometry '{s}' (expected us2, modern or fa)")
+            })
     }
 }
 
@@ -420,7 +429,10 @@ impl PlanRequest {
             .unwrap_or("jacobi3d")
             .parse()?;
         let nk = num_field("nk")?.unwrap_or(30);
-        let cache = CacheSpec::from_bytes(num_field("cache_kb")?.unwrap_or(16) * 1024);
+        let cache = match num_field("cache_kb")?.unwrap_or(16) {
+            0 => return Err("request field 'cache_kb' must be at least 1".into()),
+            kb => CacheSpec::from_bytes(kb * 1024),
+        };
         let steps = num_field("steps")?.unwrap_or(0);
         let jobs = num_field("jobs")?.unwrap_or(1);
         let skewed = match v.get("skewed") {
@@ -1121,6 +1133,9 @@ pub fn respond(req: &PlanRequest) -> Result<PlanResponse, String> {
             let n = req.di;
             if n < 3 {
                 return Err("analyze requires --n >= 3".into());
+            }
+            if req.nk < 3 {
+                return Err("analyze requires --nk >= 3".into());
             }
             let (l1, l2) = geometry.levels();
             let rows = req

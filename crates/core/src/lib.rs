@@ -50,7 +50,6 @@ pub mod nonconflict;
 mod overhead;
 mod padsearch;
 mod plan;
-pub mod predict;
 pub mod temporal;
 pub mod tile2d;
 

@@ -279,18 +279,6 @@ pub struct ConflictReport {
     pub pathological: bool,
 }
 
-impl ConflictReport {
-    /// Kill fraction for a class kind (0 for kinds the analysis does not
-    /// model — cold and uncached accesses cannot be made worse).
-    pub fn kill_fraction(&self, kind: ClassKind) -> f64 {
-        match kind {
-            ClassKind::Column => self.column_kill,
-            ClassKind::Plane => self.plane_kill,
-            _ => 0.0,
-        }
-    }
-}
-
 fn gcd(a: u64, b: u64) -> u64 {
     if b == 0 {
         a

@@ -22,8 +22,8 @@
 //! Beyond the paper's core: [`core`] also houses the classical 2D tile
 //! algorithms (`tile2d`), the Section 3.1 copy-cost model (`copymodel`),
 //! the Section 3.2 effective-cache method (`effcache`), Section 3.5
-//! inter-variable padding (`intervar`) and an analytic miss predictor
-//! (`predict`); [`cachesim`] adds a TLB and a 3C (cold/capacity/conflict)
+//! inter-variable padding (`intervar`) and the static miss model
+//! (`missmodel`); [`cachesim`] adds a TLB and a 3C (cold/capacity/conflict)
 //! classifier; [`loopnest`] adds dependence analysis; [`stencil`] adds the
 //! Fig 5 time-step pattern, tile copying, 2D red-black fusion and a
 //! time-skewing baseline. The `tiling3d-bench` crate regenerates every

@@ -3,22 +3,36 @@
 //! inter-variable padding, and the TLB model.
 
 use tiling3d::cachesim::{Cache, CacheConfig, Hierarchy, Tlb};
-use tiling3d::core::predict::{predict_tiled, predict_untiled, SweepSpec};
-use tiling3d::core::{plan, CacheSpec, CostModel, Transform};
+use tiling3d::core::{
+    histogram, plan, CacheSpec, CostModel, KernelModel, LevelGeometry, PlanSchedule, Problem,
+    Transform,
+};
 use tiling3d::loopnest::StencilShape;
 use tiling3d::stencil::kernels::{ArrayLayout, Kernel};
 
 const C16K: CacheSpec = CacheSpec::ELEMENTS_16K_DOUBLES;
 
+/// The analytic model's miss rate for one `n x n x nk` sweep on the
+/// conflict-free 16KB level: fully associative, 32B lines, write-around.
+fn predicted_pct(model: &KernelModel, sched: PlanSchedule, n: usize, nk: usize) -> f64 {
+    histogram(
+        model,
+        sched,
+        &Problem::cube(n, nk),
+        &LevelGeometry::fa_16k(),
+    )
+    .miss_rate_pct_at(C16K.elements as f64)
+}
+
 /// The analytic model is a fully-associative LRU idealisation; it must
 /// track the simulator *in that configuration* closely for untiled sweeps.
 #[test]
 fn predictor_matches_fully_associative_simulation_untiled() {
-    let cases: [(Kernel, SweepSpec); 2] = [
-        (Kernel::Jacobi, SweepSpec::jacobi3d()),
-        (Kernel::Resid, SweepSpec::resid()),
+    let cases: [(Kernel, KernelModel); 2] = [
+        (Kernel::Jacobi, KernelModel::jacobi3d()),
+        (Kernel::Resid, KernelModel::resid()),
     ];
-    for (kernel, spec) in cases {
+    for (kernel, model) in cases {
         for &n in &[216usize, 280] {
             let nk = 30;
             let mut cfg = CacheConfig::ULTRASPARC2_L1;
@@ -26,7 +40,7 @@ fn predictor_matches_fully_associative_simulation_untiled() {
             let mut fa = Cache::new(cfg);
             kernel.trace(n, nk, n, n, None, &mut fa);
             let sim_pct = fa.stats().miss_rate_pct();
-            let pred = predict_untiled(C16K, 4, &spec, n, nk, n, n).miss_rate_pct;
+            let pred = predicted_pct(&model, PlanSchedule::Untiled, n, nk);
             assert!(
                 (sim_pct - pred).abs() < 1.0,
                 "{} N={n}: fully-assoc simulated {sim_pct:.2}% vs predicted {pred:.2}%",
@@ -62,7 +76,7 @@ fn predictor_matches_simulator_tiled() {
     // GcdPad plans are non-conflicting by construction, so the model's
     // conflict-free assumption holds outright.
     let kernel = Kernel::Jacobi;
-    let spec = SweepSpec::jacobi3d();
+    let model = KernelModel::jacobi3d();
     for &n in &[216usize, 280, 341] {
         let nk = 30;
         let p = plan(Transform::GcdPad, C16K, n, n, &kernel.shape());
@@ -70,7 +84,7 @@ fn predictor_matches_simulator_tiled() {
         let mut h = Hierarchy::ultrasparc2();
         kernel.trace(n, nk, p.padded_di, p.padded_dj, p.tile, &mut h);
         let sim = h.l1_miss_rate_pct();
-        let pred = predict_tiled(C16K, 4, &spec, n, nk, ti, tj).miss_rate_pct;
+        let pred = predicted_pct(&model, PlanSchedule::Tiled { ti, tj }, n, nk);
         assert!(
             (sim - pred).abs() < 2.0,
             "N={n}: simulated {sim:.2}% vs predicted {pred:.2}%"
@@ -87,11 +101,12 @@ fn predictor_ranks_transforms_like_the_simulator() {
     // so LRU absorbs almost all the refetches the old closed-form cost
     // function charged. The histogram model ties the two at its class
     // resolution, so the ranking contract is `<=`, not `<`.
-    let spec = SweepSpec::jacobi3d();
+    let model = KernelModel::jacobi3d();
     let (n, nk) = (280usize, 30usize);
-    let untiled = predict_untiled(C16K, 4, &spec, n, nk, n, n).miss_rate_pct;
-    let good_tile = predict_tiled(C16K, 4, &spec, n, nk, 30, 14).miss_rate_pct;
-    let degenerate = predict_tiled(C16K, 4, &spec, n, nk, 1, 1).miss_rate_pct;
+    let tiled = |ti, tj| predicted_pct(&model, PlanSchedule::Tiled { ti, tj }, n, nk);
+    let untiled = predicted_pct(&model, PlanSchedule::Untiled, n, nk);
+    let good_tile = tiled(30, 14);
+    let degenerate = tiled(1, 1);
     assert!(good_tile < untiled);
     assert!(untiled <= degenerate);
     assert!(

@@ -364,9 +364,19 @@ fn time_skewing_preserves_results() {
 /// reuse), which is the entire reason tile-size selection caps the tile.
 #[test]
 fn predictor_monotone_in_tile_area() {
-    use tiling3d::core::predict::{predict_tiled, SweepSpec};
-    let spec = SweepSpec::jacobi3d();
+    use tiling3d::core::{histogram, KernelModel, LevelGeometry, PlanSchedule, Problem};
+    let model = KernelModel::jacobi3d();
     let elems = tiling3d::core::CacheSpec::ELEMENTS_16K_DOUBLES.elements;
+    let misses = |ti, tj| {
+        let sched = PlanSchedule::Tiled { ti, tj };
+        histogram(
+            &model,
+            sched,
+            &Problem::cube(200, 30),
+            &LevelGeometry::fa_16k(),
+        )
+        .misses_at(elems as f64)
+    };
     let mut rng = Xorshift64::new(0x9ED1C7);
     for _ in 0..96 {
         let (ti, tj) = (range(&mut rng, 2, 64), range(&mut rng, 2, 64));
@@ -376,24 +386,7 @@ fn predictor_monotone_in_tile_area() {
         if 3 * (2 * ti + 2) * (2 * tj + 2) > elems {
             continue;
         }
-        let small = predict_tiled(
-            tiling3d::core::CacheSpec::ELEMENTS_16K_DOUBLES,
-            4,
-            &spec,
-            200,
-            30,
-            ti,
-            tj,
-        );
-        let big = predict_tiled(
-            tiling3d::core::CacheSpec::ELEMENTS_16K_DOUBLES,
-            4,
-            &spec,
-            200,
-            30,
-            2 * ti,
-            2 * tj,
-        );
-        assert!(big.misses <= small.misses + 1e-9, "tile=({ti},{tj})");
+        let (small, big) = (misses(ti, tj), misses(2 * ti, 2 * tj));
+        assert!(big <= small + 1e-9, "tile=({ti},{tj})");
     }
 }

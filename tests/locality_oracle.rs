@@ -21,8 +21,8 @@ use tiling3d::cachesim::{
     AccessSink, CacheConfig, Hierarchy, ReplacementPolicy, ThreeC, WritePolicy,
 };
 use tiling3d::core::{
-    lower_bound_misses, plan, predict_level, CacheSpec, KernelModel, LevelGeometry, PlanSchedule,
-    Problem, Transform,
+    lower_bound_misses, plan, predict_level, CacheSpec, GeometryPreset, KernelModel, LevelGeometry,
+    PlanSchedule, Problem, Transform,
 };
 use tiling3d::loopnest::locality::WitnessKind;
 use tiling3d::loopnest::{StencilShape, TileDims};
@@ -45,56 +45,44 @@ struct Geometry {
     name: &'static str,
     l1: CacheConfig,
     l2: CacheConfig,
-    l1_model: fn() -> LevelGeometry,
-    l2_model: fn() -> LevelGeometry,
+    l1_model: LevelGeometry,
+    l2_model: LevelGeometry,
     tol_l1: f64,
 }
 
+/// The simulator's view of a static-model level: same capacity, line,
+/// associativity and write policy, LRU within a set.
+fn simulated(level: LevelGeometry) -> CacheConfig {
+    CacheConfig {
+        size_bytes: level.size_bytes,
+        line_bytes: level.line_bytes,
+        ways: level.ways,
+        write_policy: if level.write_allocate {
+            WritePolicy::WriteAllocate
+        } else {
+            WritePolicy::WriteAround
+        },
+        replacement: ReplacementPolicy::Lru,
+    }
+}
+
 fn geometries() -> [Geometry; 3] {
-    [
+    GeometryPreset::ALL.map(|preset| {
+        let (name, tol_l1) = match preset {
+            GeometryPreset::Us2 => ("us2-dm", TOL_L1_DM),
+            GeometryPreset::Modern => ("modern-8w", TOL_L1_ASSOC),
+            GeometryPreset::Fa => ("fa-16k", TOL_L1_FA),
+        };
+        let (l1_model, l2_model) = preset.levels();
         Geometry {
-            name: "us2-dm",
-            l1: CacheConfig::ULTRASPARC2_L1,
-            l2: CacheConfig::ULTRASPARC2_L2,
-            l1_model: LevelGeometry::ultrasparc2_l1,
-            l2_model: LevelGeometry::ultrasparc2_l2,
-            tol_l1: TOL_L1_DM,
-        },
-        Geometry {
-            name: "modern-8w",
-            l1: CacheConfig {
-                size_bytes: 32 * 1024,
-                line_bytes: 64,
-                ways: 8,
-                write_policy: WritePolicy::WriteAllocate,
-                replacement: ReplacementPolicy::Lru,
-            },
-            l2: CacheConfig {
-                size_bytes: 1024 * 1024,
-                line_bytes: 64,
-                ways: 8,
-                write_policy: WritePolicy::WriteAllocate,
-                replacement: ReplacementPolicy::Lru,
-            },
-            l1_model: LevelGeometry::modern_l1,
-            l2_model: LevelGeometry::modern_l2,
-            tol_l1: TOL_L1_ASSOC,
-        },
-        Geometry {
-            name: "fa-16k",
-            l1: CacheConfig {
-                size_bytes: 16 * 1024,
-                line_bytes: 32,
-                ways: 512,
-                write_policy: WritePolicy::WriteAround,
-                replacement: ReplacementPolicy::Lru,
-            },
-            l2: CacheConfig::ULTRASPARC2_L2,
-            l1_model: LevelGeometry::fa_16k,
-            l2_model: LevelGeometry::ultrasparc2_l2,
-            tol_l1: TOL_L1_FA,
-        },
-    ]
+            name,
+            l1: simulated(l1_model),
+            l2: simulated(l2_model),
+            l1_model,
+            l2_model,
+            tol_l1,
+        }
+    })
 }
 
 #[derive(Clone, Copy, PartialEq)]
@@ -262,14 +250,14 @@ fn run_matrix() -> Vec<Row> {
                 replay(kernel, &cell, &mut h);
                 let (l1s, l2s) = (h.l1_stats(), h.l2_stats());
                 let acc = l1s.accesses as f64;
-                let p1 = predict_level(&cell.model, cell.sched, &cell.prob, &(g.l1_model)());
-                let p2 = predict_level(&cell.model, cell.sched, &cell.prob, &(g.l2_model)());
-                let b1 = lower_bound_misses(&cell.model, &cell.prob, &(g.l1_model)(), 0);
+                let p1 = predict_level(&cell.model, cell.sched, &cell.prob, &g.l1_model);
+                let p2 = predict_level(&cell.model, cell.sched, &cell.prob, &g.l2_model);
+                let b1 = lower_bound_misses(&cell.model, &cell.prob, &g.l1_model, 0);
                 let b2 = lower_bound_misses(
                     &cell.model,
                     &cell.prob,
-                    &(g.l2_model)(),
-                    (g.l1_model)().capacity_elements(),
+                    &g.l2_model,
+                    g.l1_model.capacity_elements(),
                 );
                 // A cell the analyzer statically flags as pathological is
                 // in the thrash regime: the contract there is the cliff
@@ -360,7 +348,7 @@ fn lower_bound_respects_cold_plus_capacity_on_direct_mapped_l1() {
             let mut tc = ThreeC::new(g.l1);
             replay(kernel, &cell, &mut tc);
             let cold_capacity = (tc.cold + tc.capacity) as f64;
-            let bound = lower_bound_misses(&cell.model, &cell.prob, &(g.l1_model)(), 0);
+            let bound = lower_bound_misses(&cell.model, &cell.prob, &g.l1_model, 0);
             assert!(
                 bound <= cold_capacity + 0.5,
                 "{} {}: bound {:.0} exceeds cold+capacity {:.0}",
