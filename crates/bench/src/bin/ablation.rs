@@ -12,8 +12,8 @@
 
 use std::time::Instant;
 
-use tiling3d_bench::{driver, SimPool};
-use tiling3d_cachesim::{CacheConfig, Hierarchy, ReplacementPolicy, WritePolicy};
+use tiling3d_bench::{driver, extent_flag, SimPool};
+use tiling3d_cachesim::{CacheConfig, Hierarchy, WritePolicy};
 use tiling3d_core::{plan, CacheSpec, Transform};
 use tiling3d_grid::{fill_random, Array3};
 use tiling3d_loopnest::TileDims;
@@ -379,12 +379,10 @@ fn threec_sweep(n: usize, nk: usize, pool: &SimPool) {
 
 fn main() {
     let flags = driver::parse_or_exit(&flag_set());
-    let n = flags.usize("--n");
-    let nk = flags.usize("--nk");
+    let n = driver::or_exit(extent_flag(&flags, "--n", None));
+    let nk = driver::or_exit(extent_flag(&flags, "--nk", None));
     let which = flags.positional().unwrap_or("assoc").to_string();
     let pool = SimPool::new(flags.usize("--jobs"));
-    // Exercise the LRU replacement path so the enum is used meaningfully.
-    let _ = ReplacementPolicy::Lru;
     match which.as_str() {
         "assoc" => assoc_sweep(n, nk, &pool),
         "line" => line_sweep(n, nk, &pool),

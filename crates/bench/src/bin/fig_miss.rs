@@ -34,13 +34,8 @@ fn flag_set() -> FlagSet {
 
 fn main() {
     let flags = driver::parse_or_exit(&flag_set());
-    let kernel = match flags.positional() {
-        None => Kernel::Jacobi,
-        Some(s) => s.parse().unwrap_or_else(|e: String| {
-            eprintln!("{e}");
-            std::process::exit(2);
-        }),
-    };
+    let kernel = flags.positional().map_or(Ok(Kernel::Jacobi), str::parse);
+    let kernel = driver::or_exit(kernel);
     let cfg = driver::or_exit(SweepConfig::from_flags(&flags));
     let opts = driver::or_exit(SweepOptions::from_flags(&flags));
     let csv = flags.switch("--csv");
@@ -60,11 +55,8 @@ fn main() {
         cfg.step,
         cfg.nk
     );
-    let (l1, l2, _, report) = run_miss_sweeps_supervised(&cfg, kernel, &transforms, &opts)
-        .unwrap_or_else(|e| {
-            eprintln!("fig_miss: {e}");
-            std::process::exit(2);
-        });
+    let sweeps = run_miss_sweeps_supervised(&cfg, kernel, &transforms, &opts);
+    let (l1, l2, _, report) = driver::or_exit(sweeps.map_err(|e| format!("fig_miss: {e}")));
     l1.print(csv);
     if flags.switch("--plot") {
         println!("\n{}", tiling3d_bench::plot::render(&l1, 6));

@@ -12,8 +12,7 @@
 //! ```
 
 use tiling3d_bench::{
-    driver, measure_mflops_parallel, run_sweep_supervised, supervise, Metric, SweepConfig,
-    SweepError, SweepOptions, SweepReport, SweepResult,
+    driver, measure_grid_supervised, run_miss_sweeps_supervised, SweepConfig, SweepOptions,
 };
 use tiling3d_core::Transform;
 use tiling3d_obs::flags::{FlagSet, FlagSpec};
@@ -42,13 +41,8 @@ fn flag_set() -> FlagSet {
 
 fn main() {
     let flags = driver::parse_or_exit(&flag_set());
-    let kernel = match flags.positional() {
-        None => Kernel::Jacobi,
-        Some(s) => s.parse().unwrap_or_else(|e: String| {
-            eprintln!("{e}");
-            std::process::exit(2);
-        }),
-    };
+    let kernel = flags.positional().map_or(Ok(Kernel::Jacobi), str::parse);
+    let kernel = driver::or_exit(kernel);
     let cfg = driver::or_exit(SweepConfig::from_flags(&flags));
     let opts = driver::or_exit(SweepOptions::from_flags(&flags));
     let csv = flags.switch("--csv");
@@ -67,66 +61,32 @@ fn main() {
         cfg.step,
         cfg.nk
     );
-    let metric = if flags.switch("--modeled") {
-        Metric::ModeledMFlops
-    } else {
-        Metric::MFlops
-    };
-    if metric == Metric::ModeledMFlops {
+    let modeled = flags.switch("--modeled");
+    let parallel = flags.switch("--parallel");
+    if modeled {
         println!(
             "(modeled from simulated misses at UltraSparc2-era penalties; see EXPERIMENTS.md)"
         );
     }
-    let mut report = SweepReport::default();
-    let perf = if flags.switch("--parallel") {
-        // K-slab parallel wall-clock sweep: bitwise identical results to
-        // the sequential sweep, so the delta is pure thread scaling. Each
-        // point runs under the supervision policy; a failed point renders
-        // as a gap instead of killing the sweep.
-        println!("(K-slab parallel sweeps, --jobs {})", cfg.jobs);
-        let rows = cfg
-            .sizes()
-            .into_iter()
-            .map(|n| {
-                let vals = Transform::ALL
-                    .iter()
-                    .map(|&t| {
-                        report.total += 1;
-                        supervise::supervise_item(&opts.policy, || {
-                            let v = measure_mflops_parallel(&cfg, kernel, t, n, cfg.jobs);
-                            if v.is_finite() {
-                                Ok(v)
-                            } else {
-                                Err(SweepError::Unhealthy {
-                                    reason: "non-finite MFlops".into(),
-                                })
-                            }
-                        })
-                        .unwrap_or_else(|e| {
-                            report.failures.push((
-                                tiling3d_bench::checkpoint::point_key(kernel, t, n, cfg.nk),
-                                e,
-                            ));
-                            f64::NAN
-                        })
-                    })
-                    .collect();
-                (n, vals)
-            })
-            .collect();
-        SweepResult {
-            metric: "MFlops (parallel)",
-            transforms: Transform::ALL.to_vec(),
-            rows,
-        }
+    let (perf, report) = if modeled && !parallel {
+        let sweeps = run_miss_sweeps_supervised(&cfg, kernel, &Transform::ALL, &opts);
+        let (_, _, modeled, report) = driver::or_exit(sweeps.map_err(|e| format!("fig_perf: {e}")));
+        (modeled, report)
     } else {
-        let (r, rep) = run_sweep_supervised(&cfg, kernel, &Transform::ALL, metric, &opts)
-            .unwrap_or_else(|e| {
-                eprintln!("fig_perf: {e}");
-                std::process::exit(2);
-            });
-        report.merge(&rep);
-        r
+        // Wall-clock sweep, one point at a time. `--parallel` times the
+        // K-slab parallel sweeps (bitwise identical results to the
+        // sequential sweep, so the delta is pure thread scaling).
+        if parallel {
+            println!("(K-slab parallel sweeps, --jobs {})", cfg.pool().jobs());
+        }
+        let slabs = parallel.then_some(cfg.jobs);
+        let grid = measure_grid_supervised(&cfg, kernel, &Transform::ALL, slabs, &opts);
+        let metric = if parallel {
+            "MFlops (parallel)"
+        } else {
+            "MFlops"
+        };
+        (grid.table(metric, &Transform::ALL, |&v| v), grid.report)
     };
     perf.print(csv);
     if flags.switch("--plot") {

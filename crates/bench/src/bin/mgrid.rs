@@ -14,7 +14,7 @@
 //! The timed V-cycles always run sequentially (they are the measurement);
 //! `--jobs` shards only the closing cache simulations.
 
-use tiling3d_bench::{driver, SimPool, SupervisePolicy};
+use tiling3d_bench::{driver, flag_at_least, SimPool, SupervisePolicy};
 use tiling3d_core::{gcd_pad, CacheSpec};
 use tiling3d_loopnest::{StencilShape, TileDims};
 use tiling3d_multigrid::{MgConfig, MgSolver};
@@ -66,7 +66,7 @@ fn run(cfg: MgConfig, iters: usize, label: &str) -> (f64, MgSolver) {
 
 fn main() {
     let flags = driver::parse_or_exit(&flag_set());
-    let levels = flags.usize("--levels");
+    let levels = driver::or_exit(flag_at_least(&flags, "--levels", 2, None));
     let iters = flags.usize("--iters");
     let tile_psinv = flags.switch("--tile-psinv");
     let health = flags.switch("--health");

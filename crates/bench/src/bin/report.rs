@@ -93,12 +93,9 @@ fn main() {
     let opts = driver::or_exit(SweepOptions::from_flags(&flags));
     let mut verdict = SweepReport::default();
     for kernel in Kernel::ALL {
-        let (l1, _, modeled, rep) =
-            run_miss_sweeps_supervised(&cfg, kernel, &Transform::ALL, &opts.for_kernel(kernel))
-                .unwrap_or_else(|e| {
-                    eprintln!("report: {e}");
-                    std::process::exit(2);
-                });
+        let sweeps =
+            run_miss_sweeps_supervised(&cfg, kernel, &Transform::ALL, &opts.for_kernel(kernel));
+        let (l1, _, modeled, rep) = driver::or_exit(sweeps.map_err(|e| format!("report: {e}")));
         verdict.merge(&rep);
         let m = l1.means();
         let p = modeled.means();

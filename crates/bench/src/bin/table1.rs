@@ -5,7 +5,7 @@
 //! cargo run -p tiling3d-bench --bin table1 [-- --di 200 --dj 200 --cache 2048 --tkmax 4]
 //! ```
 
-use tiling3d_bench::driver;
+use tiling3d_bench::{driver, flag_at_least};
 use tiling3d_core::nonconflict::enumerate_array_tiles;
 use tiling3d_core::{euc3d, CacheSpec};
 use tiling3d_loopnest::StencilShape;
@@ -29,7 +29,7 @@ fn main() {
     let flags = driver::parse_or_exit(&flag_set());
     let di = flags.usize("--di");
     let dj = flags.usize("--dj");
-    let cache = flags.usize("--cache");
+    let cache = driver::or_exit(flag_at_least(&flags, "--cache", 1, None));
     let tk_max = flags.usize("--tkmax");
 
     println!("Table 1: non-conflicting array tiles ({di}x{dj}xM array, {cache}-element cache)");

@@ -14,7 +14,7 @@
 //! Miss rates are bit-identical for every `--jobs` value.
 
 use tiling3d_bench::{
-    driver, run_miss_sweeps_supervised, run_sweep_supervised, Metric, SweepConfig, SweepOptions,
+    driver, measure_grid_supervised, run_miss_sweeps_supervised, SweepConfig, SweepOptions,
     SweepReport,
 };
 use tiling3d_core::Transform;
@@ -71,23 +71,14 @@ fn main() {
     );
     for kernel in Kernel::ALL {
         let kopts = opts.for_kernel(kernel);
-        let (l1, l2, modeled, report) = run_miss_sweeps_supervised(&cfg, kernel, &all, &kopts)
-            .unwrap_or_else(|e| {
-                eprintln!("table3: {e}");
-                std::process::exit(2);
-            });
+        let sweeps = run_miss_sweeps_supervised(&cfg, kernel, &all, &kopts);
+        let (l1, l2, modeled, report) = driver::or_exit(sweeps.map_err(|e| format!("table3: {e}")));
         verdict.merge(&report);
-        let perf = if with_perf {
-            let (r, report) = run_sweep_supervised(&cfg, kernel, &all, Metric::MFlops, &kopts)
-                .unwrap_or_else(|e| {
-                    eprintln!("table3: {e}");
-                    std::process::exit(2);
-                });
-            verdict.merge(&report);
-            Some(r)
-        } else {
-            None
-        };
+        let perf = with_perf.then(|| {
+            let grid = measure_grid_supervised(&cfg, kernel, &all, None, &kopts);
+            verdict.merge(&grid.report);
+            grid.table("MFlops", &all, |&v| v)
+        });
 
         let (m1, m2) = (l1.means(), l2.means());
         println!(

@@ -20,7 +20,7 @@
 //! and as the `chaos --serve` CLI campaign that CI runs against a real
 //! server process.
 
-use std::io::{BufRead, BufReader, Read, Write};
+use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::time::Duration;
 
@@ -390,19 +390,6 @@ pub fn campaign(addr: &str, limits: &ServeLimits, seed: u64, rounds: usize) -> F
         }
     }
     report
-}
-
-/// Drains a reader fully, used by slow-loris teardown in tests.
-pub fn drain_to_eof<R: Read>(mut r: R) -> usize {
-    let mut buf = [0u8; 1024];
-    let mut total = 0;
-    while let Ok(n) = r.read(&mut buf) {
-        if n == 0 {
-            break;
-        }
-        total += n;
-    }
-    total
 }
 
 #[cfg(test)]

@@ -16,9 +16,10 @@
 //!
 //! This library holds the shared machinery: one-configuration cache
 //! simulation ([`simulate`]), wall-clock MFlops measurement
-//! ([`measure_mflops_checked`]), the supervised sweep drivers
-//! ([`run_sweep_supervised`], [`run_miss_sweeps_supervised`]) and
-//! plain-text / CSV table rendering.
+//! ([`measure_mflops`]), the supervised sweep grids
+//! ([`simulate_grid_supervised`], [`measure_grid_supervised`]; both run on
+//! the pool's one worker loop, [`SimPool::try_map`]) and plain-text / CSV
+//! table rendering ([`SweepResult`], [`run_miss_sweeps_supervised`]).
 
 #![warn(missing_docs)]
 
@@ -43,18 +44,42 @@ use tiling3d_core::{CacheSpec, Transform, TransformPlan};
 use tiling3d_grid::health;
 use tiling3d_obs as obs;
 use tiling3d_obs::flags::{FlagSpec, ParsedFlags};
-use tiling3d_stencil::kernels::Kernel;
+use tiling3d_stencil::kernels::{Kernel, KernelState};
 
 /// The smallest grid extent a stencil sweep accepts: every kernel updates
 /// the interior `1..=n-2` of each axis, so a smaller extent has nothing to
 /// compute.
 pub const MIN_EXTENT: usize = 3;
 
+/// Reads the count flag `flag`, or `default` when the command did not
+/// declare it, and rejects a missing value or one below `min` as a usage
+/// error before any work runs (`table1 --cache`, `mgrid --levels`, and
+/// every extent through [`extent_flag`]).
+///
+/// # Errors
+/// `"<command> requires <flag> >= <min> (got <value>)"`.
+pub fn flag_at_least(
+    flags: &ParsedFlags,
+    flag: &str,
+    min: usize,
+    default: Option<usize>,
+) -> Result<usize, String> {
+    match flags.opt_usize(flag).or(default) {
+        Some(v) if v >= min => Ok(v),
+        got => Err(format!(
+            "{} requires {flag} >= {min}{}",
+            flags.command(),
+            got.map_or(String::new(), |v| format!(" (got {v})"))
+        )),
+    }
+}
+
 /// Reads the grid-extent flag `flag` (`--n`, `--nk`, `--min`), or
 /// `default` when the command did not declare it, and rejects a missing
 /// value or one below [`MIN_EXTENT`] as a usage error before any work
 /// runs. The one extent check of the sweep drivers
-/// ([`SweepConfig::from_flags`]) and of the `tiling3d` commands.
+/// ([`SweepConfig::from_flags`], `ablation`) and of the `tiling3d`
+/// commands.
 ///
 /// # Errors
 /// `"<command> requires <flag> >= 3 (got <value>)"`.
@@ -63,14 +88,7 @@ pub fn extent_flag(
     flag: &str,
     default: Option<usize>,
 ) -> Result<usize, String> {
-    match flags.opt_usize(flag).or(default) {
-        Some(v) if v >= MIN_EXTENT => Ok(v),
-        got => Err(format!(
-            "{} requires {flag} >= {MIN_EXTENT}{}",
-            flags.command(),
-            got.map_or(String::new(), |v| format!(" (got {v})"))
-        )),
-    }
+    flag_at_least(flags, flag, MIN_EXTENT, default)
 }
 
 /// Simulation / measurement configuration for one sweep.
@@ -92,8 +110,8 @@ pub struct SweepConfig {
     /// Timed repetitions per configuration for MFlops measurement.
     pub reps: usize,
     /// Simulation worker count (`0` = one per available core). Results are
-    /// bit-identical for every value — see DESIGN.md. Wall-clock MFlops
-    /// measurement always runs sequentially regardless.
+    /// bit-identical for every value — see DESIGN.md. Wall-clock sweeps
+    /// time one point at a time regardless ([`measure_grid_supervised`]).
     pub jobs: usize,
 }
 
@@ -324,7 +342,7 @@ pub struct SimPoint {
     /// from the simulated miss profile. Modern hosts (large L3,
     /// aggressive prefetching) capture 3D-stencil reuse in hardware at
     /// the paper's problem sizes, so wall-clock measurements there — see
-    /// [`measure_mflops_checked`] — no longer show the 2000-era effect;
+    /// [`measure_mflops`] — no longer show the 2000-era effect;
     /// the model restores the paper's machine assumptions.
     /// EXPERIMENTS.md discusses both columns.
     pub modeled: f64,
@@ -361,41 +379,122 @@ pub fn simulate(cfg: &SweepConfig, kernel: Kernel, t: Transform, n: usize) -> Si
     }
 }
 
-/// A supervised sweep grid: per-point `Result`s in sweep order, engine
-/// throughput over the freshly computed points, and the failure report.
+/// A supervised sweep grid: every `(n, transform)` point's `Result` in
+/// sweep order, and the failure report.
 #[derive(Debug)]
-pub struct SupervisedGrid {
+pub struct SupervisedGrid<R = SimPoint> {
     /// Rows `(n, per-transform results)` in size order.
-    pub rows: Vec<(usize, Vec<Result<SimPoint, SweepError>>)>,
-    /// Aggregate engine throughput (freshly computed points only;
-    /// restored points carry no timing).
-    pub throughput: Throughput,
+    pub rows: Vec<(usize, Vec<Result<R, SweepError>>)>,
     /// Totals and failures.
     pub report: SweepReport,
 }
 
-/// Rejects a simulated point whose metrics are non-finite — the
-/// simulate-path numerical sentinel.
-fn point_health(p: &SimPoint) -> Result<(), SweepError> {
-    for (name, v) in [
-        ("l1_pct", p.l1_pct),
-        ("l2_pct", p.l2_pct),
-        ("modeled", p.modeled),
-    ] {
-        if !v.is_finite() {
-            return Err(SweepError::Unhealthy {
-                reason: format!("non-finite {name} ({v})"),
-            });
+impl<R> SupervisedGrid<R> {
+    /// One metric of every point as a printable table (`transforms` in
+    /// column order); a failed point becomes a `-` cell.
+    pub fn table(
+        &self,
+        metric: &'static str,
+        transforms: &[Transform],
+        pick: impl Fn(&R) -> f64,
+    ) -> SweepResult {
+        let rows = self
+            .rows
+            .iter()
+            .map(|(n, pts)| {
+                let vals = pts
+                    .iter()
+                    .map(|r| r.as_ref().map_or(FAILED_POINT, &pick))
+                    .collect();
+                (*n, vals)
+            })
+            .collect();
+        SweepResult {
+            metric,
+            transforms: transforms.to_vec(),
+            rows,
         }
     }
-    Ok(())
 }
 
-/// The fault-tolerant core every pooled sweep funnels through: simulates
-/// every `(n, transform)` point under the supervision policy
-/// ([`SimPool::try_map`]), restores / records checkpointed points, and
-/// health-checks each result. One bad point degrades to one `Err` slot;
-/// the `Ok` subset stays bit-identical for any `cfg.jobs` and for
+impl SupervisedGrid<SimPoint> {
+    /// Aggregate engine throughput over the freshly computed points
+    /// (restored points carry no timing).
+    pub fn throughput(&self) -> Throughput {
+        let mut total = Throughput::default();
+        for p in self.rows.iter().flat_map(|(_, pts)| pts).flatten() {
+            total.merge(&p.sim);
+        }
+        total
+    }
+}
+
+/// The one sweep loop under every grid, simulated or timed: runs
+/// `point(n, t, key)` for each `(n, t)` of `cfg.sizes()` x `transforms`
+/// on `cfg.pool()` under `policy` ([`SimPool::try_map_with_progress`]),
+/// except the points `restore` already holds a result for, and returns
+/// every point's result in sweep order with the failure report.
+fn sweep_grid<R: Send>(
+    cfg: &SweepConfig,
+    kernel: Kernel,
+    transforms: &[Transform],
+    policy: &SupervisePolicy,
+    label: &str,
+    restore: impl Fn(&str) -> Option<R>,
+    point: impl Fn(usize, Transform, &str) -> Result<R, SweepError> + Sync,
+) -> SupervisedGrid<R> {
+    let sizes = cfg.sizes();
+    let points: Vec<(usize, Transform, String)> = sizes
+        .iter()
+        .flat_map(|&n| {
+            transforms
+                .iter()
+                .map(move |&t| (n, t, checkpoint::point_key(kernel, t, n, cfg.nk)))
+        })
+        .collect();
+    // Slot in restored points, then compute only the remainder.
+    let mut flat: Vec<Option<Result<R, SweepError>>> = points
+        .iter()
+        .map(|(_, _, key)| restore(key).map(Ok))
+        .collect();
+    let todo: Vec<usize> = (0..points.len()).filter(|&i| flat[i].is_none()).collect();
+    let pending = todo.len() as u64;
+    let computed = cfg.pool().try_map_with_progress(
+        &todo,
+        policy,
+        |&i| {
+            let (n, t, key) = &points[i];
+            point(*n, *t, key)
+        },
+        |done| obs::progress(label, done as u64, pending),
+    );
+    let mut report = SweepReport {
+        total: points.len(),
+        restored: points.len() - todo.len(),
+        failures: Vec::new(),
+    };
+    // Restored points never fail, so failures land in sweep order.
+    for (i, r) in todo.into_iter().zip(computed) {
+        if let Err(e) = &r {
+            report.failures.push((points[i].2.clone(), e.clone()));
+        }
+        flat[i] = Some(r);
+    }
+    let mut flat = flat
+        .into_iter()
+        .map(|slot| slot.expect("every sweep slot settled"));
+    let rows = sizes
+        .iter()
+        .map(|&n| (n, flat.by_ref().take(transforms.len()).collect()))
+        .collect();
+    SupervisedGrid { rows, report }
+}
+
+/// The simulated sweep: every `(n, transform)` point through [`simulate`]
+/// on the configured worker pool, under the supervision policy, with
+/// checkpointed points restored / recorded and each result health-checked
+/// ([`supervise::check_finite`]). One bad point degrades to one `Err`
+/// slot; the `Ok` subset stays bit-identical for any `cfg.jobs` and for
 /// interrupted-then-resumed runs (DESIGN.md §13).
 ///
 /// # Errors
@@ -407,15 +506,6 @@ pub fn simulate_grid_supervised(
     transforms: &[Transform],
     opts: &SweepOptions,
 ) -> Result<SupervisedGrid, String> {
-    let sizes = cfg.sizes();
-    let points: Vec<(usize, Transform)> = sizes
-        .iter()
-        .flat_map(|&n| transforms.iter().map(move |&t| (n, t)))
-        .collect();
-    let keys: Vec<String> = points
-        .iter()
-        .map(|&(n, t)| checkpoint::point_key(kernel, t, n, cfg.nk))
-        .collect();
     let log = match &opts.checkpoint {
         Some(path) => Some(CheckpointLog::open(
             path,
@@ -424,99 +514,62 @@ pub fn simulate_grid_supervised(
         )?),
         None => None,
     };
-    let total = points.len();
     let _span = if obs::collecting() {
         let s = obs::span(&format!("sweep:{}", kernel.name()));
-        s.add("points", total as u64);
+        s.add("points", (cfg.sizes().len() * transforms.len()) as u64);
         Some(s)
     } else {
         None
     };
-    // Slot in restored points, then compute only the remainder.
-    let mut flat: Vec<Option<Result<SimPoint, SweepError>>> = vec![None; total];
-    let mut todo: Vec<usize> = Vec::with_capacity(total);
-    let mut restored = 0usize;
-    for (i, key) in keys.iter().enumerate() {
-        match log.as_ref().and_then(|l| l.restored().get(key)) {
-            Some(rec) => {
-                restored += 1;
-                flat[i] = Some(Ok(SimPoint {
-                    l1_pct: rec.l1_pct,
-                    l2_pct: rec.l2_pct,
-                    modeled: rec.modeled,
-                    sim: Throughput::default(),
-                }));
-            }
-            None => todo.push(i),
-        }
-    }
-    let label = format!("{} simulate", kernel.name());
-    let pending = todo.len();
-    let computed = cfg.pool().try_map_with_progress(
-        &todo,
-        &opts.policy,
-        |&i| {
-            let (n, t) = points[i];
-            let key = &keys[i];
-            // Fault injection (chaos harness only): panics and delays fire
-            // here, before the simulation; a NaN write poisons the result.
-            let poison = opts.fault.as_ref().is_some_and(|f| f.inject(key));
-            let mut p = simulate(cfg, kernel, t, n);
-            if poison {
-                opts.fault
-                    .as_ref()
-                    .expect("poison implies a plan")
-                    .poison_sim(&mut p);
-            }
-            point_health(&p)?;
-            if let Some(l) = &log {
-                // A checkpoint write failure degrades the checkpoint, not
-                // the sweep: the point is still good.
-                if let Err(e) = l.record(&PointRecord {
-                    key: key.clone(),
-                    l1_pct: p.l1_pct,
-                    l2_pct: p.l2_pct,
-                    modeled: p.modeled,
-                }) {
-                    obs::error(&e);
-                }
-            }
-            Ok(p)
-        },
-        |done| obs::progress(&label, done as u64, pending as u64),
-    );
-    let mut throughput = Throughput::default();
-    let mut report = SweepReport {
-        total,
-        restored,
-        failures: Vec::new(),
+    let restore = |key: &str| {
+        let rec = log.as_ref()?.restored().get(key)?;
+        Some(SimPoint {
+            l1_pct: rec.l1_pct,
+            l2_pct: rec.l2_pct,
+            modeled: rec.modeled,
+            sim: Throughput::default(),
+        })
     };
-    for (i, r) in todo.into_iter().zip(computed) {
-        if let Ok(p) = &r {
-            throughput.merge(&p.sim);
+    let point = |n: usize, t: Transform, key: &str| {
+        // Fault injection (chaos harness only): panics and delays fire
+        // here, before the simulation; a NaN write poisons the result.
+        let poison = opts.fault.as_ref().is_some_and(|f| f.inject(key));
+        let mut p = simulate(cfg, kernel, t, n);
+        if poison {
+            opts.fault
+                .as_ref()
+                .expect("poison implies a plan")
+                .poison_sim(&mut p);
         }
-        flat[i] = Some(r);
-    }
-    let flat: Vec<Result<SimPoint, SweepError>> = flat
-        .into_iter()
-        .map(|slot| slot.expect("every sweep slot settled"))
-        .collect();
-    for (key, r) in keys.iter().zip(&flat) {
-        if let Err(e) = r {
-            report.failures.push((key.clone(), e.clone()));
+        supervise::check_finite(&[
+            ("l1_pct", p.l1_pct),
+            ("l2_pct", p.l2_pct),
+            ("modeled", p.modeled),
+        ])?;
+        if let Some(l) = &log {
+            // A checkpoint write failure degrades the checkpoint, not
+            // the sweep: the point is still good.
+            if let Err(e) = l.record(&PointRecord {
+                key: key.to_string(),
+                l1_pct: p.l1_pct,
+                l2_pct: p.l2_pct,
+                modeled: p.modeled,
+            }) {
+                obs::error(&e);
+            }
         }
-    }
-    let cols = transforms.len();
-    let rows = sizes
-        .iter()
-        .enumerate()
-        .map(|(r, &n)| (n, flat[r * cols..(r + 1) * cols].to_vec()))
-        .collect();
-    Ok(SupervisedGrid {
-        rows,
-        throughput,
-        report,
-    })
+        Ok(p)
+    };
+    let label = format!("{} simulate", kernel.name());
+    Ok(sweep_grid(
+        cfg,
+        kernel,
+        transforms,
+        &opts.policy,
+        &label,
+        restore,
+        point,
+    ))
 }
 
 /// Simulates every `(n, transform)` point of a sweep on the configured
@@ -535,6 +588,7 @@ pub fn simulate_grid(
 ) -> (Vec<(usize, Vec<SimPoint>)>, Throughput) {
     let sg = simulate_grid_supervised(cfg, kernel, transforms, &SweepOptions::default())
         .unwrap_or_else(|e| panic!("sweep setup failed: {e}"));
+    let throughput = sg.throughput();
     let rows = sg
         .rows
         .into_iter()
@@ -546,54 +600,39 @@ pub fn simulate_grid(
             (n, vals)
         })
         .collect();
-    (rows, sg.throughput)
-}
-
-/// Sustained MFlops of the K-slab parallel sweeps
-/// ([`tiling3d_stencil::parallel`]) across `threads` workers (`0` = one
-/// per available core): best of `cfg.reps` timed sweeps after one
-/// warm-up. Results are bitwise identical to the sequential sweep for
-/// every thread count, so this measures pure scaling.
-pub fn measure_mflops_parallel(
-    cfg: &SweepConfig,
-    kernel: Kernel,
-    t: Transform,
-    n: usize,
-    threads: usize,
-) -> f64 {
-    let threads = SimPool::new(threads).jobs();
-    let p = plan_for(cfg, kernel, t, n);
-    let mut state = kernel.make_state(n, cfg.nk, &p, 0x5EED);
-    kernel.run_parallel(&mut state, p.tile, threads); // warm-up (and page-in)
-    let flops = kernel.sweep_flops(n, cfg.nk) as f64;
-    let mut best = f64::INFINITY;
-    for _ in 0..cfg.reps.max(1) {
-        let t0 = Instant::now();
-        kernel.run_parallel(&mut state, p.tile, threads);
-        best = best.min(t0.elapsed().as_secs_f64());
-    }
-    flops / best / 1e6
+    (rows, throughput)
 }
 
 /// One measured data point: sustained MFlops of the kernel under the
-/// given transformation (best of `cfg.reps` timed sweeps after one
-/// warm-up), with the numerical sentinel: after the warm-up sweep the
-/// kernel's output grid is scanned for NaN/Inf
-/// ([`tiling3d_grid::health::scan`]) and a poisoned grid surfaces as
-/// [`SweepError::Unhealthy`] instead of silently contaminating the
-/// figure. `fault` (chaos harness only) may plant a NaN write first.
-pub fn measure_mflops_checked(
+/// given transformation, best of `cfg.reps` timed sweeps after one
+/// warm-up. `slabs` picks the sweep: `None` times [`Kernel::run`];
+/// `Some(t)` times the K-slab parallel [`Kernel::run_parallel`] over `t`
+/// slabs (`0` = one per available core), whose results are bitwise
+/// identical to the sequential sweep, so the delta is pure scaling.
+///
+/// Numerical sentinel: after the warm-up sweep the kernel's output grid is
+/// scanned for NaN/Inf ([`tiling3d_grid::health::scan`]), and a poisoned
+/// grid or a non-finite rate surfaces as [`SweepError::Unhealthy`]
+/// instead of silently contaminating the figure. `fault` (chaos harness
+/// and tests only) may panic, delay, or plant a NaN write first.
+pub fn measure_mflops(
     cfg: &SweepConfig,
     kernel: Kernel,
     t: Transform,
     n: usize,
+    slabs: Option<usize>,
     fault: Option<&FaultPlan>,
 ) -> Result<f64, SweepError> {
     let key = checkpoint::point_key(kernel, t, n, cfg.nk);
     let poison = fault.is_some_and(|f| f.inject(&key));
     let p = plan_for(cfg, kernel, t, n);
+    let threads = slabs.map(|s| SimPool::new(s).jobs());
+    let sweep = |state: &mut KernelState| match threads {
+        None => kernel.run(state, p.tile),
+        Some(threads) => kernel.run_parallel(state, p.tile, threads),
+    };
     let mut state = kernel.make_state(n, cfg.nk, &p, 0x5EED);
-    kernel.run(&mut state, p.tile); // warm-up (and page-in)
+    sweep(&mut state); // warm-up (and page-in)
     if poison {
         fault
             .expect("poison implies a plan")
@@ -606,10 +645,38 @@ pub fn measure_mflops_checked(
     let mut best = f64::INFINITY;
     for _ in 0..cfg.reps.max(1) {
         let t0 = Instant::now();
-        kernel.run(&mut state, p.tile);
+        sweep(&mut state);
         best = best.min(t0.elapsed().as_secs_f64());
     }
-    Ok(flops / best / 1e6)
+    let mflops = flops / best / 1e6;
+    supervise::check_finite(&[("MFlops", mflops)])?;
+    Ok(mflops)
+}
+
+/// The wall-clock sweep: [`measure_mflops`] (with `slabs` as there) at
+/// every `(n, transform)` point, under `opts.policy` and `opts.fault`.
+/// The grid runs on a one-worker pool, inline on the caller's thread, so
+/// no two timings share the host; `cfg.jobs` reaches the measurement only
+/// through `slabs`. Timings are remeasured, never checkpointed or
+/// restored, so `opts.checkpoint` is not read.
+pub fn measure_grid_supervised(
+    cfg: &SweepConfig,
+    kernel: Kernel,
+    transforms: &[Transform],
+    slabs: Option<usize>,
+    opts: &SweepOptions,
+) -> SupervisedGrid<f64> {
+    let _span = obs::collecting().then(|| obs::span(&format!("measure:{}", kernel.name())));
+    let inline = SweepConfig { jobs: 1, ..*cfg };
+    sweep_grid(
+        &inline,
+        kernel,
+        transforms,
+        &opts.policy,
+        &format!("{} MFlops", kernel.name()),
+        |_| None,
+        |n, t, _| measure_mflops(cfg, kernel, t, n, slabs, opts.fault.as_ref()),
+    )
 }
 
 /// A full sweep of one metric over sizes x transforms.
@@ -696,132 +763,15 @@ impl SweepResult {
     }
 }
 
-/// Which metric [`run_sweep_supervised`] collects.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Metric {
-    /// Simulated L1 miss rate (percent).
-    L1MissRate,
-    /// Simulated L2 miss rate (percent of total references).
-    L2MissRate,
-    /// Measured MFlops.
-    MFlops,
-    /// Model-derived MFlops (see [`SimPoint::modeled`]).
-    ModeledMFlops,
-}
-
 /// The per-point value a [`SweepResult`] stores for a failed point: a
 /// quiet NaN, rendered as `-` by [`SweepResult::print`] and skipped by
 /// [`SweepResult::means`].
 const FAILED_POINT: f64 = f64::NAN;
 
-/// Runs a metric sweep for one kernel over the configured sizes and the
-/// given transforms, with a progress line per size on stderr. One bad
-/// point degrades to a `-` cell and an entry in the returned
-/// [`SweepReport`] instead of aborting the sweep.
-/// Simulation metrics run on the pool under the policy; wall-clock MFlops
-/// stay sequential (so concurrent workers can't perturb timings) but each
-/// point is still panic-isolated, retried, deadline-checked, and
-/// health-scanned. Checkpoint/resume applies to the simulation metrics —
-/// wall-clock measurements are remeasured, not restored.
-///
-/// # Errors
-/// Returns `Err` only for setup failures (an unusable checkpoint).
-pub fn run_sweep_supervised(
-    cfg: &SweepConfig,
-    kernel: Kernel,
-    transforms: &[Transform],
-    metric: Metric,
-    opts: &SweepOptions,
-) -> Result<(SweepResult, SweepReport), String> {
-    let name = match metric {
-        Metric::L1MissRate => "L1 miss %",
-        Metric::L2MissRate => "L2 miss %",
-        Metric::MFlops => "MFlops",
-        Metric::ModeledMFlops => "MFlops (modeled)",
-    };
-    if metric == Metric::MFlops {
-        let _span = if obs::collecting() {
-            Some(obs::span(&format!("measure:{}", kernel.name())))
-        } else {
-            None
-        };
-        let label = format!("{} {name}", kernel.name());
-        let sizes = cfg.sizes();
-        let total = sizes.len() as u64;
-        let mut rows = Vec::new();
-        let mut report = SweepReport::default();
-        let mut aborted = false;
-        for (i, n) in sizes.into_iter().enumerate() {
-            let mut vals = Vec::with_capacity(transforms.len());
-            for &t in transforms {
-                report.total += 1;
-                if aborted {
-                    vals.push(FAILED_POINT);
-                    report.failures.push((
-                        checkpoint::point_key(kernel, t, n, cfg.nk),
-                        SweepError::Aborted,
-                    ));
-                    continue;
-                }
-                let r = supervise::supervise_item(&opts.policy, || {
-                    measure_mflops_checked(cfg, kernel, t, n, opts.fault.as_ref())
-                });
-                match r {
-                    Ok(v) => vals.push(v),
-                    Err(e) => {
-                        vals.push(FAILED_POINT);
-                        aborted = opts.policy.fail_fast;
-                        report
-                            .failures
-                            .push((checkpoint::point_key(kernel, t, n, cfg.nk), e));
-                    }
-                }
-            }
-            rows.push((n, vals));
-            obs::progress(&label, i as u64 + 1, total);
-        }
-        return Ok((
-            SweepResult {
-                metric: name,
-                transforms: transforms.to_vec(),
-                rows,
-            },
-            report,
-        ));
-    }
-    let sg = simulate_grid_supervised(cfg, kernel, transforms, opts)?;
-    let rows = sg
-        .rows
-        .into_iter()
-        .map(|(n, pts)| {
-            let vals = pts
-                .iter()
-                .map(|r| match r {
-                    Ok(p) => match metric {
-                        Metric::L1MissRate => p.l1_pct,
-                        Metric::L2MissRate => p.l2_pct,
-                        _ => p.modeled,
-                    },
-                    Err(_) => FAILED_POINT,
-                })
-                .collect();
-            (n, vals)
-        })
-        .collect();
-    Ok((
-        SweepResult {
-            metric: name,
-            transforms: transforms.to_vec(),
-            rows,
-        },
-        sg.report,
-    ))
-}
-
 /// Runs the L1 / L2 / modeled-MFlops sweeps from one simulation pass (one
 /// simulation per configuration instead of three) — used by `table3`,
-/// `fig_miss` and `report` — plus the failure report (failed points
-/// render as `-` in all three tables).
+/// `fig_miss`, `fig_perf --modeled` and `report` — plus the failure
+/// report (failed points render as `-` in all three tables).
 ///
 /// # Errors
 /// Returns `Err` only for setup failures (an unusable checkpoint).
@@ -832,36 +782,11 @@ pub fn run_miss_sweeps_supervised(
     opts: &SweepOptions,
 ) -> Result<(SweepResult, SweepResult, SweepResult, SweepReport), String> {
     let sg = simulate_grid_supervised(cfg, kernel, transforms, opts)?;
-    obs::info(&format!("engine: {}", sg.throughput.summary()));
-    let mut rows1 = Vec::new();
-    let mut rows2 = Vec::new();
-    let mut rows3 = Vec::new();
-    for (n, pts) in &sg.rows {
-        let pick = |f: fn(&SimPoint) -> f64| -> Vec<f64> {
-            pts.iter()
-                .map(|r| r.as_ref().map(f).unwrap_or(FAILED_POINT))
-                .collect()
-        };
-        rows1.push((*n, pick(|p| p.l1_pct)));
-        rows2.push((*n, pick(|p| p.l2_pct)));
-        rows3.push((*n, pick(|p| p.modeled)));
-    }
+    obs::info(&format!("engine: {}", sg.throughput().summary()));
     Ok((
-        SweepResult {
-            metric: "L1 miss %",
-            transforms: transforms.to_vec(),
-            rows: rows1,
-        },
-        SweepResult {
-            metric: "L2 miss %",
-            transforms: transforms.to_vec(),
-            rows: rows2,
-        },
-        SweepResult {
-            metric: "MFlops (modeled)",
-            transforms: transforms.to_vec(),
-            rows: rows3,
-        },
+        sg.table("L1 miss %", transforms, |p| p.l1_pct),
+        sg.table("L2 miss %", transforms, |p| p.l2_pct),
+        sg.table("MFlops (modeled)", transforms, |p| p.modeled),
         sg.report,
     ))
 }
@@ -879,7 +804,9 @@ pub mod driver {
     /// initialises the observability layer from the obs flags.
     pub fn parse_or_exit(set: &FlagSet) -> ParsedFlags {
         let raw: Vec<String> = std::env::args().skip(1).collect();
-        or_exit(parse_and_init(set, &raw))
+        let flags = or_exit(set.parse(&raw));
+        or_exit(obs::ObsConfig::from_flags(&flags).and_then(obs::init));
+        flags
     }
 
     /// Unwraps a set-up result built from the flags; on error prints the
@@ -890,13 +817,6 @@ pub mod driver {
             eprintln!("{e}");
             std::process::exit(2);
         })
-    }
-
-    /// Non-exiting core of [`parse_or_exit`], for tests.
-    pub fn parse_and_init(set: &FlagSet, raw: &[String]) -> Result<ParsedFlags, String> {
-        let flags = set.parse(raw)?;
-        obs::init(obs::ObsConfig::from_flags(&flags)?)?;
-        Ok(flags)
     }
 
     /// Flushes the observability layer at driver exit.
@@ -955,7 +875,7 @@ mod tests {
     #[test]
     fn measure_mflops_is_positive() {
         let cfg = small_cfg();
-        let m = measure_mflops_checked(&cfg, Kernel::Jacobi, Transform::Orig, 64, None).unwrap();
+        let m = measure_mflops(&cfg, Kernel::Jacobi, Transform::Orig, 64, None, None).unwrap();
         assert!(m > 0.0);
     }
 

@@ -4,18 +4,21 @@
 //! Every paper artifact is a sweep over independent `(N, kernel,
 //! algorithm)` points, each replaying a full address trace through its own
 //! [`tiling3d_cachesim::Hierarchy`]. The points share nothing, so the pool
-//! shards them across OS threads (`std::thread::scope`, no external
-//! dependencies) with **deterministic result ordering**: results come back
+//! shards them across scoped OS threads (no external dependencies) with
+//! **deterministic result ordering**: results come back
 //! indexed by input position, so a sweep's output — and therefore every
 //! table and figure — is bit-identical for any worker count. DESIGN.md
-//! ("Parallel simulation engine") records the invariants.
+//! §8 ("Sharded sweeps") records the invariants.
 //!
-//! Work distribution is dynamic (an atomic next-item counter), which keeps
+//! The pool has one worker loop, the supervised
+//! [`SimPool::try_map`](crate::SimPool::try_map) in [`crate::supervise`]:
+//! work distribution is dynamic (an atomic next-item counter), which keeps
 //! the pool balanced even though large-`N` points cost ~10x small ones.
+//! [`SimPool::map`] is that loop under [`SupervisePolicy::strict`].
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 use std::thread;
+
+use crate::SupervisePolicy;
 
 /// Worker pool for sharded simulation sweeps.
 #[derive(Clone, Copy, Debug)]
@@ -37,146 +40,46 @@ impl SimPool {
         SimPool { jobs }
     }
 
-    /// A single-worker pool (sequential execution on the caller's thread).
-    pub fn sequential() -> Self {
-        SimPool { jobs: 1 }
-    }
-
     /// Number of workers this pool will spawn.
     pub fn jobs(&self) -> usize {
         self.jobs
     }
 
     /// Applies `f` to every item and returns the results **in item order**,
-    /// regardless of which worker computed what or when it finished.
+    /// regardless of which worker computed what or when it finished: the
+    /// supervised [`SimPool::try_map`](crate::SimPool::try_map) under
+    /// [`SupervisePolicy::strict`], for sweeps that have no use for a
+    /// partial result.
     ///
-    /// With one worker (or one item) this runs inline on the caller's
-    /// thread — no spawn, identical to a plain `map`. Panics in `f` are
-    /// propagated.
+    /// # Panics
+    /// Panics naming the first failed item (its index and error) when `f`
+    /// panics on any item.
     pub fn map<T, R, F>(&self, items: &[T], f: F) -> Vec<R>
     where
         T: Sync,
         R: Send,
         F: Fn(&T) -> R + Sync,
     {
-        let n = items.len();
-        // Pool + per-worker spans. Workers are all named "worker" (not
-        // worker-N) so the *set* of span names in a trace is identical for
-        // every jobs value; the per-worker `tasks` counters naturally vary,
-        // but their sum is always n.
-        let collecting = tiling3d_obs::collecting();
-        let pool_span = if collecting {
-            let s = tiling3d_obs::span("pool");
-            s.add("tasks", n as u64);
-            Some(s)
-        } else {
-            None
-        };
-        let pool_id = pool_span.as_ref().map_or(0, tiling3d_obs::Span::id);
-        if self.jobs <= 1 || n <= 1 {
-            // Inline path still emits one worker span so traces have the
-            // same shape at --jobs 1.
-            let worker = if collecting {
-                Some(tiling3d_obs::span_at("worker", pool_id))
-            } else {
-                None
-            };
-            let out: Vec<R> = items.iter().map(f).collect();
-            if let Some(w) = &worker {
-                w.add("tasks", n as u64);
-            }
-            return out;
-        }
-        let next = AtomicUsize::new(0);
-        let slots: Vec<Mutex<Option<R>>> = (0..n).map(|_| Mutex::new(None)).collect();
-        thread::scope(|scope| {
-            for _ in 0..self.jobs.min(n) {
-                scope.spawn(|| {
-                    let worker = if collecting {
-                        Some(tiling3d_obs::span_at("worker", pool_id))
-                    } else {
-                        None
-                    };
-                    let mut tasks = 0u64;
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= n {
-                            break;
-                        }
-                        let r = f(&items[i]);
-                        *slots[i].lock().expect("result slot poisoned") = Some(r);
-                        tasks += 1;
-                    }
-                    if let Some(w) = &worker {
-                        w.add("tasks", tasks);
-                    }
-                });
-            }
-        });
-        slots
+        self.try_map(items, &SupervisePolicy::strict(), |x| Ok(f(x)))
             .into_iter()
-            .map(|m| {
-                m.into_inner()
-                    .expect("result slot poisoned")
-                    .expect("worker completed every claimed item")
-            })
+            .enumerate()
+            .map(|(i, r)| r.unwrap_or_else(|e| panic!("pool item {i} failed: {e}")))
             .collect()
-    }
-
-    /// Like [`SimPool::map`] but also invokes `progress(done)` after each
-    /// item completes (from worker threads; keep it cheap and re-entrant —
-    /// the drivers use it for `\r`-style stderr tickers).
-    pub fn map_with_progress<T, R, F, P>(&self, items: &[T], f: F, progress: P) -> Vec<R>
-    where
-        T: Sync,
-        R: Send,
-        F: Fn(&T) -> R + Sync,
-        P: Fn(usize) + Sync,
-    {
-        let done = AtomicUsize::new(0);
-        self.map(items, |item| {
-            let r = f(item);
-            progress(done.fetch_add(1, Ordering::Relaxed) + 1);
-            r
-        })
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use std::sync::atomic::{AtomicUsize, Ordering};
+
     use super::*;
+    use crate::supervise::silence_expected_panics;
 
     #[test]
     fn zero_means_available_parallelism() {
         assert!(SimPool::new(0).jobs() >= 1);
         assert_eq!(SimPool::new(3).jobs(), 3);
-        assert_eq!(SimPool::sequential().jobs(), 1);
-    }
-
-    #[test]
-    fn map_preserves_order_for_any_worker_count() {
-        let items: Vec<u64> = (0..257).collect();
-        let expect: Vec<u64> = items.iter().map(|x| x * x).collect();
-        for jobs in [1usize, 2, 3, 8, 64] {
-            let got = SimPool::new(jobs).map(&items, |&x| {
-                // Uneven per-item work to scramble completion order.
-                let spin = (x % 7) * 500;
-                let mut acc = 0u64;
-                for i in 0..spin {
-                    acc = acc.wrapping_add(std::hint::black_box(i));
-                }
-                std::hint::black_box(acc);
-                x * x
-            });
-            assert_eq!(got, expect, "jobs={jobs}");
-        }
-    }
-
-    #[test]
-    fn empty_and_single_item_maps() {
-        let pool = SimPool::new(4);
-        assert_eq!(pool.map(&[] as &[u32], |&x| x), Vec::<u32>::new());
-        assert_eq!(pool.map(&[42], |&x| x + 1), vec![43]);
+        assert_eq!(SimPool::new(1).jobs(), 1);
     }
 
     #[test]
@@ -184,9 +87,10 @@ mod tests {
         let count = AtomicUsize::new(0);
         let max_seen = AtomicUsize::new(0);
         let items: Vec<usize> = (0..50).collect();
-        SimPool::new(4).map_with_progress(
+        SimPool::new(4).try_map_with_progress(
             &items,
-            |&x| x,
+            &SupervisePolicy::default(),
+            |&x| Ok(x),
             |done| {
                 count.fetch_add(1, Ordering::Relaxed);
                 max_seen.fetch_max(done, Ordering::Relaxed);
@@ -194,5 +98,25 @@ mod tests {
         );
         assert_eq!(count.load(Ordering::Relaxed), 50);
         assert_eq!(max_seen.load(Ordering::Relaxed), 50);
+    }
+
+    #[test]
+    fn map_panics_naming_the_failed_item() {
+        silence_expected_panics();
+        let items: Vec<u64> = (0..20).collect();
+        for jobs in [1usize, 4] {
+            let err = std::panic::catch_unwind(|| {
+                SimPool::new(jobs).map(&items, |&x| {
+                    assert!(x != 13, "fault-injected: boom at 13");
+                    x
+                })
+            })
+            .expect_err("a failed item must fail the map");
+            let msg = err
+                .downcast_ref::<String>()
+                .expect("map panics with a formatted message");
+            assert!(msg.contains("pool item 13 failed"), "jobs={jobs}: {msg}");
+            assert!(msg.contains("boom at 13"), "jobs={jobs}: {msg}");
+        }
     }
 }

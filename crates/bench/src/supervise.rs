@@ -1,15 +1,16 @@
 //! Supervised execution: panic isolation, per-item deadlines, bounded
 //! retry-with-backoff, and fail-fast — the fault-tolerant layer under
-//! [`SimPool::try_map`](crate::SimPool::try_map).
+//! [`SimPool::try_map`](crate::SimPool::try_map), the pool's one worker
+//! loop.
 //!
-//! Every paper artifact is an hours-scale sweep over independent points;
-//! with the plain [`SimPool::map`](crate::SimPool::map) one panicking
-//! worker kills the whole run. `try_map` instead runs each item under
-//! [`std::panic::catch_unwind`], retries failures with exponential
-//! backoff, enforces a per-item deadline, and returns an **ordered**
-//! `Vec<Result<R, SweepError>>` so one bad point degrades to one `Err`
-//! slot while every `Ok` slot stays bit-identical and jobs-invariant
-//! (same dynamic-claim / indexed-slot scheme as `map`; see DESIGN.md §13).
+//! Every paper artifact is an hours-scale sweep over independent points,
+//! and one panicking point must not kill the whole run. `try_map` runs
+//! each item under [`std::panic::catch_unwind`], retries failures with
+//! exponential backoff, enforces a per-item deadline, and returns an
+//! **ordered** `Vec<Result<R, SweepError>>` so one bad point degrades to
+//! one `Err` slot while every `Ok` slot stays bit-identical and
+//! jobs-invariant (dynamic claiming, indexed result slots; see DESIGN.md
+//! §13).
 //!
 //! Safe Rust cannot kill a hung thread, so the *decision* that an item
 //! timed out is a deterministic post-hoc check of its elapsed wall time —
@@ -132,6 +133,21 @@ impl SupervisePolicy {
     }
 }
 
+/// The numerical sentinel for a point's scalar results: the first
+/// non-finite `(name, value)` pair becomes [`SweepError::Unhealthy`].
+/// Simulated miss rates, modeled and measured MFlops all pass through it.
+///
+/// # Errors
+/// `Unhealthy { reason: "non-finite <name> (<value>)" }`.
+pub fn check_finite(values: &[(&str, f64)]) -> Result<(), SweepError> {
+    match values.iter().find(|(_, v)| !v.is_finite()) {
+        Some((name, v)) => Err(SweepError::Unhealthy {
+            reason: format!("non-finite {name} ({v})"),
+        }),
+        None => Ok(()),
+    }
+}
+
 /// Marker prefix for panics raised deliberately by the fault-injection
 /// harness; [`silence_expected_panics`] filters them from stderr.
 pub const INJECTED_PANIC_PREFIX: &str = "fault-injected:";
@@ -189,8 +205,9 @@ fn attempt<R>(
 /// Supervises one item to completion under `policy`: first attempt plus
 /// up to `policy.retries` retries with doubling backoff. Emits the
 /// `sweep.retries` / `sweep.failed` / `sweep.unhealthy` obs counters.
-/// This is the single supervision primitive — the pool workers and the
-/// sequential measurement loops both funnel through it.
+/// This is the single supervision primitive — the pool's claim loop and
+/// the single-point callers (`tiling3d simulate`/`measure`, the planning
+/// server) all funnel through it.
 pub fn supervise_item<R>(
     policy: &SupervisePolicy,
     f: impl Fn() -> Result<R, SweepError>,
@@ -280,15 +297,18 @@ impl Watch {
 }
 
 impl SimPool {
-    /// Supervised [`SimPool::map`](crate::SimPool::map): applies `f` to
-    /// every item and returns per-item `Result`s **in item order**, so one
-    /// bad point never aborts the sweep.
+    /// The pool's worker loop: applies `f` to every item and returns
+    /// per-item `Result`s **in item order**, so one bad point never aborts
+    /// the sweep.
     ///
     /// Each item runs under `catch_unwind` with the policy's deadline and
     /// retry budget; `f` itself may return `Err` (typically
-    /// [`SweepError::Unhealthy`]) to reject its own result. The `Ok`
-    /// subset is bit-identical for any worker count — same
-    /// dynamic-claim / indexed-slot scheme as `map`. With
+    /// [`SweepError::Unhealthy`]) to reject its own result. Workers claim
+    /// items from an atomic counter and write results into slots indexed
+    /// by item position, so the `Ok` subset is bit-identical for any
+    /// worker count. One worker (or one item) runs inline on the caller's
+    /// thread, which is how the wall-clock sweeps keep every timing
+    /// alone on the host. With
     /// `policy.fail_fast`, the first terminal failure stops workers from
     /// claiming further items and the unstarted remainder reports
     /// [`SweepError::Aborted`].
@@ -307,8 +327,8 @@ impl SimPool {
     }
 
     /// [`SimPool::try_map`] with a completion callback (`done` count) per
-    /// item, mirroring
-    /// [`SimPool::map_with_progress`](crate::SimPool::map_with_progress).
+    /// item, called from the worker threads: keep it cheap and re-entrant
+    /// (the sweeps use it for `\r`-style stderr tickers).
     pub fn try_map_with_progress<T, R, F, P>(
         &self,
         items: &[T],
@@ -323,9 +343,10 @@ impl SimPool {
         P: Fn(usize) + Sync,
     {
         let n = items.len();
-        // Same pool/worker span shape as `map`: every worker span is named
-        // "worker", so the set of span names in a trace is identical for
-        // every jobs value.
+        // Pool + per-worker spans. Every worker span is named "worker" (not
+        // worker-N), so the set of span names in a trace is identical for
+        // every jobs value (only the per-worker `tasks` counters vary); the
+        // inline path emits one worker span too.
         let collecting = obs::collecting();
         let pool_span = if collecting {
             let s = obs::span("pool");
@@ -520,7 +541,7 @@ mod tests {
             backoff: Duration::ZERO,
             ..SupervisePolicy::default()
         };
-        let got = SimPool::sequential().try_map(&[1u64], &policy, |_| -> Result<u64, _> {
+        let got = SimPool::new(1).try_map(&[1u64], &policy, |_| -> Result<u64, _> {
             panic!("fault-injected: permanent");
         });
         let Err(SweepError::RetriesExhausted { attempts, last }) = &got[0] else {
@@ -569,7 +590,7 @@ mod tests {
             backoff: Duration::ZERO,
             ..SupervisePolicy::default()
         };
-        let got = SimPool::sequential().try_map(&[0u64, 1], &policy, |&x| {
+        let got = SimPool::new(1).try_map(&[0u64, 1], &policy, |&x| {
             if x == 1 {
                 Err(SweepError::Unhealthy {
                     reason: "NaN at (0, 0, 0)".into(),
@@ -589,7 +610,7 @@ mod tests {
     fn fail_fast_aborts_remaining_items() {
         silence_expected_panics();
         let items: Vec<u64> = (0..64).collect();
-        let got = SimPool::sequential().try_map(&items, &SupervisePolicy::strict(), |&x| {
+        let got = SimPool::new(1).try_map(&items, &SupervisePolicy::strict(), |&x| {
             assert!(x != 3, "fault-injected: strict stop");
             Ok(x)
         });

@@ -8,15 +8,17 @@
 //! whole sweep recovers bit-identically. Checkpoints written along the
 //! way validate against the golden schema, and a truncated
 //! (interrupted) checkpoint resumes to results byte-identical to an
-//! uninterrupted sweep.
+//! uninterrupted sweep. The wall-clock sweep (`measure_grid_supervised`,
+//! sequential and K-slab arms) runs on the same supervised grid, so the
+//! same faults fail the same points there.
 
 use std::time::Duration;
 
 use tiling3d_bench::checkpoint;
 use tiling3d_bench::fault::{FaultKind, FaultMode, FaultPlan};
 use tiling3d_bench::{
-    simulate_grid_supervised, supervise, SimPoint, SupervisePolicy, SweepConfig, SweepError,
-    SweepOptions,
+    measure_grid_supervised, simulate_grid_supervised, supervise, SimPoint, SupervisePolicy,
+    SweepConfig, SweepError, SweepOptions,
 };
 use tiling3d_core::Transform;
 use tiling3d_stencil::kernels::Kernel;
@@ -274,4 +276,97 @@ fn interrupted_checkpoint_resumes_bit_identically() {
         "a complete checkpoint must restore every point"
     );
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A small wall-clock sweep: N = 40..56 step 8, one timed rep per point.
+fn wall_clock_cfg() -> SweepConfig {
+    SweepConfig {
+        n_min: 40,
+        n_max: 56,
+        step: 8,
+        nk: 8,
+        reps: 1,
+        ..SweepConfig::default()
+    }
+}
+
+/// Fail-fast on the wall-clock sweep, for the sequential and the K-slab
+/// arm: a panic injected at the first point fails that point, and every
+/// later point reports `Aborted` instead of being timed.
+#[test]
+fn wall_clock_sweep_fails_fast_after_an_injected_panic() {
+    supervise::silence_expected_panics();
+    let kernel = Kernel::Jacobi;
+    let cfg = wall_clock_cfg();
+    let all_keys = keys(&cfg, kernel);
+    for slabs in [None, Some(2)] {
+        let plan =
+            FaultPlan::explicit([(all_keys[0].clone(), FaultKind::Panic)], FaultMode::Always);
+        let opts = SweepOptions {
+            policy: SupervisePolicy::strict(),
+            fault: Some(plan),
+            ..SweepOptions::default()
+        };
+        let grid = measure_grid_supervised(&cfg, kernel, &Transform::ALL, slabs, &opts);
+        let flat: Vec<&Result<f64, SweepError>> =
+            grid.rows.iter().flat_map(|(_, row)| row.iter()).collect();
+        assert_eq!(flat.len(), all_keys.len(), "slabs {slabs:?}");
+        assert!(
+            matches!(flat[0], Err(e) if matches!(e.root(), SweepError::Panicked { .. })),
+            "slabs {slabs:?}: first point must carry the panic, got {:?}",
+            flat[0]
+        );
+        assert!(
+            flat[1..]
+                .iter()
+                .all(|r| matches!(r, Err(SweepError::Aborted))),
+            "slabs {slabs:?}: strict mode must abort the remainder: {}",
+            grid.report.summary()
+        );
+        assert_eq!(
+            grid.report.failures.len(),
+            all_keys.len(),
+            "slabs {slabs:?}"
+        );
+    }
+}
+
+/// The health scan on the wall-clock sweep, for the sequential and the
+/// K-slab arm: a NaN written into one point's output grid after the
+/// warm-up fails that point as `Unhealthy`; every other point is timed
+/// to a finite, positive MFlops.
+#[test]
+fn wall_clock_sweep_rejects_a_poisoned_grid_as_unhealthy() {
+    let kernel = Kernel::Resid;
+    let cfg = wall_clock_cfg();
+    let victim = keys(&cfg, kernel)[7].clone();
+    for slabs in [None, Some(2)] {
+        let plan = FaultPlan::explicit([(victim.clone(), FaultKind::NanWrite)], FaultMode::Always);
+        let opts = SweepOptions {
+            policy: policy_for(FaultKind::NanWrite, 0),
+            fault: Some(plan),
+            ..SweepOptions::default()
+        };
+        let grid = measure_grid_supervised(&cfg, kernel, &Transform::ALL, slabs, &opts);
+        assert_eq!(grid.report.failures.len(), 1, "{}", grid.report.summary());
+        for (n, row) in &grid.rows {
+            for (&t, got) in Transform::ALL.iter().zip(row) {
+                let key = checkpoint::point_key(kernel, t, *n, cfg.nk);
+                if key == victim {
+                    assert!(
+                        matches!(got, Err(e) if matches!(e.root(), SweepError::Unhealthy { .. })),
+                        "slabs {slabs:?}: poisoned {key} must be unhealthy, got {got:?}"
+                    );
+                } else {
+                    let v = got
+                        .as_ref()
+                        .unwrap_or_else(|e| panic!("slabs {slabs:?}: unfaulted {key} failed: {e}"));
+                    assert!(
+                        v.is_finite() && *v > 0.0,
+                        "slabs {slabs:?}: {key} timed to {v}"
+                    );
+                }
+            }
+        }
+    }
 }

@@ -695,7 +695,7 @@ fn cmd_simulate(flags: &ParsedFlags) -> Result<String, String> {
         if flags.switch("--tlb") {
             return Err("simulate: --tlb needs a single --transform, not 'all'".into());
         }
-        return simulate_all(flags, kernel, n, nk, cache, l1);
+        return simulate_all(flags, kernel, n, nk, l1);
     }
     let opts = SweepOptions::from_flags(flags)?;
     let t: Transform = flags.parse_str("--transform")?;
@@ -706,7 +706,7 @@ fn cmd_simulate(flags: &ParsedFlags) -> Result<String, String> {
         let p = plan(t, cache, n, n, &kernel.shape());
         let mut h = Hierarchy::new(l1, CacheConfig::ULTRASPARC2_L2);
         kernel.trace(n, nk, p.padded_di, p.padded_dj, p.tile, &mut h);
-        sim_health(&h)?;
+        supervise::check_finite(&miss_rates(&h))?;
         Ok((p, h))
     })
     .map_err(|e| format!("simulate: {} at N = {n} failed: {e}", t.name()))?;
@@ -748,7 +748,7 @@ fn simulate_tlb(
             Hierarchy::new(l1, CacheConfig::ULTRASPARC2_L2),
         );
         kernel.trace(n, nk, p.padded_di, p.padded_dj, p.tile, &mut m);
-        sim_health(m.hierarchy())?;
+        supervise::check_finite(&miss_rates(m.hierarchy()))?;
         Ok((p, m))
     })
     .map_err(|e| format!("simulate: {} at N = {n} failed: {e}", t.name()))?;
@@ -775,48 +775,44 @@ fn simulate_tlb(
     ))
 }
 
-/// Rejects a simulated hierarchy with non-finite miss rates — the
-/// CLI-side numerical sentinel.
-fn sim_health(h: &Hierarchy) -> Result<(), SweepError> {
-    for (name, v) in [
+/// A simulated hierarchy's miss rates, named for the numerical sentinel
+/// ([`supervise::check_finite`]).
+fn miss_rates(h: &Hierarchy) -> [(&'static str, f64); 2] {
+    [
         ("L1 miss rate", h.l1_miss_rate_pct()),
         ("L2 miss rate", h.l2_miss_rate_pct()),
-    ] {
-        if !v.is_finite() {
-            return Err(SweepError::Unhealthy {
-                reason: format!("non-finite {name} ({v})"),
-            });
-        }
-    }
-    Ok(())
+    ]
 }
 
-/// `simulate --transform all`: every transformation's trace, sharded one
-/// per pool worker under the supervision policy. Transform order (and
-/// therefore output) is fixed; worker count only changes wall time. A
-/// failed transform renders as a `FAILED` row and turns the invocation
-/// into an `Err` (non-zero exit) with the intact rows still shown.
+/// `simulate --transform all`: every transformation's trace at one size,
+/// through the supervised sweep grid ([`simulate_grid_supervised`]) on a
+/// one-size sweep whose L1 is the `--cache-kb`/`--line` level, sharded
+/// one transform per pool worker. Transform order (and therefore output)
+/// is fixed; worker count only changes wall time. A failed transform
+/// renders as a `FAILED` row and turns the invocation into an `Err`
+/// (non-zero exit) with the intact rows still shown.
 fn simulate_all(
     flags: &ParsedFlags,
     kernel: Kernel,
     n: usize,
     nk: usize,
-    cache: CacheSpec,
     l1: CacheConfig,
 ) -> Result<String, String> {
     let opts = SweepOptions::from_flags(flags)?;
-    let pool = SimPool::new(flags.usize("--jobs"));
-    let rows = pool.try_map(&Transform::ALL, &opts.policy, |&t| {
-        let p = plan(t, cache, n, n, &kernel.shape());
-        let mut h = Hierarchy::new(l1, CacheConfig::ULTRASPARC2_L2);
-        kernel.trace(n, nk, p.padded_di, p.padded_dj, p.tile, &mut h);
-        sim_health(&h)?;
-        Ok((p, h))
-    });
+    let cfg = SweepConfig {
+        n_min: n,
+        n_max: n,
+        step: 1,
+        nk,
+        l1,
+        jobs: flags.usize("--jobs"),
+        ..SweepConfig::default()
+    };
+    let grid = simulate_grid_supervised(&cfg, kernel, &Transform::ALL, &opts)?;
     let mut out = format!(
         "{} {n}x{n}x{nk}, all transforms ({} workers):\n{:<10}{:>10}{:>14}{:>12}{:>12}\n",
         kernel.name(),
-        pool.jobs(),
+        cfg.pool().jobs(),
         "transform",
         "tile",
         "padded dims",
@@ -824,17 +820,19 @@ fn simulate_all(
         "L2 miss %"
     );
     let mut failed = 0usize;
-    for (&t, row) in Transform::ALL.iter().zip(&rows) {
-        match row {
-            Ok((p, h)) => {
+    let points = grid.rows.iter().flat_map(|(_, row)| row);
+    for (&t, point) in Transform::ALL.iter().zip(points) {
+        match point {
+            Ok(sim) => {
+                let p = tiling3d_bench::plan_for(&cfg, kernel, t, n);
                 let _ = writeln!(
                     out,
                     "{:<10}{:>10}{:>14}{:>12.2}{:>12.2}",
                     t.name(),
                     p.tile.map_or("-".into(), |(a, b)| format!("{a}x{b}")),
                     format!("{}x{}", p.padded_di, p.padded_dj),
-                    h.l1_miss_rate_pct(),
-                    h.l2_miss_rate_pct(),
+                    sim.l1_pct,
+                    sim.l2_pct,
                 );
             }
             Err(e) => {
@@ -889,8 +887,8 @@ fn simulate_temporal(
                 timetile::trace_redblack_time_tiled(&grid, steps, tt, 0, &mut tiled);
             }
         }
-        sim_health(&naive)?;
-        sim_health(&tiled)?;
+        supervise::check_finite(&miss_rates(&naive))?;
+        supervise::check_finite(&miss_rates(&tiled))?;
         Ok((naive, tiled))
     })
     .map_err(|e| {
@@ -1525,26 +1523,19 @@ fn cmd_measure(flags: &ParsedFlags) -> Result<String, String> {
         ));
     }
     // The timed arms run under the supervision path: panic-isolated,
-    // retried, deadline-checked, and health-scanned (the sequential arm
-    // goes through `measure_mflops_checked`, which scans the output grid
-    // for NaN/Inf before accepting the timing).
+    // retried, deadline-checked, and health-scanned (`measure_mflops`
+    // scans the output grid for NaN/Inf after the warm-up sweep of either
+    // arm before accepting the timing).
     let opts = SweepOptions::from_flags(flags)?;
     let flops = kernel.sweep_flops(n, cfg.nk) as f64;
-    let seq_mflops = supervise::supervise_item(&opts.policy, || {
-        tiling3d_bench::measure_mflops_checked(&cfg, kernel, t, n, None)
-    })
-    .map_err(|e| format!("measure: sequential arm failed: {e}"))?;
-    let par_mflops = supervise::supervise_item(&opts.policy, || {
-        let v = tiling3d_bench::measure_mflops_parallel(&cfg, kernel, t, n, cfg.jobs);
-        if v.is_finite() {
-            Ok(v)
-        } else {
-            Err(SweepError::Unhealthy {
-                reason: format!("non-finite parallel MFlops ({v})"),
-            })
-        }
-    })
-    .map_err(|e| format!("measure: parallel arm failed: {e}"))?;
+    let arm = |slabs| {
+        supervise::supervise_item(&opts.policy, || {
+            tiling3d_bench::measure_mflops(&cfg, kernel, t, n, slabs, None)
+        })
+    };
+    let seq_mflops = arm(None).map_err(|e| format!("measure: sequential arm failed: {e}"))?;
+    let par_mflops =
+        arm(Some(cfg.jobs)).map_err(|e| format!("measure: parallel arm failed: {e}"))?;
     let mut out = format!(
         "measure: {} {n}x{n}x{} ({}, {}), {:.0} MFlop/sweep\n",
         kernel.name(),
