@@ -46,6 +46,13 @@ fn main() {
     let cfg = driver::or_exit(SweepConfig::from_flags(&flags));
     let opts = driver::or_exit(SweepOptions::from_flags(&flags));
     let csv = flags.switch("--csv");
+    let modeled = flags.switch("--modeled");
+    let parallel = flags.switch("--parallel");
+    if modeled && parallel {
+        driver::or_exit::<()>(Err(
+            "fig_perf cannot combine --modeled with --parallel: --parallel times the K-slab sweeps on the wall clock".into(),
+        ));
+    }
 
     let fig = match (kernel, cfg.n_max > 450) {
         (Kernel::Jacobi, _) => "Fig 15",
@@ -61,14 +68,12 @@ fn main() {
         cfg.step,
         cfg.nk
     );
-    let modeled = flags.switch("--modeled");
-    let parallel = flags.switch("--parallel");
     if modeled {
         println!(
             "(modeled from simulated misses at UltraSparc2-era penalties; see EXPERIMENTS.md)"
         );
     }
-    let (perf, report) = if modeled && !parallel {
+    let (perf, report) = if modeled {
         let sweeps = run_miss_sweeps_supervised(&cfg, kernel, &Transform::ALL, &opts);
         let (_, _, modeled, report) = driver::or_exit(sweeps.map_err(|e| format!("fig_perf: {e}")));
         (modeled, report)

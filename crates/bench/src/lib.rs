@@ -149,11 +149,12 @@ impl SweepConfig {
     /// [`SweepConfig::default`] value).
     ///
     /// # Errors
-    /// Rejects `--min` or `--nk` below [`MIN_EXTENT`] ([`extent_flag`]).
+    /// Rejects `--min` or `--nk` below [`MIN_EXTENT`] ([`extent_flag`]),
+    /// and `--max` below `--min`, which would sweep no size at all.
     pub fn from_flags(flags: &ParsedFlags) -> Result<Self, String> {
         let d = SweepConfig::default();
         let get = |name: &str, fallback: usize| flags.opt_usize(name).unwrap_or(fallback);
-        Ok(SweepConfig {
+        let cfg = SweepConfig {
             n_min: extent_flag(flags, "--min", Some(d.n_min))?,
             n_max: get("--max", d.n_max),
             step: get("--step", d.step),
@@ -161,7 +162,16 @@ impl SweepConfig {
             reps: get("--reps", d.reps),
             jobs: get("--jobs", d.jobs),
             ..d
-        })
+        };
+        if cfg.n_max < cfg.n_min {
+            return Err(format!(
+                "{} requires --min <= --max (got --min {}, --max {})",
+                flags.command(),
+                cfg.n_min,
+                cfg.n_max
+            ));
+        }
+        Ok(cfg)
     }
 
     /// The `N` values this sweep visits.
@@ -937,5 +947,24 @@ mod tests {
             assert!(err.contains("demo requires"), "{err}");
         }
         assert_eq!(from(&["--nk", "3"]).unwrap().nk, 3);
+    }
+
+    #[test]
+    fn sweep_config_rejects_max_below_min() {
+        use tiling3d_obs::flags::FlagSet;
+        let set = FlagSet::new("demo", "demo driver", None, SweepConfig::FLAGS);
+        let from = |args: &[&str]| {
+            let raw: Vec<String> = args.iter().map(ToString::to_string).collect();
+            SweepConfig::from_flags(&set.parse(&raw).unwrap())
+        };
+        let err = from(&["--min", "300", "--max", "200"]).unwrap_err();
+        assert_eq!(
+            err,
+            "demo requires --min <= --max (got --min 300, --max 200)"
+        );
+        // The default --max is 400.
+        assert!(from(&["--min", "401"]).unwrap_err().contains("--max 400"));
+        let one = from(&["--min", "256", "--max", "256"]).unwrap();
+        assert_eq!(one.sizes(), vec![256]);
     }
 }

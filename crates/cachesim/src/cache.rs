@@ -1,10 +1,9 @@
 //! Single-level set-associative cache model.
 
 use crate::config::{CacheConfig, WritePolicy};
+use crate::level::{self, with_view, Assoc, Direct, Index, Level, Lru, View, EMPTY};
 use crate::sinks::AccessSink;
-use crate::stats::AccessStats;
-
-const EMPTY: u64 = u64::MAX;
+use crate::stats::{AccessStats, Tally};
 
 /// One cache level: set-associative with true-LRU replacement and a
 /// direct-mapped fast path.
@@ -17,26 +16,15 @@ const EMPTY: u64 = u64::MAX;
 #[derive(Clone, Debug)]
 pub struct Cache {
     cfg: CacheConfig,
-    line_shift: u32,
-    set_mask: u64,
-    /// `log2(num_sets)`, precomputed so the hot path needs no popcount.
-    tag_shift: u32,
-    /// Direct-mapped fast path: one tag per set. Unused when `ways > 1`.
+    index: Index,
+    /// Direct-mapped levels: the line each set holds. Unused when
+    /// `ways > 1`.
     dm_tags: Vec<u64>,
-    /// Associative path: per set, `ways` slots of `(tag, last_use)`.
+    /// Associative levels: per set, `ways` slots of `(line, last_use)`.
     sets: Vec<(u64, u64)>,
-    clock: u64,
+    /// Clock and MRU short-circuit of associative levels.
+    lru: Lru,
     stats: AccessStats,
-    /// MRU short-circuit (associative configurations only): the line of
-    /// the most recent access that left a resident line behind (hit, or
-    /// miss that allocated). Stencil traces touch the same line for
-    /// several consecutive `I` iterations, so most probes resolve here
-    /// without a way scan. `EMPTY` when invalid; never consulted when
-    /// `ways == 1`.
-    last_line: u64,
-    /// Slot index (into `sets`) of `last_line` when `ways > 1`, so the
-    /// short-circuit can refresh the LRU timestamp without a set scan.
-    last_slot: usize,
 }
 
 impl Cache {
@@ -52,9 +40,7 @@ impl Cache {
         let num_sets = cfg.num_sets();
         Cache {
             cfg,
-            line_shift: cfg.line_bytes.trailing_zeros(),
-            set_mask: (num_sets - 1) as u64,
-            tag_shift: num_sets.trailing_zeros(),
+            index: Index::new(&cfg),
             dm_tags: if cfg.ways == 1 {
                 vec![EMPTY; num_sets]
             } else {
@@ -65,10 +51,8 @@ impl Cache {
             } else {
                 Vec::new()
             },
-            clock: 0,
+            lru: Lru::default(),
             stats: AccessStats::default(),
-            last_line: EMPTY,
-            last_slot: 0,
         }
     }
 
@@ -85,197 +69,103 @@ impl Cache {
     /// Clears both the counters and the cache contents (cold restart).
     pub fn reset(&mut self) {
         self.stats = AccessStats::default();
-        self.clock = 0;
         self.dm_tags.fill(EMPTY);
         self.sets.fill((EMPTY, 0));
-        self.last_line = EMPTY;
-        self.last_slot = 0;
+        self.lru = Lru::default();
+    }
+
+    /// A level view of this cache for one replay call (see
+    /// [`crate::level`]).
+    pub(crate) fn view(&mut self) -> View<'_> {
+        let allocates_stores = self.cfg.write_policy == WritePolicy::WriteAllocate;
+        if self.cfg.ways == 1 {
+            View::Direct(Direct::new(&mut self.dm_tags, self.index, allocates_stores))
+        } else {
+            View::Assoc(Assoc::new(
+                &mut self.sets,
+                &mut self.lru,
+                self.index,
+                self.cfg.ways,
+                allocates_stores,
+            ))
+        }
+    }
+
+    /// Adds one replay call's counts.
+    pub(crate) fn count(&mut self, t: &Tally) {
+        self.stats.count(t);
     }
 
     /// Presents one access; returns `true` on a miss.
     ///
-    /// For associative configurations, accesses that fall in the same line
-    /// as the previous resident access resolve in the MRU short-circuit: a
-    /// same-line repeat is a hit by construction, so the way scan is
-    /// skipped and only the LRU timestamp is refreshed. The short-circuit
-    /// is bit-identical to the full path ([`Cache::access_reference`]): it
-    /// performs the same counter updates and the same LRU-timestamp
-    /// refresh. Direct-mapped configurations always take the full lookup —
-    /// there it is already a single compare, so an MRU probe would cost as
-    /// much as it saves; their batched hot path is
-    /// [`AccessSink::read_run`], which segments runs by line instead.
+    /// The lookup runs on a level view. On associative configurations an
+    /// access to the line of the previous resident access resolves in the
+    /// MRU short-circuit: it is a hit by construction, so the way scan is
+    /// skipped, and the line, which holds the newest LRU stamp already,
+    /// keeps it. Hits and misses are bit-identical to the full path
+    /// ([`Cache::access_reference`]). Direct-mapped configurations always
+    /// take the full lookup, which is a single compare there.
     #[inline]
     pub fn access(&mut self, addr: u64, is_write: bool) -> bool {
-        let line = addr >> self.line_shift;
-        if self.cfg.ways > 1 && line == self.last_line {
-            self.clock += 1;
-            self.sets[self.last_slot].1 = self.clock;
-            self.stats.record(is_write, false);
-            return false;
-        }
-        self.access_cold(line, is_write)
-    }
-
-    /// The full-lookup reference path: identical semantics to
-    /// [`Cache::access`] but never takes the MRU short-circuit. Kept public
-    /// so the golden-equivalence tests and the cachesim benches can compare
-    /// the fast path against the original per-access behaviour; the two may
-    /// be freely interleaved on one cache.
-    #[inline]
-    pub fn access_reference(&mut self, addr: u64, is_write: bool) -> bool {
-        self.access_cold(addr >> self.line_shift, is_write)
-    }
-
-    #[inline]
-    fn access_cold(&mut self, line: u64, is_write: bool) -> bool {
-        let set = (line & self.set_mask) as usize;
-        let tag = line >> self.tag_shift;
-        let allocate = !is_write || matches!(self.cfg.write_policy, WritePolicy::WriteAllocate);
-
-        let miss = if self.cfg.ways == 1 {
-            // Direct-mapped: the lookup is one compare, and `access` never
-            // consults the MRU state for `ways == 1`, so none is kept.
-            let slot = &mut self.dm_tags[set];
-            let miss = *slot != tag;
-            if miss && allocate {
-                *slot = tag;
-            }
-            miss
-        } else {
-            self.access_assoc(line, set, tag, allocate)
-        };
-
+        let miss = with_view!(self, |v| v.access(addr, is_write));
         self.stats.record(is_write, miss);
         miss
     }
 
-    /// Kept out of line so the compact direct-mapped sequence is all that
-    /// callers inline — the way scans here would otherwise bloat every
-    /// inlined `access` even in sims that never take them.
-    #[inline(never)]
-    fn access_assoc(&mut self, line: u64, set: usize, tag: u64, allocate: bool) -> bool {
-        self.clock += 1;
-        let ways = self.cfg.ways;
-        let base = set * ways;
-        let slots = &mut self.sets[base..base + ways];
-        // Hit?
-        if let Some(pos) = slots.iter().position(|(t, _)| *t == tag) {
-            slots[pos].1 = self.clock;
-            self.last_line = line;
-            self.last_slot = base + pos;
-            return false;
-        }
-        if allocate {
+    /// The reference the replay paths are tested against: one access with
+    /// a full lookup and per-access bookkeeping, never taking the MRU
+    /// short-circuit, and sharing no lookup code with the level views.
+    /// Kept public so the golden-equivalence tests can compare the engine
+    /// with the original per-access behaviour; the two may be freely
+    /// interleaved on one cache.
+    #[inline]
+    pub fn access_reference(&mut self, addr: u64, is_write: bool) -> bool {
+        let (line, set) = self.index.split(addr);
+        let allocate = !is_write || self.cfg.write_policy == WritePolicy::WriteAllocate;
+        let miss = if self.cfg.ways == 1 {
+            let slot = &mut self.dm_tags[set];
+            let miss = *slot != line;
+            if miss && allocate {
+                *slot = line;
+            }
+            miss
+        } else {
+            self.lru.clock += 1;
+            let base = set * self.cfg.ways;
+            let slots = &mut self.sets[base..base + self.cfg.ways];
+            let hit = slots.iter().position(|(l, _)| *l == line);
             // Victim: empty slot if any, else least recently used.
-            let (pos, victim) = slots
-                .iter_mut()
-                .enumerate()
-                .min_by_key(|(_, (t, lu))| if *t == EMPTY { 0 } else { *lu + 1 })
-                .expect("ways > 0");
-            *victim = (tag, self.clock);
-            self.last_line = line;
-            self.last_slot = base + pos;
-        }
-        true
-    }
-
-    /// Records `n` guaranteed read hits on the most recently accessed line —
-    /// the bulk tail of a batched run whose head access left the line
-    /// resident. Performs exactly the counter and LRU updates `n` calls to
-    /// [`Cache::access`] would.
-    #[inline]
-    pub(crate) fn record_line_read_hits(&mut self, n: u64) {
-        self.stats.accesses += n;
-        self.stats.reads += n;
-        if self.cfg.ways > 1 {
-            self.clock += n;
-            self.sets[self.last_slot].1 = self.clock;
-        }
-    }
-
-    /// Records `n` guaranteed write hits on the most recently accessed line
-    /// — the bulk tail of a batched write run whose head access left the
-    /// line resident (a write hit, or a write miss under
-    /// [`WritePolicy::WriteAllocate`]). Performs exactly the counter and
-    /// LRU updates `n` calls to [`Cache::access`] would.
-    #[inline]
-    pub(crate) fn record_line_write_hits(&mut self, n: u64) {
-        self.stats.accesses += n;
-        self.stats.writes += n;
-        if self.cfg.ways > 1 {
-            self.clock += n;
-            self.sets[self.last_slot].1 = self.clock;
-        }
-    }
-
-    /// Records `n` guaranteed write misses on a non-resident line — the
-    /// bulk tail of a batched write run whose head access missed under
-    /// [`WritePolicy::WriteAround`] (the line was not filled, so every
-    /// same-line store after it misses too). Counter-for-counter and
-    /// clock-for-clock identical to `n` calls to [`Cache::access`].
-    #[inline]
-    pub(crate) fn record_line_write_misses(&mut self, n: u64) {
-        self.stats.accesses += n;
-        self.stats.writes += n;
-        self.stats.misses += n;
-        self.stats.write_misses += n;
-        if self.cfg.ways > 1 {
-            self.clock += n;
-        }
-    }
-
-    /// Records guaranteed hits spread over lines that were each probed
-    /// earlier in the same row chunk and cannot have been evicted since.
-    /// Counts and clock advance as for `reads + writes` calls to
-    /// [`Cache::access`]; LRU timestamps are left as the probes set them,
-    /// which keeps each touched line most recent in its set — the only
-    /// order replacement ever compares, as no set holds two touched lines.
-    #[inline]
-    pub(crate) fn record_hits(&mut self, reads: u64, writes: u64) {
-        self.stats.accesses += reads + writes;
-        self.stats.reads += reads;
-        self.stats.writes += writes;
-        if self.cfg.ways > 1 {
-            self.clock += reads + writes;
-        }
-    }
-
-    /// Adds counts replayed elsewhere: a memoized outcome of a row class.
-    /// Direct-mapped only, where no LRU clock advances.
-    #[inline]
-    pub(crate) fn record_stats(&mut self, s: &AccessStats) {
-        debug_assert_eq!(self.cfg.ways, 1);
-        self.stats.merge(s);
-    }
-
-    /// Makes the line containing `addr` resident without counting an
-    /// access: the end state of a memoized row class. Direct-mapped only.
-    #[inline]
-    pub(crate) fn install(&mut self, addr: u64) {
-        let line = addr >> self.line_shift;
-        self.dm_tags[(line & self.set_mask) as usize] = line >> self.tag_shift;
-    }
-
-    /// Line size helper for run segmentation.
-    #[inline]
-    pub(crate) fn line_bytes(&self) -> u64 {
-        self.cfg.line_bytes as u64
+            let victim = || {
+                slots
+                    .iter()
+                    .enumerate()
+                    .min_by_key(|(_, (t, lu))| if *t == EMPTY { 0 } else { *lu + 1 })
+                    .map(|(pos, _)| pos)
+                    .expect("ways > 0")
+            };
+            let filled = hit.or_else(|| allocate.then(victim));
+            if let Some(pos) = filled {
+                slots[pos] = (line, self.lru.clock);
+                self.lru.last_line = line;
+                self.lru.last_slot = base + pos;
+            }
+            hit.is_none()
+        };
+        self.stats.record(is_write, miss);
+        miss
     }
 
     /// True when the line containing `addr` is currently resident —
     /// a probe that does not perturb stats or LRU state.
-    #[inline]
     pub fn probe(&self, addr: u64) -> bool {
-        let line = addr >> self.line_shift;
-        let set = (line & self.set_mask) as usize;
-        let tag = line >> self.tag_shift;
+        let (line, set) = self.index.split(addr);
         if self.cfg.ways == 1 {
-            self.dm_tags[set] == tag
+            self.dm_tags[set] == line
         } else {
             let ways = self.cfg.ways;
             self.sets[set * ways..(set + 1) * ways]
                 .iter()
-                .any(|(t, _)| *t == tag)
+                .any(|(l, _)| *l == line)
         }
     }
 }
@@ -291,65 +181,27 @@ impl AccessSink for Cache {
         self.access(addr, true);
     }
 
-    #[inline]
+    /// One probe per touched line; the rest of each line's loads are hits
+    /// on it, since loads allocate under every write policy.
     fn read_run(&mut self, addr: u64, stride: i64, n: usize) {
-        // Segment the run by line: probe the first access of each line,
-        // then record the rest of the line's accesses as guaranteed hits in
-        // bulk (after a read probe the line is always resident — reads
-        // allocate under every write policy). The same-line test is a
-        // shift+compare, so this is division-free and valid for any stride,
-        // including descending, zero, and line-skipping runs (the latter
-        // simply probe every access).
-        let shift = self.line_shift;
-        let mut a = addr;
-        let mut rem = n;
-        while rem > 0 {
-            self.access(a, false);
-            let line = a >> shift;
-            rem -= 1;
-            a = a.wrapping_add(stride as u64);
-            let mut hits = 0u64;
-            while rem > 0 && a >> shift == line {
-                hits += 1;
-                rem -= 1;
-                a = a.wrapping_add(stride as u64);
-            }
-            if hits > 0 {
-                self.record_line_read_hits(hits);
-            }
-        }
+        let mut t = Tally::default();
+        with_view!(self, |v| level::read_run(
+            &mut v,
+            &mut t,
+            addr,
+            stride,
+            n,
+            |_| ()
+        ));
+        self.count(&t);
     }
 
-    #[inline]
+    /// One probe per touched line; the rest of each line's stores hit or
+    /// miss with it, as the first store left the line.
     fn write_run(&mut self, addr: u64, stride: i64, n: usize) {
-        // Same line segmentation as `read_run`, but the bulk tail of a
-        // line depends on whether the head store left it resident: it does
-        // on a hit or an allocating miss, while a `WriteAround` miss leaves
-        // the line cold and every same-line store after it misses too.
-        let shift = self.line_shift;
-        let mut a = addr;
-        let mut rem = n;
-        while rem > 0 {
-            let head_miss = self.access(a, true);
-            let line = a >> shift;
-            rem -= 1;
-            a = a.wrapping_add(stride as u64);
-            let mut tail = 0u64;
-            while rem > 0 && a >> shift == line {
-                tail += 1;
-                rem -= 1;
-                a = a.wrapping_add(stride as u64);
-            }
-            if tail > 0 {
-                let resident =
-                    !head_miss || matches!(self.cfg.write_policy, WritePolicy::WriteAllocate);
-                if resident {
-                    self.record_line_write_hits(tail);
-                } else {
-                    self.record_line_write_misses(tail);
-                }
-            }
-        }
+        let mut t = Tally::default();
+        with_view!(self, |v| level::write_run(&mut v, &mut t, addr, stride, n));
+        self.count(&t);
     }
 }
 

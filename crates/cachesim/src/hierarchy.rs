@@ -2,12 +2,13 @@
 
 use crate::cache::Cache;
 use crate::config::CacheConfig;
+use crate::level::{self, with_views, Level};
 use crate::row::{
-    self, Class, CleanClass, Outcome, PointMajorClass, RowPlans, RowShape, CHUNK_POINTS,
+    Class, CleanClass, Outcome, PointMajorClass, RowPlans, RowShape, Slot, CHUNK_POINTS,
     MIN_PLANNED_POINTS,
 };
 use crate::sinks::AccessSink;
-use crate::stats::AccessStats;
+use crate::stats::{AccessStats, Tally};
 
 /// An L1 → L2 hierarchy matching the paper's simulation setup.
 ///
@@ -48,7 +49,7 @@ impl Hierarchy {
         Hierarchy {
             l1: Cache::new(l1),
             l2: Cache::new(l2),
-            rows: RowPlans::default(),
+            rows: RowPlans::new(l1, l2),
         }
     }
 
@@ -114,91 +115,227 @@ impl Hierarchy {
     }
 }
 
+/// Both levels' counts over one replay call.
+#[derive(Clone, Copy, Debug, Default)]
+struct Tallies {
+    l1: Tally,
+    l2: Tally,
+}
+
+impl Tallies {
+    fn add(&mut self, other: &Tallies) {
+        self.l1.add(&other.l1);
+        self.l2.add(&other.l2);
+    }
+}
+
 impl Hierarchy {
-    /// L1-miss refill path, out of line: most reads hit L1, so keeping the
-    /// L2 lookup behind a call leaves callers with just the compact L1
-    /// probe to inline.
-    #[inline(never)]
-    fn l2_read_fill(&mut self, addr: u64) {
-        self.l2.access(addr, false);
+    /// Adds one replay call's counts to both levels.
+    fn count(&mut self, t: &Tallies) {
+        self.l1.count(&t.l1);
+        self.l2.count(&t.l2);
+    }
+}
+
+/// Views of both levels for one replay call (see [`crate::level`]). Every
+/// replay loop is written once here, generic over the pair of level
+/// kinds, and counts into a [`Tallies`] that its caller keeps in a local.
+/// The methods are inlined into each entry point, so the views' scalars
+/// and the counters stay in registers across the loops.
+struct Levels<A, B> {
+    l1: A,
+    l2: B,
+}
+
+impl<A: Level, B: Level> Levels<A, B> {
+    /// A run of loads: segmented by L1 line, where only each line's first
+    /// load can miss and reach L2, at that exact address, as in the
+    /// per-access expansion.
+    #[inline(always)]
+    fn read_run(&mut self, t: &mut Tallies, addr: u64, stride: i64, n: usize) {
+        let Levels { l1, l2 } = self;
+        let fills = &mut t.l2;
+        level::read_run(l1, &mut t.l1, addr, stride, n, |a| {
+            fills.reads += 1;
+            fills.read_misses += u64::from(l2.access(a, false));
+        });
+    }
+
+    /// A run of stores. Both levels see every store, and stores never
+    /// couple the levels, so each level segments the run on its own;
+    /// together the two are the interleaved per-access expansion.
+    #[inline(always)]
+    fn write_run(&mut self, t: &mut Tallies, addr: u64, stride: i64, n: usize) {
+        level::write_run(&mut self.l1, &mut t.l1, addr, stride, n);
+        level::write_run(&mut self.l2, &mut t.l2, addr, stride, n);
+    }
+
+    /// Point-major replay of `slots` over `points` points `step` bytes
+    /// apart: the per-access expansion, for single accesses, short rows
+    /// and point-major classes. A load reaches L2 only when it misses L1;
+    /// a store is written through to both levels. Per access the loop
+    /// counts only misses and L1 stores; the loads, and the L2 loads and
+    /// stores they imply, are added once at the end.
+    #[inline(always)]
+    fn expand(&mut self, t: &mut Tallies, slots: &[Slot], step: i64, base: u64, points: usize) {
+        let (fills, stores) = (t.l1.read_misses, t.l1.writes);
+        let mut b = base;
+        for _ in 0..points {
+            for s in slots {
+                let a = b.wrapping_add(s.offset as u64);
+                if s.write {
+                    t.l1.writes += 1;
+                    t.l1.write_misses += u64::from(self.l1.access(a, true));
+                    t.l2.write_misses += u64::from(self.l2.access(a, true));
+                } else if self.l1.access(a, false) {
+                    t.l1.read_misses += 1;
+                    t.l2.read_misses += u64::from(self.l2.access(a, false));
+                }
+            }
+            b = b.wrapping_add(step as u64);
+        }
+        let (fills, stores) = (t.l1.read_misses - fills, t.l1.writes - stores);
+        t.l1.reads += (slots.len() * points) as u64 - stores;
+        t.l2.reads += fills;
+        t.l2.writes += stores;
+    }
+
+    /// A row: split into chunks and each chunk into classes that touch
+    /// disjoint L1 and L2 sets (DESIGN.md, "Row-level replay"). Classes
+    /// cannot affect each other's hits, misses or replacement order, so
+    /// each replays on its own; together they are bit-identical to the
+    /// point-major expansion. Short rows and short remainder chunks
+    /// expand point by point.
+    #[inline(always)]
+    fn row(
+        &mut self,
+        t: &mut Tallies,
+        plans: &mut RowPlans,
+        shape: &RowShape,
+        base: u64,
+        points: usize,
+    ) {
+        let step = shape.step();
+        if points < MIN_PLANNED_POINTS || !plans.plannable(shape) {
+            self.expand(t, shape.slots(), step, base, points);
+            return;
+        }
+        plans.select(shape);
+        let mut done = 0;
+        while done < points {
+            let n = (points - done).min(CHUNK_POINTS);
+            let b = base.wrapping_add((done as i64 * step) as u64);
+            if n < MIN_PLANNED_POINTS {
+                self.expand(t, shape.slots(), step, b, n);
+            } else {
+                let mut plan = plans.get(n, b);
+                if plan.strict.is_some() && self.any_l1_resident(&plan.quiet, b) {
+                    plan = plan.strict.as_deref_mut().expect("checked above");
+                }
+                for class in &mut plan.classes {
+                    self.class(t, class, step, b, n);
+                }
+            }
+            done += n;
+        }
     }
 
     /// True when a line of one of the byte ranges (offsets from `base`)
     /// is L1-resident.
+    #[inline(always)]
     fn any_l1_resident(&self, ranges: &[(i64, i64)], base: u64) -> bool {
-        let line = self.l1.line_bytes();
+        let shift = self.l1.line_shift();
         ranges.iter().any(|&(lo, hi)| {
-            let first = base.wrapping_add(lo as u64) & !(line - 1);
-            let last = base.wrapping_add(hi as u64);
-            (0..=last.wrapping_sub(first) / line)
-                .any(|i| self.l1.probe(first.wrapping_add(i * line)))
+            let first = base.wrapping_add(lo as u64) >> shift;
+            let last = base.wrapping_add(hi as u64) >> shift;
+            (0..=last.wrapping_sub(first)).any(|i| self.l1.probe(first.wrapping_add(i) << shift))
         })
     }
 
     /// Replays one class of a row chunk of `points` points at `base`.
-    fn replay_class(&mut self, class: &mut Class, step: i64, base: u64, points: usize) {
+    #[inline(always)]
+    fn class(&mut self, t: &mut Tallies, class: &mut Class, step: i64, base: u64, points: usize) {
         match class {
             Class::Run(s) => {
                 let a = base.wrapping_add(s.offset as u64);
                 if s.write {
-                    self.write_run(a, step, points);
+                    self.write_run(t, a, step, points);
                 } else {
-                    self.read_run(a, step, points);
+                    self.read_run(t, a, step, points);
                 }
             }
-            Class::Clean(c) => self.replay_clean(c, base),
-            Class::PointMajor(c) if self.l1.config().ways == 1 && self.l2.config().ways == 1 => {
-                self.replay_memoized(c, step, base, points);
+            Class::Clean(c) => self.clean(t, c, base),
+            Class::PointMajor(c) if A::DIRECT_MAPPED && B::DIRECT_MAPPED => {
+                self.memoized(t, c, step, base, points);
             }
-            Class::PointMajor(c) => row::expand_slots(self, &c.slots, step, base, points),
+            Class::PointMajor(c) => self.expand(t, &c.slots, step, base, points),
         }
     }
 
     /// A conflicting class on direct-mapped levels. An access's outcome
     /// there depends only on whether its set holds its line; no other class
     /// of the chunk touches the class's sets; and every set it touches ends
-    /// holding one of its lines or the tag it started with. So which of its
+    /// holding one of its lines or the line it started with. So which of its
     /// lines are resident at the start determines every counter and the end
     /// state: a known starting state replays from the memo, a new one
-    /// point-major, recording the outcome.
-    fn replay_memoized(&mut self, c: &mut PointMajorClass, step: i64, base: u64, points: usize) {
+    /// point-major into a tally of its own, which the memo records.
+    #[inline(always)]
+    fn memoized(
+        &mut self,
+        t: &mut Tallies,
+        c: &mut PointMajorClass,
+        step: i64,
+        base: u64,
+        points: usize,
+    ) {
         self.residency(c, base);
         if let Some(o) = c.memo.get() {
-            self.l1.record_stats(&o.l1);
-            self.l2.record_stats(&o.l2);
+            t.l1.add(&o.l1);
+            t.l2.add(&o.l2);
             for (w, &word) in o.resident.iter().enumerate() {
                 let mut bits = word;
                 while bits != 0 {
                     let i = w * 64 + bits.trailing_zeros() as usize;
                     bits &= bits - 1;
+                    // On a direct-mapped level an uncounted load installs
+                    // its line.
                     let a = base.wrapping_add(c.lines[i] as u64);
                     if i < c.l1_lines {
-                        self.l1.install(a);
+                        self.l1.access(a, false);
                     } else {
-                        self.l2.install(a);
+                        self.l2.access(a, false);
                     }
                 }
             }
             return;
         }
-        let (l1, l2) = (self.l1.stats(), self.l2.stats());
-        row::expand_slots(self, &c.slots, step, base, points);
-        let (l1, l2) = (self.l1.stats().since(&l1), self.l2.stats().since(&l2));
+        let mut own = Tallies::default();
+        self.expand(&mut own, &c.slots, step, base, points);
+        t.add(&own);
         let start = std::mem::take(&mut c.memo.key);
         self.residency(c, base);
         let resident = std::mem::replace(&mut c.memo.key, start).into_boxed_slice();
-        c.memo.insert(Outcome { l1, l2, resident });
+        c.memo.insert(Outcome {
+            l1: own.l1,
+            l2: own.l2,
+            resident,
+        });
     }
 
     /// Sets `c.memo.key` to one bit per line of `c`, set when the line is
     /// resident at its level in the chunk at `base`.
+    #[inline(always)]
     fn residency(&self, c: &mut PointMajorClass, base: u64) {
         let key = &mut c.memo.key;
         key.clear();
         key.resize(c.lines.len().div_ceil(64), 0);
         for (i, &offset) in c.lines.iter().enumerate() {
-            let level = if i < c.l1_lines { &self.l1 } else { &self.l2 };
-            let resident = level.probe(base.wrapping_add(offset as u64));
+            let a = base.wrapping_add(offset as u64);
+            let resident = if i < c.l1_lines {
+                self.l1.probe(a)
+            } else {
+                self.l2.probe(a)
+            };
             key[i / 64] |= u64::from(resident) << (i % 64);
         }
     }
@@ -207,127 +344,89 @@ impl Hierarchy {
     /// each L1 line's first touch (a load) is its only possible miss, and
     /// every store hits L1. L2 sees the L1 misses and every store; the
     /// first of those events on each L2 line is probed with its own type,
-    /// in trace order, and leaves the line resident, so the rest hit.
-    fn replay_clean(&mut self, c: &CleanClass, base: u64) {
-        let (mut fills, mut fill_probes, mut store_probes) = (0u64, 0u64, 0u64);
+    /// in trace order, and leaves the line resident, so the rest hit. The
+    /// hits are only counted: no set holds two lines of the class, so the
+    /// probe left each line newest in its set, and later hits would move
+    /// no LRU order.
+    #[inline(always)]
+    fn clean(&mut self, t: &mut Tallies, c: &CleanClass, base: u64) {
+        let mut fills = 0u64;
         let mut start = 0;
         for g in &c.l2 {
-            let mut first = g.store.map(|t| (t, true));
-            for t in &c.l1[start..g.l1_end] {
-                if self.l1.access(base.wrapping_add(t.offset as u64), false) {
+            let mut first = g.store.map(|f| (f, true));
+            for f in &c.l1[start..g.l1_end] {
+                if self.l1.access(base.wrapping_add(f.offset as u64), false) {
                     fills += 1;
-                    if first.is_none_or(|(f, _)| t.rank < f.rank) {
-                        first = Some((*t, false));
+                    if first.is_none_or(|(s, _)| f.rank < s.rank) {
+                        first = Some((*f, false));
                     }
                 }
             }
             start = g.l1_end;
-            if let Some((t, write)) = first {
-                self.l2.access(base.wrapping_add(t.offset as u64), write);
+            if let Some((f, write)) = first {
+                let miss = u64::from(self.l2.access(base.wrapping_add(f.offset as u64), write));
                 if write {
-                    store_probes += 1;
+                    t.l2.write_misses += miss;
                 } else {
-                    fill_probes += 1;
+                    t.l2.read_misses += miss;
                 }
             }
         }
-        self.l1.record_hits(c.l1_read_hits, c.stores);
-        self.l2
-            .record_hits(fills - fill_probes, c.stores - store_probes);
+        t.l1.reads += c.l1.len() as u64 + c.l1_read_hits;
+        t.l1.read_misses += fills;
+        t.l1.writes += c.stores;
+        t.l2.reads += fills;
+        t.l2.writes += c.stores;
     }
 }
 
+/// A single load, as a one-slot point.
+const LOAD: [Slot; 1] = [Slot {
+    offset: 0,
+    write: false,
+}];
+
+/// A single store, as a one-slot point.
+const STORE: [Slot; 1] = [Slot {
+    offset: 0,
+    write: true,
+}];
+
 impl AccessSink for Hierarchy {
-    #[inline]
     fn read(&mut self, addr: u64) {
-        if self.l1.access(addr, false) {
-            self.l2_read_fill(addr);
-        }
+        let mut t = Tallies::default();
+        with_views!(self.l1, self.l2, |l1, l2| Levels { l1, l2 }
+            .expand(&mut t, &LOAD, 0, addr, 1));
+        self.count(&t);
     }
 
-    /// Out of line: stencil traces write once per point (1 in 7–29
-    /// accesses), and the write-through L2 update would double the inlined
-    /// footprint of every trace loop for that rare case.
-    #[inline(never)]
     fn write(&mut self, addr: u64) {
-        self.l1.access(addr, true);
-        // Write-through: L2 always observes the store.
-        self.l2.access(addr, true);
+        let mut t = Tallies::default();
+        with_views!(self.l1, self.l2, |l1, l2| Levels { l1, l2 }
+            .expand(&mut t, &STORE, 0, addr, 1));
+        self.count(&t);
     }
 
-    #[inline]
     fn read_run(&mut self, addr: u64, stride: i64, n: usize) {
-        // Segment by L1 lines with a division-free same-line loop (any
-        // stride): within one line only the first access can miss (and
-        // reach L2, at that exact address — matching the per-access
-        // expansion); the rest are L1 hits recorded in bulk.
-        let shift = self.l1.line_bytes().trailing_zeros();
-        let mut a = addr;
-        let mut rem = n;
-        while rem > 0 {
-            if self.l1.access(a, false) {
-                self.l2_read_fill(a);
-            }
-            let line = a >> shift;
-            rem -= 1;
-            a = a.wrapping_add(stride as u64);
-            let mut hits = 0u64;
-            while rem > 0 && a >> shift == line {
-                hits += 1;
-                rem -= 1;
-                a = a.wrapping_add(stride as u64);
-            }
-            if hits > 0 {
-                self.l1.record_line_read_hits(hits);
-            }
-        }
+        let mut t = Tallies::default();
+        with_views!(self.l1, self.l2, |l1, l2| Levels { l1, l2 }
+            .read_run(&mut t, addr, stride, n));
+        self.count(&t);
     }
 
-    #[inline]
     fn write_run(&mut self, addr: u64, stride: i64, n: usize) {
-        // Write-through: both levels observe every store, and stores never
-        // couple the levels (unlike reads, where only L1 misses reach L2),
-        // so each level batches its own run independently — the two
-        // level-local segmentations are together bit-identical to the
-        // interleaved per-access expansion.
-        self.l1.write_run(addr, stride, n);
-        self.l2.write_run(addr, stride, n);
+        let mut t = Tallies::default();
+        with_views!(self.l1, self.l2, |l1, l2| Levels { l1, l2 }
+            .write_run(&mut t, addr, stride, n));
+        self.count(&t);
     }
 
-    /// Splits the row into chunks and each chunk into classes that touch
-    /// disjoint L1 and L2 sets (DESIGN.md, "Row-level replay"). Classes
-    /// cannot affect each other's hits, misses or replacement order, so
-    /// each replays on its own; together they are bit-identical to the
-    /// point-major expansion.
     fn row(&mut self, shape: &RowShape, base: u64, points: usize) {
-        if points < MIN_PLANNED_POINTS || !row::plannable(shape, self.l1.config(), self.l2.config())
-        {
-            shape.expand(self, base, points);
-            return;
-        }
-        let mut plans = std::mem::take(&mut self.rows);
-        plans.select(shape);
-        let (l1, l2) = (*self.l1.config(), *self.l2.config());
-        let phase_mask = l2.line_bytes as u64 - 1;
-        let step = shape.step();
-        let mut done = 0;
-        while done < points {
-            let n = (points - done).min(CHUNK_POINTS);
-            let b = base.wrapping_add((done as i64 * step) as u64);
-            if n < MIN_PLANNED_POINTS {
-                shape.expand(self, b, n);
-            } else {
-                let mut plan = plans.get(n, b & phase_mask, &l1, &l2);
-                if plan.strict.is_some() && self.any_l1_resident(&plan.quiet, b) {
-                    plan = plan.strict.as_deref_mut().expect("checked above");
-                }
-                for class in &mut plan.classes {
-                    self.replay_class(class, step, b, n);
-                }
-            }
-            done += n;
-        }
-        self.rows = plans;
+        let mut t = Tallies::default();
+        let plans = &mut self.rows;
+        with_views!(self.l1, self.l2, |l1, l2| Levels { l1, l2 }
+            .row(&mut t, plans, shape, base, points));
+        self.count(&t);
     }
 }
 
@@ -424,7 +523,7 @@ mod tests {
         assert_eq!(h.l2_stats(), twin.l2_stats());
         let lens = h.rows.memo_lens();
         assert_eq!(lens.len(), 1);
-        assert_eq!(lens[0], row::MEMO_CAP);
+        assert_eq!(lens[0], crate::row::MEMO_CAP);
     }
 
     #[test]

@@ -44,6 +44,7 @@
 mod cache;
 mod config;
 mod hierarchy;
+mod level;
 mod mmu;
 mod row;
 mod sinks;

@@ -14,7 +14,7 @@ use std::hash::{BuildHasherDefault, Hasher};
 
 use crate::config::{CacheConfig, WritePolicy};
 use crate::sinks::AccessSink;
-use crate::stats::AccessStats;
+use crate::stats::Tally;
 
 /// One access of a row point.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -98,36 +98,23 @@ impl RowShape {
     /// `base`: point-major, each point's slots in source order. This is
     /// the definition of [`AccessSink::row`].
     pub fn expand<S: AccessSink + ?Sized>(&self, sink: &mut S, base: u64, points: usize) {
-        expand_slots(sink, &self.slots, self.step, base, points);
-    }
-}
-
-/// Point-major replay of `slots` only — the row expansion restricted to a
-/// subset of a shape's slots.
-#[inline]
-pub(crate) fn expand_slots<S: AccessSink + ?Sized>(
-    sink: &mut S,
-    slots: &[Slot],
-    step: i64,
-    base: u64,
-    points: usize,
-) {
-    let mut b = base;
-    for _ in 0..points {
-        for s in slots {
-            let a = b.wrapping_add(s.offset as u64);
-            if s.write {
-                sink.write(a);
-            } else {
-                sink.read(a);
+        let mut b = base;
+        for _ in 0..points {
+            for s in &self.slots {
+                let a = b.wrapping_add(s.offset as u64);
+                if s.write {
+                    sink.write(a);
+                } else {
+                    sink.read(a);
+                }
             }
+            b = b.wrapping_add(self.step as u64);
         }
-        b = b.wrapping_add(step as u64);
     }
 }
 
-/// Rows shorter than this replay per access: planning a 1–3 point row
-/// costs more than the accesses it would save.
+/// Rows shorter than this expand point by point: planning a 1–3 point
+/// row costs more than the accesses it would save.
 pub(crate) const MIN_PLANNED_POINTS: usize = 4;
 
 /// Longer rows are replayed in chunks of at most this many points. A
@@ -195,8 +182,9 @@ pub(crate) struct PointMajorClass {
 /// What replaying a class did from one starting state.
 #[derive(Clone, Debug)]
 pub(crate) struct Outcome {
-    pub l1: AccessStats,
-    pub l2: AccessStats,
+    /// The class's own counts at each level.
+    pub l1: Tally,
+    pub l2: Tally,
     /// Which of the class's lines are resident at the end, one bit per
     /// entry of [`PointMajorClass::lines`].
     pub resident: Box<[u64]>,
@@ -269,7 +257,7 @@ impl Hasher for WordHasher {
 #[derive(Clone, Debug)]
 pub(crate) enum Class {
     /// A single slot: its accesses form one run, which the hierarchy's
-    /// `read_run` / `write_run` replay exactly.
+    /// run loops replay exactly.
     Run(Slot),
     /// See [`CleanClass`].
     Clean(CleanClass),
@@ -292,24 +280,38 @@ pub(crate) struct RowPlan {
     pub strict: Option<Box<RowPlan>>,
 }
 
-/// True when [`Hierarchy`](crate::Hierarchy) can plan rows of `shape`:
-/// ascending points no farther apart than an L1 line (so each slot touches
-/// every line between its first and last address) and L2 lines at least as
-/// long as L1 lines (so an L1 miss's L2 line is that of its L1 line).
-pub(crate) fn plannable(shape: &RowShape, l1: &CacheConfig, l2: &CacheConfig) -> bool {
-    shape.step > 0 && shape.step <= l1.line_bytes as i64 && l2.line_bytes >= l1.line_bytes
-}
-
-/// The plans computed so far for one shape, keyed by `(points, phase)`.
-/// Chunks hold at most [`CHUNK_POINTS`] points and the phase is below the
-/// L2 line size, so the map stays small.
-#[derive(Clone, Debug, Default)]
+/// The plans computed so far for one shape of one hierarchy, keyed by
+/// `(points, phase)`. Chunks hold at most [`CHUNK_POINTS`] points and the
+/// phase is below the L2 line size, so the map stays small.
+#[derive(Clone, Debug)]
 pub(crate) struct RowPlans {
+    l1: CacheConfig,
+    l2: CacheConfig,
     shape: Option<RowShape>,
     plans: HashMap<(usize, u64), RowPlan, BuildHasherDefault<WordHasher>>,
 }
 
 impl RowPlans {
+    /// No plans yet, for the hierarchy of levels `l1` over `l2`.
+    pub(crate) fn new(l1: CacheConfig, l2: CacheConfig) -> Self {
+        RowPlans {
+            l1,
+            l2,
+            shape: None,
+            plans: HashMap::default(),
+        }
+    }
+
+    /// True when rows of `shape` can be planned: ascending points no
+    /// farther apart than an L1 line (so each slot touches every line
+    /// between its first and last address) and L2 lines at least as long
+    /// as L1 lines (so an L1 miss's L2 line is that of its L1 line).
+    pub(crate) fn plannable(&self, shape: &RowShape) -> bool {
+        shape.step > 0
+            && shape.step <= self.l1.line_bytes as i64
+            && self.l2.line_bytes >= self.l1.line_bytes
+    }
+
     /// Makes `shape` the current shape, dropping the plans of any other.
     pub(crate) fn select(&mut self, shape: &RowShape) {
         if self.shape.as_ref() != Some(shape) {
@@ -318,15 +320,12 @@ impl RowPlans {
         }
     }
 
-    /// The plan for a chunk of the current shape, computed on first use.
-    pub(crate) fn get(
-        &mut self,
-        points: usize,
-        phase: u64,
-        l1: &CacheConfig,
-        l2: &CacheConfig,
-    ) -> &mut RowPlan {
+    /// The plan for a chunk of `points` points of the current shape at
+    /// `base`, computed on first use for the base's phase in an L2 line.
+    pub(crate) fn get(&mut self, points: usize, base: u64) -> &mut RowPlan {
         let shape = self.shape.as_ref().expect("a shape is selected");
+        let phase = base & (self.l2.line_bytes as u64 - 1);
+        let (l1, l2) = (&self.l1, &self.l2);
         self.plans
             .entry((points, phase))
             .or_insert_with(|| plan(shape, points, phase, l1, l2))

@@ -49,17 +49,14 @@ impl AccessStats {
         self.write_misses += other.write_misses;
     }
 
-    /// The counts added since `earlier`, an earlier snapshot of the same
-    /// counters.
-    pub(crate) fn since(&self, earlier: &AccessStats) -> AccessStats {
-        AccessStats {
-            accesses: self.accesses - earlier.accesses,
-            misses: self.misses - earlier.misses,
-            reads: self.reads - earlier.reads,
-            read_misses: self.read_misses - earlier.read_misses,
-            writes: self.writes - earlier.writes,
-            write_misses: self.write_misses - earlier.write_misses,
-        }
+    /// Adds the counts of one replay call.
+    pub(crate) fn count(&mut self, t: &Tally) {
+        self.accesses += t.reads + t.writes;
+        self.misses += t.read_misses + t.write_misses;
+        self.reads += t.reads;
+        self.read_misses += t.read_misses;
+        self.writes += t.writes;
+        self.write_misses += t.write_misses;
     }
 
     /// Folds this stats block into the global observability metrics
@@ -76,7 +73,8 @@ impl AccessStats {
         tiling3d_obs::counter_add(&format!("{prefix}.write_misses"), self.write_misses);
     }
 
-    /// Records one access.
+    /// Records one access: the bookkeeping of the single-access calls,
+    /// [`crate::Cache::access`] and [`crate::Cache::access_reference`].
     #[inline]
     pub(crate) fn record(&mut self, is_write: bool, miss: bool) {
         self.accesses += 1;
@@ -93,6 +91,29 @@ impl AccessStats {
                 self.read_misses += 1;
             }
         }
+    }
+}
+
+/// One level's counts over one replay call. Replay loops keep it in a
+/// local, where the counters stay in registers, and merge it into the
+/// level's [`AccessStats`] once per call with [`AccessStats::count`];
+/// `accesses` and `misses` are the sums, so they are not counted apart.
+#[derive(Clone, Copy, Debug, Default)]
+pub(crate) struct Tally {
+    pub reads: u64,
+    pub read_misses: u64,
+    pub writes: u64,
+    pub write_misses: u64,
+}
+
+impl Tally {
+    /// Adds another tally.
+    #[inline]
+    pub(crate) fn add(&mut self, other: &Tally) {
+        self.reads += other.reads;
+        self.read_misses += other.read_misses;
+        self.writes += other.writes;
+        self.write_misses += other.write_misses;
     }
 }
 

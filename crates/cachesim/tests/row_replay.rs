@@ -66,8 +66,11 @@ fn level(
 
 /// The geometries under test: the paper's UltraSPARC-2, small LRU
 /// hierarchies of 2, 4 and 8 ways (small, so random shapes conflict
-/// often), a write-allocate L1 and a write-around L2, and a host-shaped
-/// hierarchy whose L1 capacity is not a power of two.
+/// often), a write-allocate L1 and a write-around L2, a host-shaped
+/// hierarchy whose L1 capacity is not a power of two, and two that mix a
+/// direct-mapped and an associative level. Between them they pair every
+/// kind of L1 with every kind of L2, so each instantiation of the replay
+/// loops is checked.
 fn geometries() -> Vec<(&'static str, CacheConfig, CacheConfig)> {
     use WritePolicy::{WriteAllocate, WriteAround};
     vec![
@@ -119,6 +122,18 @@ fn geometries() -> Vec<(&'static str, CacheConfig, CacheConfig)> {
             "host",
             level(48 * 1024, 64, 12, WriteAround),
             level(2 * 1024 * 1024, 64, 16, WriteAllocate),
+        ),
+        // A direct-mapped L1 over a 4-way L2.
+        (
+            "dm-over-lru4",
+            level(2048, 32, 1, WriteAround),
+            level(32768, 64, 4, WriteAllocate),
+        ),
+        // A 2-way L1 over a direct-mapped L2.
+        (
+            "lru2-over-dm",
+            level(2048, 32, 2, WriteAround),
+            level(16384, 64, 1, WriteAllocate),
         ),
     ]
 }
