@@ -9,7 +9,7 @@ use tiling3d_bench::{driver, flag_at_least};
 use tiling3d_core::nonconflict::enumerate_array_tiles;
 use tiling3d_core::{euc3d, CacheSpec};
 use tiling3d_loopnest::StencilShape;
-use tiling3d_obs::flags::{FlagSet, FlagSpec};
+use tiling3d_obs::flags::{FlagSet, FlagSpec, ParsedFlags};
 
 fn flag_set() -> FlagSet {
     FlagSet::new(
@@ -25,11 +25,18 @@ fn flag_set() -> FlagSet {
     )
 }
 
+/// The `--di`, `--dj` and `--cache` extents, each at least 1.
+fn extents(flags: &ParsedFlags) -> Result<(usize, usize, usize), String> {
+    Ok((
+        flag_at_least(flags, "--di", 1, None)?,
+        flag_at_least(flags, "--dj", 1, None)?,
+        flag_at_least(flags, "--cache", 1, None)?,
+    ))
+}
+
 fn main() {
     let flags = driver::parse_or_exit(&flag_set());
-    let di = flags.usize("--di");
-    let dj = flags.usize("--dj");
-    let cache = driver::or_exit(flag_at_least(&flags, "--cache", 1, None));
+    let (di, dj, cache) = driver::or_exit(extents(&flags));
     let tk_max = flags.usize("--tkmax");
 
     println!("Table 1: non-conflicting array tiles ({di}x{dj}xM array, {cache}-element cache)");
@@ -68,4 +75,25 @@ fn main() {
     );
     println!("paper reference: (22, 13) from TK=3 TJ=15 TI=24 for the default arguments");
     driver::finish();
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> ParsedFlags {
+        let raw: Vec<String> = args.iter().map(ToString::to_string).collect();
+        flag_set().parse(&raw).unwrap()
+    }
+
+    #[test]
+    fn zero_extents_are_usage_errors_naming_the_flag() {
+        for flag in ["--di", "--dj", "--cache"] {
+            assert_eq!(
+                extents(&parse(&[flag, "0"])).unwrap_err(),
+                format!("table1 requires {flag} >= 1 (got 0)")
+            );
+        }
+        assert_eq!(extents(&parse(&[])).unwrap(), (200, 200, 2048));
+    }
 }

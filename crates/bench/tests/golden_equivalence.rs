@@ -1,15 +1,14 @@
 //! Golden-equivalence suite: the optimized simulation engine (MRU
-//! fast-path `Cache::access`, batched `AccessSink::read_run`, row-level
-//! `AccessSink::row` replay, sharded `SimPool` sweeps) must report
-//! **bit-identical** miss counts to a per-access reference replay with
-//! every optimization disabled.
+//! fast-path `Cache::access`, row-level `AccessSink::row` replay, sharded
+//! `SimPool` sweeps) must report **bit-identical** miss counts to a
+//! per-access reference replay with every optimization disabled.
 //!
 //! The reference hierarchy below uses `Cache::access_reference` (no MRU
-//! short-circuit) and inherits the trait's default `read_run` and `row`
-//! (plain per-access loops, no batching), so any divergence in the fast
-//! paths — wrong LRU bookkeeping in the short-circuit, a mis-segmented
-//! run, a mis-classified row, a reordered shard — shows up as an exact
-//! counter mismatch here.
+//! short-circuit) and inherits the trait's default `row` (a plain
+//! per-access loop, no batching), so any divergence in the fast paths —
+//! wrong LRU bookkeeping in the short-circuit, a mis-segmented run, a
+//! mis-classified row, a reordered shard — shows up as an exact counter
+//! mismatch here.
 
 use tiling3d_bench::{simulate_grid, SweepConfig};
 use tiling3d_cachesim::{AccessSink, AccessStats, Cache, CacheConfig, Hierarchy};
@@ -34,9 +33,8 @@ impl ReferenceHierarchy {
 
 impl AccessSink for ReferenceHierarchy {
     // Same L1/L2 policy as `Hierarchy`: write-through L1, L2 sees L1 read
-    // misses and every write. Deliberately NO `read_run` or `row`
-    // override: batched runs and rows expand through the trait's default
-    // per-access loops.
+    // misses and every write. Deliberately NO `row` override: rows
+    // expand through the trait's default per-access loop.
     fn read(&mut self, addr: u64) {
         if self.l1.access_reference(addr, false) {
             self.l2.access_reference(addr, false);
@@ -149,15 +147,15 @@ fn row_replay_matches_reference_at_paper_sizes() {
     }
 }
 
-/// The write-side mirror of the tentpole guarantee: traces that emit
-/// batched `write_run`s (the copy-back nest of the Fig 5 time loop, the
-/// tile-window fill of the copying schedule) report exactly the counters
-/// of the per-access reference, whose default `write_run` expands store
-/// by store. Covers both L1 write policies in one shot: the UltraSparc2
-/// L1 is write-around (bulk tails of a missing line are bulk *misses*),
-/// its L2 write-allocate (bulk tails are bulk hits).
+/// The copy nests (the copy-back nest of the Fig 5 time loop, the
+/// tile-window fill of the copying schedule) emit each copy row as a
+/// one-slot load row, then a one-slot store row; their traces report
+/// exactly the counters of the per-access reference, which expands each
+/// row access by access. Covers both L1 write policies in one shot: the
+/// UltraSparc2 L1 is write-around (bulk tails of a missing line are bulk
+/// *misses*), its L2 write-allocate (bulk tails are bulk hits).
 #[test]
-fn write_run_traces_match_per_access_reference() {
+fn copy_row_traces_match_per_access_reference() {
     use tiling3d_loopnest::TileDims;
     use tiling3d_stencil::{copyopt, timestep};
 

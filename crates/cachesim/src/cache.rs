@@ -1,7 +1,7 @@
 //! Single-level set-associative cache model.
 
 use crate::config::{CacheConfig, WritePolicy};
-use crate::level::{self, with_view, Assoc, Direct, Index, Level, Lru, View, EMPTY};
+use crate::level::{with_view, Assoc, Direct, Index, Level, Lru, View, EMPTY};
 use crate::sinks::AccessSink;
 use crate::stats::{AccessStats, Tally};
 
@@ -180,35 +180,11 @@ impl AccessSink for Cache {
     fn write(&mut self, addr: u64) {
         self.access(addr, true);
     }
-
-    /// One probe per touched line; the rest of each line's loads are hits
-    /// on it, since loads allocate under every write policy.
-    fn read_run(&mut self, addr: u64, stride: i64, n: usize) {
-        let mut t = Tally::default();
-        with_view!(self, |v| level::read_run(
-            &mut v,
-            &mut t,
-            addr,
-            stride,
-            n,
-            |_| ()
-        ));
-        self.count(&t);
-    }
-
-    /// One probe per touched line; the rest of each line's stores hit or
-    /// miss with it, as the first store left the line.
-    fn write_run(&mut self, addr: u64, stride: i64, n: usize) {
-        let mut t = Tally::default();
-        with_view!(self, |v| level::write_run(&mut v, &mut t, addr, stride, n));
-        self.count(&t);
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::ReplacementPolicy;
 
     fn tiny(ways: usize, policy: WritePolicy) -> Cache {
         // 256B cache, 32B lines -> 8 lines.
@@ -217,7 +193,6 @@ mod tests {
             line_bytes: 32,
             ways,
             write_policy: policy,
-            replacement: ReplacementPolicy::Lru,
         })
     }
 
@@ -357,88 +332,6 @@ mod tests {
         c.access_reference(256, false);
         assert!(!c.access(256, false));
         assert_eq!(c.stats().misses, 2);
-    }
-
-    #[test]
-    fn read_run_equals_individual_reads() {
-        for ways in [1usize, 2, 8] {
-            for (start, stride, n) in [
-                (0u64, 8i64, 100usize), // dense unit-stride
-                (3, 8, 50),             // unaligned start
-                (0, 32, 40),            // exactly line-stride
-                (8, 16, 33),            // paper's neighbour-pair stride
-                (500, -8, 20),          // descending
-                (40, 0, 10),            // degenerate
-                (0, 4096, 9),           // line-skipping
-            ] {
-                let mut batched = tiny(ways, WritePolicy::WriteAround);
-                let mut single = tiny(ways, WritePolicy::WriteAround);
-                // Warm both with a shared prefix so runs start non-cold.
-                for c in [&mut batched, &mut single] {
-                    for a in (0..256).step_by(8) {
-                        c.access(a, false);
-                    }
-                }
-                batched.read_run(start, stride, n);
-                let mut a = start;
-                for _ in 0..n {
-                    single.read(a);
-                    a = a.wrapping_add(stride as u64);
-                }
-                assert_eq!(
-                    batched.stats(),
-                    single.stats(),
-                    "ways={ways} start={start} stride={stride} n={n}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn write_run_equals_individual_writes() {
-        for ways in [1usize, 2, 8] {
-            for policy in [WritePolicy::WriteAround, WritePolicy::WriteAllocate] {
-                for (start, stride, n) in [
-                    (0u64, 8i64, 100usize), // dense unit-stride
-                    (3, 8, 50),             // unaligned start
-                    (0, 32, 40),            // exactly line-stride
-                    (8, 16, 33),            // stride-2 elements
-                    (500, -8, 20),          // descending
-                    (40, 0, 10),            // degenerate
-                    (0, 4096, 9),           // line-skipping
-                ] {
-                    let mut batched = tiny(ways, policy);
-                    let mut single = tiny(ways, policy);
-                    // Warm both with a shared prefix so runs hit a mix of
-                    // resident and cold lines.
-                    for c in [&mut batched, &mut single] {
-                        for a in (0..256).step_by(8) {
-                            c.access(a, false);
-                        }
-                    }
-                    batched.write_run(start, stride, n);
-                    let mut a = start;
-                    for _ in 0..n {
-                        single.write(a);
-                        a = a.wrapping_add(stride as u64);
-                    }
-                    assert_eq!(
-                        batched.stats(),
-                        single.stats(),
-                        "ways={ways} policy={policy:?} start={start} stride={stride} n={n}"
-                    );
-                    // And the cache contents/LRU state agree: subsequent
-                    // identical traffic behaves identically.
-                    for probe in (0..2048u64).step_by(64) {
-                        assert_eq!(
-                            batched.access(probe, false),
-                            single.access(probe, false),
-                            "ways={ways} policy={policy:?} post-run probe {probe}"
-                        );
-                    }
-                }
-            }
-        }
     }
 
     #[test]

@@ -14,14 +14,6 @@ pub enum WritePolicy {
     WriteAllocate,
 }
 
-/// Replacement policy within a set. Direct-mapped caches have no choice to
-/// make; for associative ablations we model true LRU.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ReplacementPolicy {
-    /// Least-recently-used replacement (exact, per-set timestamps).
-    Lru,
-}
-
 /// Geometry and policy of one cache level.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct CacheConfig {
@@ -32,11 +24,10 @@ pub struct CacheConfig {
     /// `size_bytes`.
     pub line_bytes: usize,
     /// Associativity (`1` = direct-mapped). Must divide the number of lines.
+    /// A set of several ways replaces its least recently used line.
     pub ways: usize,
     /// Behaviour of writes that miss.
     pub write_policy: WritePolicy,
-    /// Replacement policy for `ways > 1`.
-    pub replacement: ReplacementPolicy,
 }
 
 impl CacheConfig {
@@ -48,7 +39,6 @@ impl CacheConfig {
         line_bytes: 32,
         ways: 1,
         write_policy: WritePolicy::WriteAround,
-        replacement: ReplacementPolicy::Lru,
     };
 
     /// The 2MB direct-mapped external UltraSparc2 L2 cache (64-byte lines).
@@ -57,7 +47,6 @@ impl CacheConfig {
         line_bytes: 64,
         ways: 1,
         write_policy: WritePolicy::WriteAllocate,
-        replacement: ReplacementPolicy::Lru,
     };
 
     /// Creates a direct-mapped, write-around cache — the configuration the
@@ -68,7 +57,6 @@ impl CacheConfig {
             line_bytes,
             ways: 1,
             write_policy: WritePolicy::WriteAround,
-            replacement: ReplacementPolicy::Lru,
         }
     }
 

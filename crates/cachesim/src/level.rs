@@ -278,45 +278,14 @@ macro_rules! with_views {
 
 pub(crate) use {with_view, with_views};
 
-/// A run of `n` loads at `addr, addr + stride, ...` (any stride). Only
-/// the first access to each line can miss, and `on_miss` sees that
-/// access's address; the rest of the line's accesses are hits on the
-/// line it left resident and newest in its set, so they are only
-/// counted. The same-line test is a shift and a compare, so the
-/// segmentation is division-free and holds for descending, zero and
-/// line-skipping strides (the last probe every access).
-#[inline(always)]
-pub(crate) fn read_run<L: Level>(
-    level: &mut L,
-    t: &mut Tally,
-    addr: u64,
-    stride: i64,
-    n: usize,
-    mut on_miss: impl FnMut(u64),
-) {
-    let shift = level.line_shift();
-    t.reads += n as u64;
-    let mut a = addr;
-    let mut rem = n;
-    while rem > 0 {
-        if level.access(a, false) {
-            t.read_misses += 1;
-            on_miss(a);
-        }
-        let line = a >> shift;
-        rem -= 1;
-        a = a.wrapping_add(stride as u64);
-        while rem > 0 && a >> shift == line {
-            rem -= 1;
-            a = a.wrapping_add(stride as u64);
-        }
-    }
-}
-
-/// A run of `n` stores, segmented by line like [`read_run`]. The rest of
-/// a line's stores hit when its first store left the line resident (a
-/// hit, or an allocating miss) and miss when it did not (a write-around
-/// miss leaves the line cold); either way they are only counted.
+/// A run of `n` stores at `addr, addr + stride, ...` (any stride). Only
+/// the first store to each line is looked up. The rest of the line's
+/// stores hit when that store left the line resident (a hit, or an
+/// allocating miss) and miss when it did not (a write-around miss leaves
+/// the line cold); either way they are only counted. The same-line test
+/// is a shift and a compare, so the segmentation is division-free and
+/// holds for descending, zero and line-skipping strides (the last look
+/// up every store).
 #[inline(always)]
 pub(crate) fn write_run<L: Level>(level: &mut L, t: &mut Tally, addr: u64, stride: i64, n: usize) {
     let shift = level.line_shift();

@@ -12,14 +12,16 @@
 //!   policies;
 //! * [`Hierarchy`] — a two-level L1→L2 hierarchy with per-level
 //!   [`AccessStats`];
-//! * [`AccessSink`] — the trait kernels' trace generators drive; also
+//! * [`AccessSink`] — the trait kernels' trace generators drive: single
+//!   loads and stores, and one batched call, [`AccessSink::row`]; also
 //!   implemented by [`CountingSink`] (for FLOP/access accounting) and
 //!   [`DistinctLineCounter`] (an analytic cold-miss oracle used to validate
 //!   the paper's cost model);
 //! * [`RowShape`] — one stencil point's accesses, so a walker can hand a
-//!   whole row segment to [`AccessSink::row`], which [`Hierarchy`] replays
-//!   a cache line at a time, and on direct-mapped levels replays rows
-//!   whose streams conflict from a memo of their outcomes.
+//!   whole row segment to [`AccessSink::row`] (a contiguous copy row is a
+//!   one-slot shape), which [`Hierarchy`] replays a cache line at a time,
+//!   and on direct-mapped levels replays rows whose streams conflict from
+//!   a memo of their outcomes.
 //!
 //! Addresses are **byte** addresses; stencil traces scale element offsets by
 //! `size_of::<f64>()` and place each array at a configurable base.
@@ -53,11 +55,11 @@ mod threec;
 mod tlb;
 
 pub use cache::Cache;
-pub use config::{CacheConfig, ReplacementPolicy, WritePolicy};
-pub use hierarchy::{simulate_ultrasparc2, Hierarchy};
+pub use config::{CacheConfig, WritePolicy};
+pub use hierarchy::Hierarchy;
 pub use mmu::{MmuHierarchy, PAGE_TABLE_BASE};
 pub use row::{RowShape, Slot};
-pub use sinks::{AccessSink, CountingSink, DistinctLineCounter, TeeSink};
+pub use sinks::{AccessSink, CountingSink, DistinctLineCounter};
 pub use stats::{AccessStats, Throughput, ThroughputTimer};
 pub use threec::ThreeC;
 pub use tlb::Tlb;

@@ -15,55 +15,6 @@ pub trait AccessSink {
     /// One store to the datum at byte address `addr`.
     fn write(&mut self, addr: u64);
 
-    /// A batched run of `n` loads at `addr, addr + stride, ...` (byte
-    /// stride, which may be negative for descending runs).
-    ///
-    /// Semantically **exactly equivalent** to
-    ///
-    /// ```ignore
-    /// for i in 0..n {
-    ///     self.read(addr.wrapping_add((i as i64).wrapping_mul(stride) as u64));
-    /// }
-    /// ```
-    ///
-    /// but overridable so sinks can process a run in bulk: [`crate::Cache`]
-    /// and [`crate::Hierarchy`] probe each touched cache line once and
-    /// record the remaining accesses as guaranteed hits, and the counting
-    /// sinks bump their counters arithmetically. Implementations must keep
-    /// reported counts bit-identical to the per-access expansion — the
-    /// golden-equivalence suite enforces this.
-    #[inline]
-    fn read_run(&mut self, addr: u64, stride: i64, n: usize) {
-        let mut a = addr;
-        for _ in 0..n {
-            self.read(a);
-            a = a.wrapping_add(stride as u64);
-        }
-    }
-
-    /// A batched run of `n` stores at `addr, addr + stride, ...` — the
-    /// store-side mirror of [`AccessSink::read_run`], with the same exact
-    /// equivalence contract against the per-access expansion:
-    ///
-    /// ```ignore
-    /// for i in 0..n {
-    ///     self.write(addr.wrapping_add((i as i64).wrapping_mul(stride) as u64));
-    /// }
-    /// ```
-    ///
-    /// The unit-stride write loops of the copy nests (`timestep`'s
-    /// copy-back, `copyopt`'s tile-window fill) emit through this, so the
-    /// full-resolution simulation of a copy row costs one line probe per
-    /// touched line instead of one per element.
-    #[inline]
-    fn write_run(&mut self, addr: u64, stride: i64, n: usize) {
-        let mut a = addr;
-        for _ in 0..n {
-            self.write(a);
-            a = a.wrapping_add(stride as u64);
-        }
-    }
-
     /// A row of `points` stencil points: point `p` issues the slots of
     /// `shape`, in source order, at `base + p * shape.step()` plus each
     /// slot's offset. Semantically **exactly equivalent** to
@@ -79,10 +30,12 @@ pub trait AccessSink {
     /// }
     /// ```
     ///
-    /// [`crate::Hierarchy`] overrides it to replay whole cache lines at a
-    /// time (see DESIGN.md, "Row-level replay"); every other sink keeps
-    /// this expansion, which is the specification the override is tested
-    /// against.
+    /// This is the trace interface's one batched call. A contiguous copy
+    /// row is a one-slot shape: a run of loads or stores `step` bytes
+    /// apart. [`crate::Hierarchy`] overrides it to replay whole cache
+    /// lines at a time (see DESIGN.md, "Row-level replay"); every other
+    /// sink keeps this expansion, which is the specification the override
+    /// is tested against.
     #[inline]
     fn row(&mut self, shape: &RowShape, base: u64, points: usize) {
         shape.expand(self, base, points);
@@ -107,16 +60,6 @@ impl AccessSink for CountingSink {
     #[inline]
     fn write(&mut self, _addr: u64) {
         self.writes += 1;
-    }
-
-    #[inline]
-    fn read_run(&mut self, _addr: u64, _stride: i64, n: usize) {
-        self.reads += n as u64;
-    }
-
-    #[inline]
-    fn write_run(&mut self, _addr: u64, _stride: i64, n: usize) {
-        self.writes += n as u64;
     }
 }
 
@@ -160,74 +103,6 @@ impl AccessSink for DistinctLineCounter {
         self.accesses += 1;
         self.seen.insert(addr >> self.line_shift);
     }
-
-    fn read_run(&mut self, addr: u64, stride: i64, n: usize) {
-        // A run at stride <= line size touches every line between its first
-        // and last access, so one hash insert per line suffices.
-        if n == 0 {
-            return;
-        }
-        if stride <= 0 || stride as u64 > (1u64 << self.line_shift) {
-            let mut a = addr;
-            for _ in 0..n {
-                self.read(a);
-                a = a.wrapping_add(stride as u64);
-            }
-            return;
-        }
-        self.accesses += n as u64;
-        let first = addr >> self.line_shift;
-        let last = (addr + (n as u64 - 1) * stride as u64) >> self.line_shift;
-        for line in first..=last {
-            self.seen.insert(line);
-        }
-    }
-
-    fn write_run(&mut self, addr: u64, stride: i64, n: usize) {
-        // Reads and writes are indistinguishable to a distinct-lines count.
-        self.read_run(addr, stride, n);
-    }
-}
-
-/// Feeds one trace to two sinks at once (e.g. a hierarchy and a counter).
-pub struct TeeSink<'a, A: AccessSink, B: AccessSink> {
-    /// First sink.
-    pub a: &'a mut A,
-    /// Second sink.
-    pub b: &'a mut B,
-}
-
-impl<'a, A: AccessSink, B: AccessSink> TeeSink<'a, A, B> {
-    /// Creates a tee over the two sinks.
-    pub fn new(a: &'a mut A, b: &'a mut B) -> Self {
-        TeeSink { a, b }
-    }
-}
-
-impl<A: AccessSink, B: AccessSink> AccessSink for TeeSink<'_, A, B> {
-    #[inline]
-    fn read(&mut self, addr: u64) {
-        self.a.read(addr);
-        self.b.read(addr);
-    }
-
-    #[inline]
-    fn write(&mut self, addr: u64) {
-        self.a.write(addr);
-        self.b.write(addr);
-    }
-
-    #[inline]
-    fn read_run(&mut self, addr: u64, stride: i64, n: usize) {
-        self.a.read_run(addr, stride, n);
-        self.b.read_run(addr, stride, n);
-    }
-
-    #[inline]
-    fn write_run(&mut self, addr: u64, stride: i64, n: usize) {
-        self.a.write_run(addr, stride, n);
-        self.b.write_run(addr, stride, n);
-    }
 }
 
 #[cfg(test)]
@@ -253,19 +128,5 @@ mod tests {
         d.read(32);
         assert_eq!(d.distinct_lines(), 2);
         assert_eq!(d.accesses, 4);
-    }
-
-    #[test]
-    fn tee_feeds_both() {
-        let mut c1 = CountingSink::default();
-        let mut c2 = DistinctLineCounter::new(64);
-        {
-            let mut t = TeeSink::new(&mut c1, &mut c2);
-            t.read(0);
-            t.write(64);
-        }
-        assert_eq!(c1.reads, 1);
-        assert_eq!(c1.writes, 1);
-        assert_eq!(c2.distinct_lines(), 2);
     }
 }

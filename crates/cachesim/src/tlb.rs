@@ -9,7 +9,7 @@
 //! lets the ablation harness quantify that trade-off.
 
 use crate::cache::Cache;
-use crate::config::{CacheConfig, ReplacementPolicy, WritePolicy};
+use crate::config::{CacheConfig, WritePolicy};
 use crate::sinks::AccessSink;
 use crate::stats::AccessStats;
 
@@ -46,7 +46,6 @@ impl Tlb {
             line_bytes: page_bytes,
             ways: entries,
             write_policy: WritePolicy::WriteAllocate,
-            replacement: ReplacementPolicy::Lru,
         };
         Tlb {
             inner: Cache::new(cfg),

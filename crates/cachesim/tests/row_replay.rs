@@ -10,9 +10,7 @@
 //! Cases come from a fixed-seed xorshift generator, so every run visits
 //! the same shapes and a failure prints everything needed to rerun it.
 
-use tiling3d_cachesim::{
-    AccessSink, CacheConfig, Hierarchy, ReplacementPolicy, RowShape, WritePolicy,
-};
+use tiling3d_cachesim::{AccessSink, CacheConfig, Hierarchy, RowShape, WritePolicy};
 
 /// The default `row`: Hierarchy semantics, strictly one access at a time.
 struct PerAccess(Hierarchy);
@@ -60,7 +58,6 @@ fn level(
         line_bytes,
         ways,
         write_policy,
-        replacement: ReplacementPolicy::Lru,
     }
 }
 
@@ -184,11 +181,12 @@ fn random_points(rng: &mut Xorshift64) -> usize {
     }
 }
 
-/// The bytes a row of `shape` can touch, widened by one L2 line.
+/// The bytes a row of `shape` can touch, widened by one L2 line. A
+/// negative step extends the row below its slots' offsets.
 fn footprint(shape: &RowShape, base: u64, points: usize) -> (u64, u64) {
     let span = shape.step() * points as i64;
-    let lo = shape.slots().iter().map(|s| s.offset).min().unwrap_or(0);
-    let hi = shape.slots().iter().map(|s| s.offset).max().unwrap_or(0) + span;
+    let lo = shape.slots().iter().map(|s| s.offset).min().unwrap_or(0) + span.min(0);
+    let hi = shape.slots().iter().map(|s| s.offset).max().unwrap_or(0) + span.max(0);
     (
         base.wrapping_add((lo - 64) as u64),
         base.wrapping_add((hi + 64) as u64),
@@ -267,6 +265,54 @@ fn row_equals_per_access_expansion() {
             }
             traffic(&mut rng, &mut fast, &mut slow, lo, hi, 400);
             assert_same(&fast, &slow, &format!("{what} after follow-up traffic"));
+        }
+    }
+}
+
+/// One-slot rows, as the copy nests emit them: a load row over a source
+/// row, then a store row over a destination near it or a whole L1 away.
+/// `Hierarchy::row` replays every one-slot shape with the run loops,
+/// without planning, so besides the steps up to an L1 line it must equal
+/// the per-access expansion at unaligned, zero, descending and
+/// line-skipping steps, and leave the same lines resident in the same
+/// replacement order.
+#[test]
+fn one_slot_rows_equal_per_access_expansion_at_every_step() {
+    for (name, l1, l2) in geometries() {
+        let mut rng = Xorshift64(0x1_5107 + l1.size_bytes as u64 + l1.ways as u64);
+        for step in [8i64, 16, 24, 32, 64, 3, 0, -8, -40, 4096] {
+            for case in 0..6 {
+                let load = RowShape::new(step).read(8 * rng.range(-4, 4));
+                let store = RowShape::new(step).write(8 * rng.range(-4, 4));
+                let points = random_points(&mut rng);
+                let base = (1u64 << 32) + 8 * rng.below(1 << 20);
+                let apart = 8 * rng.range(-64, 64) + l1.size_bytes as i64 * rng.range(0, 1);
+                let dest = base.wrapping_add(apart as u64);
+                let what = format!("{name} step {step} case {case}: points={points}");
+                let (lo, hi) = {
+                    let (a, b) = footprint(&load, base, points);
+                    let (c, d) = footprint(&store, dest, points);
+                    (a.min(c), b.max(d))
+                };
+
+                let mut fast = Hierarchy::new(l1, l2);
+                let mut slow = PerAccess(Hierarchy::new(l1, l2));
+                traffic(&mut rng, &mut fast, &mut slow, lo, hi, 400);
+                for (shape, at) in [(&load, base), (&store, dest)] {
+                    fast.row(shape, at, points);
+                    slow.row(shape, at, points);
+                    assert_same(&fast, &slow, &format!("{what}, {shape:?} at {at}"));
+                }
+
+                let mut a = lo;
+                while a <= hi {
+                    fast.read(a);
+                    slow.read(a);
+                    a += 32;
+                }
+                traffic(&mut rng, &mut fast, &mut slow, lo, hi, 400);
+                assert_same(&fast, &slow, &format!("{what} after follow-up traffic"));
+            }
         }
     }
 }

@@ -6,7 +6,7 @@
 //! must be exactly right. Each test here drives a tiny cache with a trace
 //! whose hit/miss sequence is worked out by hand in the comments.
 
-use tiling3d_cachesim::{Cache, CacheConfig, ReplacementPolicy, WritePolicy};
+use tiling3d_cachesim::{Cache, CacheConfig, WritePolicy};
 
 /// A small write-allocate LRU cache: `sets` x `ways` lines of 32 bytes.
 fn cache(sets: usize, ways: usize) -> Cache {
@@ -15,7 +15,6 @@ fn cache(sets: usize, ways: usize) -> Cache {
         line_bytes: 32,
         ways,
         write_policy: WritePolicy::WriteAllocate,
-        replacement: ReplacementPolicy::Lru,
     })
 }
 
@@ -109,7 +108,6 @@ fn eight_way_absorbs_what_direct_mapped_thrashes() {
         line_bytes: 32,
         ways: 1,
         write_policy: WritePolicy::WriteAllocate,
-        replacement: ReplacementPolicy::Lru,
     };
     let assoc = CacheConfig { ways: 8, ..dm };
     let mut c1 = Cache::new(dm);
@@ -159,7 +157,6 @@ fn write_around_never_installs_but_write_allocate_does() {
         line_bytes: 32,
         ways: 2,
         write_policy: WritePolicy::WriteAround,
-        replacement: ReplacementPolicy::Lru,
     };
     let mut c = Cache::new(wa);
     assert!(c.access(0, true)); // write miss, no allocate

@@ -119,12 +119,10 @@ use std::sync::Arc;
 use tiling3d_bench::fault::{FaultKind, FaultMode, FaultPlan};
 use tiling3d_bench::serve::{self, ServeConfig, ServeLimits};
 use tiling3d_bench::{
-    checkpoint, extent_flag, simulate_grid, simulate_grid_supervised, supervise, SimPoint, SimPool,
-    SweepConfig, SweepError, SweepOptions,
+    checkpoint, extent_flag, flag_at_least, simulate_grid, simulate_grid_supervised, supervise,
+    SimPoint, SimPool, SweepConfig, SweepError, SweepOptions,
 };
-use tiling3d_cachesim::{
-    AccessSink, CacheConfig, Hierarchy, MmuHierarchy, ReplacementPolicy, Tlb, WritePolicy,
-};
+use tiling3d_cachesim::{AccessSink, CacheConfig, Hierarchy, MmuHierarchy, Tlb, WritePolicy};
 use tiling3d_core::api::{
     respond, GeometryPreset, PlanQuery, PlanRequest, PlanResponse, ReqStencil, TransformSel,
 };
@@ -347,9 +345,24 @@ fn cache_spec(flags: &ParsedFlags) -> Result<CacheSpec, String> {
     }
 }
 
-/// Rejects an L1 that `--cache-kb` and `--line` describe but the
+/// The L1 that `--cache-kb` and `--line` describe, built by `level` from
+/// its capacity and line size in bytes: the one check of `simulate` and
+/// `predict`. Rejects lines shorter than one double (an 8-byte access
+/// would probe only the line of its first byte) and a geometry the
 /// simulator cannot build.
-fn checked_l1(l1: CacheConfig) -> Result<CacheConfig, String> {
+fn checked_l1(
+    flags: &ParsedFlags,
+    cache: CacheSpec,
+    level: impl FnOnce(usize, usize) -> CacheConfig,
+) -> Result<CacheConfig, String> {
+    let line = flags.usize("--line");
+    if line < 8 {
+        return Err(format!(
+            "{} requires --line >= 8 (got {line})",
+            flags.command()
+        ));
+    }
+    let l1 = level(cache.elements * 8, line);
     l1.validate()
         .map_err(|e| format!("bad cache geometry from --cache-kb/--line: {e}"))?;
     Ok(l1)
@@ -367,7 +380,6 @@ fn cache_config(level: &LevelGeometry) -> CacheConfig {
         } else {
             WritePolicy::WriteAround
         },
-        replacement: ReplacementPolicy::Lru,
     }
 }
 
@@ -518,12 +530,9 @@ fn tiles_flags() -> FlagSet {
 }
 
 fn cmd_tiles(flags: &ParsedFlags) -> Result<String, String> {
-    let di = flags.usize("--di");
-    let dj = flags.try_usize("--dj").unwrap_or(di);
-    let cache = flags.usize("--cache");
-    if cache == 0 {
-        return Err(format!("{} requires --cache >= 1 (got 0)", flags.command()));
-    }
+    let di = flag_at_least(flags, "--di", 1, None)?;
+    let dj = flag_at_least(flags, "--dj", 1, Some(di))?;
+    let cache = flag_at_least(flags, "--cache", 1, None)?;
     let tkmax = flags.usize("--tkmax");
     let tiles = enumerate_array_tiles(cache, di, dj, tkmax);
     if json_format(flags)? {
@@ -681,10 +690,7 @@ fn cmd_simulate(flags: &ParsedFlags) -> Result<String, String> {
     let kernel = kernel(flags)?;
     let (n, nk) = sweep_extents(flags)?;
     let cache = cache_spec(flags)?;
-    let l1 = checked_l1(CacheConfig::direct_mapped(
-        cache.elements * 8,
-        flags.usize("--line"),
-    ))?;
+    let l1 = checked_l1(flags, cache, CacheConfig::direct_mapped)?;
     if flags.usize("--steps") > 0 {
         if flags.switch("--tlb") {
             return Err("simulate: --tlb does not combine with --steps (temporal mode)".into());
@@ -952,21 +958,16 @@ fn predict_flags() -> FlagSet {
 }
 
 /// `predict`: the static miss model's fully-associative histogram
-/// ([`histogram`]) evaluated at the cache's capacity. The level must be
-/// one `simulate` accepts, with lines of at least one double.
+/// ([`histogram`]) evaluated at the cache's capacity. The level passes
+/// the same check as `simulate`'s (`checked_l1`).
 fn cmd_predict(flags: &ParsedFlags) -> Result<String, String> {
     let kernel = kernel(flags)?;
     let (n, nk) = sweep_extents(flags)?;
     let cache = cache_spec(flags)?;
-    let line = flags.usize("--line");
-    if line < 8 {
-        return Err(format!(
-            "{} requires --line >= 8 (got {line})",
-            flags.command()
-        ));
-    }
-    let level = LevelGeometry::fully_associative(cache.elements * 8, line);
-    checked_l1(cache_config(&level))?;
+    let l1 = checked_l1(flags, cache, |size, line| {
+        cache_config(&LevelGeometry::fully_associative(size, line))
+    })?;
+    let level = LevelGeometry::fully_associative(l1.size_bytes, l1.line_bytes);
     let model = match kernel {
         Kernel::Jacobi => KernelModel::jacobi3d(),
         Kernel::RedBlack => KernelModel::redblack_naive(),
@@ -974,7 +975,13 @@ fn cmd_predict(flags: &ParsedFlags) -> Result<String, String> {
     };
     let sched = match flags.try_pair("--tile") {
         None => PlanSchedule::Untiled,
-        Some((ti, tj)) => PlanSchedule::Tiled { ti, tj },
+        Some((ti, tj)) if ti >= 1 && tj >= 1 => PlanSchedule::Tiled { ti, tj },
+        Some((ti, tj)) => {
+            return Err(format!(
+                "{} requires --tile extents >= 1 (got {ti}x{tj})",
+                flags.command()
+            ))
+        }
     };
     let h = histogram(&model, sched, &Problem::cube(n, nk), &level);
     let capacity = cache.elements as f64;
@@ -2761,12 +2768,51 @@ mod tests {
                 "--cache-kb >= 1",
             ),
             ("predict --kernel jacobi --n 100 --line 4", "--line >= 8"),
+            ("predict --kernel jacobi --n 100 --line 0", "--line >= 8"),
             ("predict --kernel jacobi --n 100 --line 12", "--line"),
+            (
+                "simulate --kernel jacobi --n 40 --nk 8 --line 4",
+                "--line >= 8",
+            ),
+            (
+                "simulate --kernel jacobi --n 40 --nk 8 --line 4 --transform all",
+                "--line >= 8",
+            ),
+            (
+                "simulate --kernel jacobi --n 40 --nk 8 --line 4 --transform gcdpad --tlb",
+                "--line >= 8",
+            ),
+            (
+                "simulate --kernel jacobi --n 16 --nk 8 --line 4 --steps 2",
+                "--line >= 8",
+            ),
             ("tiles --cache 0", "--cache >= 1"),
         ] {
             let err = run_line(cmd).expect_err(cmd);
             assert!(err.contains(flag), "`{cmd}`: {err}");
         }
+        // One double per line is the shortest line accepted.
+        assert!(run_line("simulate --kernel jacobi --n 40 --nk 8 --line 8").is_ok());
+    }
+
+    #[test]
+    fn zero_extents_are_usage_errors_naming_the_flag() {
+        for (cmd, want) in [
+            (
+                "predict --kernel jacobi --n 40 --tile 5x0",
+                "tiling3d predict requires --tile extents >= 1 (got 5x0)",
+            ),
+            (
+                "predict --kernel jacobi --n 40 --tile 0x5",
+                "tiling3d predict requires --tile extents >= 1 (got 0x5)",
+            ),
+            ("tiles --di 0", "tiling3d tiles requires --di >= 1 (got 0)"),
+            ("tiles --dj 0", "tiling3d tiles requires --dj >= 1 (got 0)"),
+        ] {
+            assert_eq!(run_line(cmd).expect_err(cmd), want, "`{cmd}`");
+        }
+        assert!(run_line("predict --kernel jacobi --n 40 --tile 1x1").is_ok());
+        assert!(run_line("tiles --di 1").is_ok());
     }
 
     #[test]

@@ -18,8 +18,8 @@ pub struct TileSelection {
     pub cost: f64,
 }
 
-/// Options for [`euc3d_select`], the single entry point behind the
-/// previous `euc3d` / `euc3d_checked` / `euc3d_with_depths` triplet.
+/// Options for [`euc3d_select`], the single configurable entry point of
+/// tile selection.
 #[derive(Clone, Debug, Default)]
 pub struct Euc3dOptions {
     /// Array-tile depths (`TK`) to enumerate. `None` means the stencil's
@@ -54,8 +54,7 @@ pub struct Euc3dSelection {
 /// array dimensions, trim each by the stencil spans `(m, n)`, and select
 /// the iteration tile minimising the cost function.
 ///
-/// This is the single configurable entry point; the legacy wrappers
-/// [`euc3d`], [`euc3d_checked`] and [`euc3d_with_depths`] are thin calls
+/// This is the single configurable entry point; [`euc3d`] is a thin call
 /// into it.
 pub fn euc3d_select(
     cache: CacheSpec,
@@ -103,21 +102,9 @@ pub fn euc3d_select(
     Euc3dSelection { best, candidates }
 }
 
-/// **Deprecated spelling** — use [`euc3d_select`] with
-/// [`Euc3dOptions::default`]. Returns the minimum-cost selection at
-/// `TK = ATD`, or `None` when no array tile survives trimming.
-pub fn euc3d_checked(
-    cache: CacheSpec,
-    di: usize,
-    dj: usize,
-    shape: &StencilShape,
-) -> Option<TileSelection> {
-    euc3d_select(cache, di, dj, shape, &Euc3dOptions::default()).best
-}
-
-/// **Deprecated spelling** — use [`euc3d_select`] with
-/// `unit_tile_fallback: true`. Infallible Fig 9 selection, degenerating to
-/// the `1 x 1` iteration tile for pathological dimensions.
+/// [`euc3d_select`] with `unit_tile_fallback: true`: the infallible Fig 9
+/// selection, degenerating to the `1 x 1` iteration tile for pathological
+/// dimensions.
 pub fn euc3d(cache: CacheSpec, di: usize, dj: usize, shape: &StencilShape) -> TileSelection {
     euc3d_select(
         cache,
@@ -131,29 +118,6 @@ pub fn euc3d(cache: CacheSpec, di: usize, dj: usize, shape: &StencilShape) -> Ti
     )
     .best
     .expect("unit_tile_fallback guarantees a selection")
-}
-
-/// **Deprecated spelling** — use [`euc3d_select`] with an explicit
-/// `depths` range and read `candidates`. The paper's Table 1 enumeration
-/// (with trimming applied).
-pub fn euc3d_with_depths(
-    cache: CacheSpec,
-    di: usize,
-    dj: usize,
-    shape: &StencilShape,
-    depths: std::ops::RangeInclusive<usize>,
-) -> Vec<TileSelection> {
-    euc3d_select(
-        cache,
-        di,
-        dj,
-        shape,
-        &Euc3dOptions {
-            depths: Some(depths),
-            unit_tile_fallback: false,
-        },
-    )
-    .candidates
 }
 
 #[cfg(test)]
@@ -225,8 +189,7 @@ mod tests {
         assert_eq!(best.iter_tile, (22, 13));
         assert!(sel.candidates.iter().any(|c| c.iter_tile == best.iter_tile));
         assert!(sel.candidates.iter().all(|c| c.cost >= best.cost));
-        // The legacy wrappers are views of the same computation.
-        assert_eq!(euc3d_checked(spec(), 200, 200, &shape), Some(best));
+        // The `euc3d` wrapper is a view of the same computation.
         assert_eq!(euc3d(spec(), 200, 200, &shape), best);
     }
 
@@ -250,7 +213,17 @@ mod tests {
 
     #[test]
     fn with_depths_lists_trimmed_candidates() {
-        let cands = euc3d_with_depths(spec(), 200, 200, &StencilShape::jacobi3d(), 1..=4);
+        let cands = euc3d_select(
+            spec(),
+            200,
+            200,
+            &StencilShape::jacobi3d(),
+            &Euc3dOptions {
+                depths: Some(1..=4),
+                unit_tile_fallback: false,
+            },
+        )
+        .candidates;
         // Every candidate has positive trimmed dims and finite cost.
         for c in &cands {
             assert!(c.iter_tile.0 > 0 && c.iter_tile.1 > 0);
@@ -300,13 +273,14 @@ mod tests {
     #[test]
     fn tiny_cache_returns_none() {
         // A 4-element cache cannot hold any trimmed Jacobi tile.
-        let sel = euc3d_checked(
+        let sel = euc3d_select(
             CacheSpec { elements: 4 },
             100,
             100,
             &StencilShape::jacobi3d(),
+            &Euc3dOptions::default(),
         );
-        assert!(sel.is_none());
+        assert!(sel.best.is_none());
     }
 
     #[test]

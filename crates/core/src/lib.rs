@@ -59,10 +59,7 @@ pub use api::{
 };
 pub use cost::CostModel;
 pub use effcache::effective_cache_tile;
-pub use euc::{
-    euc3d, euc3d_checked, euc3d_select, euc3d_with_depths, Euc3dOptions, Euc3dSelection,
-    TileSelection,
-};
+pub use euc::{euc3d, euc3d_select, Euc3dOptions, Euc3dSelection, TileSelection};
 pub use gcdpad::{gcd_pad, GcdPadPlan};
 pub use legality::{plan_certified, CertifiedPlan, IllegalPlan, SweepDiscipline};
 pub use missmodel::{

@@ -13,9 +13,6 @@
 
 use tiling3d_cachesim::AccessSink;
 
-/// Re-export so downstream code can name the sink trait through this crate.
-pub use tiling3d_cachesim::AccessSink as Trace;
-
 /// Loop dimension identity: which induction variable a loop binds.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Dim {

@@ -14,7 +14,8 @@
 //!   paper's JJ/II tiling schedule;
 //! * [`Nest`] — a tiny loop IR over which [`Nest::tile_jj_ii`] performs
 //!   strip-mine + permute, and whose interpreter replays the exact address
-//!   stream of the (transformed) nest into any [`Trace`] consumer;
+//!   stream of the (transformed) nest into any
+//!   [`AccessSink`](tiling3d_cachesim::AccessSink) consumer;
 //! * [`reuse`] — the capacity analysis behind Section 1 of the paper: why
 //!   2D stencils keep group reuse up to column length ~`C/2` while 3D
 //!   stencils lose it beyond plane size `sqrt(C/(ATD-1))`;
@@ -55,7 +56,7 @@ mod verify;
 pub mod locality;
 pub mod reuse;
 
-pub use ir::{ArrayDesc, ArrayRef, Dim, Loop, LoopKind, Nest, Trace};
+pub use ir::{ArrayDesc, ArrayRef, Dim, Loop, LoopKind, Nest};
 pub use legality::{certify, Dep, DepSet, LegalityCertificate, Schedule, Verdict, Violation};
 pub use locality::{
     analyze_conflicts, ClassKind, ConflictReport, ConflictWitness, LiveInterval, PointRef,

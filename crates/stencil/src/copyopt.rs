@@ -11,7 +11,7 @@
 //! the tests check both that results are bitwise identical and that the
 //! measured copy overhead matches `tiling3d_core::copymodel`'s prediction.
 
-use tiling3d_cachesim::AccessSink;
+use tiling3d_cachesim::{AccessSink, RowShape};
 use tiling3d_grid::Array3;
 use tiling3d_loopnest::TileDims;
 
@@ -112,11 +112,11 @@ fn copy_plane(
 }
 
 /// Trace of the copying schedule: per rolled-in plane, each haloed window
-/// row is one batched [`AccessSink::read_run`] over the `B` row followed
-/// by one batched [`AccessSink::write_run`] into the buffer (placed just
-/// after the two arrays) — matching `copy_plane`'s `copy_from_slice`
-/// rows; per computed point, six buffer reads and the `A` store. Layout
-/// matches [`crate::jacobi3d::trace`] with the buffer appended.
+/// row is one one-slot load [`AccessSink::row`] over the `B` row followed
+/// by one one-slot store row into the buffer (placed just after the two
+/// arrays) — matching `copy_plane`'s `copy_from_slice` rows; per computed
+/// point, six buffer reads and the `A` store. Layout matches
+/// [`crate::jacobi3d::trace`] with the buffer appended.
 pub fn trace_tiled_copying<S: AccessSink>(
     ni: usize,
     nj: usize,
@@ -135,6 +135,7 @@ pub fn trace_tiled_copying<S: AccessSink>(
     let (ti, tj) = (tile.ti, tile.tj);
     let (bw, bh) = (ti + 2, tj + 2);
     let bplane = bw * bh;
+    let (load, store) = (RowShape::new(8).read(0), RowShape::new(8).write(0));
 
     let mut jj = 1usize;
     while jj <= j1 {
@@ -147,8 +148,8 @@ pub fn trace_tiled_copying<S: AccessSink>(
                 for j in (jj - 1)..=(j_hi + 1) {
                     let lj = j - (jj - 1);
                     let src = (ii - 1) + j * di + k * ps;
-                    sink.read_run(b_base + (src * 8) as u64, 8, w);
-                    sink.write_run(buf_base + ((slot * bplane + lj * bw) * 8) as u64, 8, w);
+                    sink.row(&load, b_base + (src * 8) as u64, w);
+                    sink.row(&store, buf_base + ((slot * bplane + lj * bw) * 8) as u64, w);
                 }
             };
             trace_copy(0, 0, sink);

@@ -14,7 +14,7 @@
 //! iterations with the stencil nest optionally tiled, for both computation
 //! and cache tracing.
 
-use tiling3d_cachesim::AccessSink;
+use tiling3d_cachesim::{AccessSink, RowShape};
 use tiling3d_grid::Array3;
 use tiling3d_loopnest::{for_each_rows, IterSpace, TileDims};
 
@@ -63,10 +63,10 @@ pub fn copy_back(b: &mut Array3<f64>, a: &Array3<f64>) {
 /// [`crate::jacobi3d::trace`]).
 ///
 /// The copy-back nest is emitted row-granular, matching [`copy_back`]'s
-/// `copy_from_slice` rows: one batched [`AccessSink::read_run`] over the
-/// `A` row followed by one batched [`AccessSink::write_run`] over the `B`
-/// row, so a full-resolution simulation probes each touched line once per
-/// row instead of once per element.
+/// `copy_from_slice` rows: one one-slot load [`AccessSink::row`] over the
+/// `A` row followed by one one-slot store row over the `B` row, so a
+/// full-resolution simulation probes each touched line once per row
+/// instead of once per element.
 #[allow(clippy::too_many_arguments)]
 pub fn trace<S: AccessSink>(
     ni: usize,
@@ -82,13 +82,14 @@ pub fn trace<S: AccessSink>(
     let a_base = 0u64;
     let b_base = (ps * nk * 8) as u64;
     let space = IterSpace::interior(ni, nj, nk);
+    let (load, store) = (RowShape::new(8).read(0), RowShape::new(8).write(0));
     for _ in 0..steps {
         jacobi3d::trace(ni, nj, nk, di, dj, tile, sink);
         for_each_rows(space, |i0, i1, j, k| {
             let idx = (i0 + j * di + k * ps) as u64 * 8;
             let len = i1 - i0 + 1;
-            sink.read_run(a_base + idx, 8, len);
-            sink.write_run(b_base + idx, 8, len);
+            sink.row(&load, a_base + idx, len);
+            sink.row(&store, b_base + idx, len);
         });
     }
 }

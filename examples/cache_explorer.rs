@@ -7,7 +7,7 @@
 //!     [--n 341] [--nk 30] [--l1-kb 16] [--line 32] [--ways 1]
 //! ```
 
-use tiling3d::cachesim::{CacheConfig, Hierarchy, ReplacementPolicy, WritePolicy};
+use tiling3d::cachesim::{CacheConfig, Hierarchy, WritePolicy};
 use tiling3d::core::{plan, CacheSpec, Transform};
 use tiling3d::stencil::kernels::Kernel;
 
@@ -33,7 +33,6 @@ fn main() {
         line_bytes: flag(&args, "--line", 32),
         ways: flag(&args, "--ways", 1),
         write_policy: WritePolicy::WriteAround,
-        replacement: ReplacementPolicy::Lru,
     };
     l1.validate().expect("invalid L1 geometry");
     let spec = CacheSpec::from_bytes(l1.size_bytes);

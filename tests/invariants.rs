@@ -3,7 +3,7 @@
 //! visits the same cases, failures are reproducible from the printed
 //! parameters, and the workspace needs no network-fetched dependencies.
 
-use tiling3d::cachesim::{Cache, CacheConfig, ReplacementPolicy, WritePolicy};
+use tiling3d::cachesim::{Cache, CacheConfig, WritePolicy};
 use tiling3d::core::nonconflict::{enumerate_depth, max_ti, verify_nonconflicting};
 use tiling3d::core::{gcd_pad, pad, plan, CacheSpec, CostModel, Transform};
 use tiling3d::grid::{fill_random, Array3, Xorshift64};
@@ -189,7 +189,6 @@ fn cache_matches_reference_lru_model() {
             line_bytes: 64,
             ways,
             write_policy: WritePolicy::WriteAround,
-            replacement: ReplacementPolicy::Lru,
         };
         let mut cache = Cache::new(cfg);
         // Reference: per-set Vec kept in LRU order (front = most recent).
@@ -276,7 +275,6 @@ fn threec_classes_partition_misses() {
             line_bytes: 32,
             ways: 1 << (case % 2),
             write_policy: WritePolicy::WriteAround,
-            replacement: ReplacementPolicy::Lru,
         };
         let mut c = ThreeC::new(cfg);
         let len = range(&mut rng, 1, 600);

@@ -17,9 +17,7 @@
 //!    predicted miss-rate cliff is confirmed by simulation, while the
 //!    8-way geometry absorbs it — both statically and in simulation.
 
-use tiling3d::cachesim::{
-    AccessSink, CacheConfig, Hierarchy, ReplacementPolicy, ThreeC, WritePolicy,
-};
+use tiling3d::cachesim::{AccessSink, CacheConfig, Hierarchy, ThreeC, WritePolicy};
 use tiling3d::core::{
     lower_bound_misses, plan, predict_level, CacheSpec, GeometryPreset, KernelModel, LevelGeometry,
     PlanSchedule, Problem, Transform,
@@ -62,7 +60,6 @@ fn simulated(level: LevelGeometry) -> CacheConfig {
         } else {
             WritePolicy::WriteAround
         },
-        replacement: ReplacementPolicy::Lru,
     }
 }
 
