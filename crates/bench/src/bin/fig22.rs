@@ -7,6 +7,8 @@
 //! cargo run -p tiling3d-bench --bin fig22 [-- --step 8 --csv]
 //! ```
 
+use std::fmt::Write as _;
+
 use tiling3d_bench::{driver, plan_for, SweepConfig};
 use tiling3d_core::{memory_overhead_pct, Transform};
 use tiling3d_obs::flags::{FlagSet, FlagSpec};
@@ -28,14 +30,15 @@ fn main() {
     let cfg = driver::or_exit(SweepConfig::from_flags(&flags));
     let csv = flags.switch("--csv");
 
-    println!(
-        "Fig 22: JACOBI memory increase from padding (%), NxNx{} arrays",
+    let mut out = format!(
+        "Fig 22: JACOBI memory increase from padding (%), NxNx{} arrays\n",
         cfg.nk
     );
     if csv {
-        println!("N,GcdPad,Pad,GcdPad_cubicK,Pad_cubicK");
+        out.push_str("N,GcdPad,Pad,GcdPad_cubicK,Pad_cubicK\n");
     } else {
-        println!(
+        let _ = writeln!(
+            out,
             "{:>6}{:>10}{:>10}{:>14}{:>12}",
             "N", "GcdPad", "Pad", "GcdPad(K=N)", "Pad(K=N)"
         );
@@ -67,27 +70,31 @@ fn main() {
         for (s, v) in sums.iter_mut().zip(vals) {
             *s += v;
         }
-        if csv {
-            println!(
+        let _ = if csv {
+            writeln!(
+                out,
                 "{n},{:.3},{:.3},{:.3},{:.3}",
                 vals[0], vals[1], vals[2], vals[3]
-            );
+            )
         } else {
-            println!(
+            writeln!(
+                out,
                 "{n:>6}{:>10.2}{:>10.2}{:>14.2}{:>12.2}",
                 vals[0], vals[1], vals[2], vals[3]
-            );
-        }
+            )
+        };
     }
     let c = sizes.len() as f64;
-    println!(
+    let _ = writeln!(
+        out,
         "\naverages: GcdPad {:.1}%  Pad {:.1}%   (cubic K: GcdPad {:.1}%  Pad {:.1}%)",
         sums[0] / c,
         sums[1] / c,
         sums[2] / c,
         sums[3] / c
     );
-    println!("paper reference: GcdPad 14.7%, Pad 4.7% (cubic K: ~1.4% and ~0.5%)");
-    println!("note: the K dimension is never padded, so overhead scales with 1/K.");
+    out.push_str("paper reference: GcdPad 14.7%, Pad 4.7% (cubic K: ~1.4% and ~0.5%)\n");
+    out.push_str("note: the K dimension is never padded, so overhead scales with 1/K.\n");
+    driver::write_stdout(&out);
     driver::finish();
 }

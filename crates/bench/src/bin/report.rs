@@ -9,7 +9,9 @@
 //! the whole report under a couple of minutes. For full per-figure data
 //! use the dedicated binaries (`table3`, `fig_miss`, ...).
 
-use tiling3d_bench::{driver, run_miss_sweeps_supervised, SweepConfig, SweepOptions, SweepReport};
+use tiling3d_bench::{
+    driver, flag_at_least, run_miss_sweeps_supervised, SweepConfig, SweepOptions, SweepReport,
+};
 use tiling3d_cachesim::ThreeC;
 use tiling3d_core::nonconflict::enumerate_array_tiles;
 use tiling3d_core::{euc3d, gcd_pad, memory_overhead_pct, plan, CacheSpec, Transform};
@@ -42,7 +44,7 @@ fn check(name: &str, ok: bool, detail: &str) {
 
 fn main() {
     let flags = driver::parse_or_exit(&flag_set());
-    let step = flags.usize("--step");
+    let step = driver::or_exit(flag_at_least(&flags, "--step", 1, None));
     let cache = CacheSpec::ELEMENTS_16K_DOUBLES;
     println!("tiling3d reproduction report (sweep stride {step})\n");
 

@@ -5,6 +5,8 @@
 //! cargo run -p tiling3d-bench --bin table1 [-- --di 200 --dj 200 --cache 2048 --tkmax 4]
 //! ```
 
+use std::fmt::Write as _;
+
 use tiling3d_bench::{driver, flag_at_least};
 use tiling3d_core::nonconflict::enumerate_array_tiles;
 use tiling3d_core::{euc3d, CacheSpec};
@@ -25,37 +27,31 @@ fn flag_set() -> FlagSet {
     )
 }
 
-/// The `--di`, `--dj` and `--cache` extents, each at least 1.
-fn extents(flags: &ParsedFlags) -> Result<(usize, usize, usize), String> {
+/// The `--di`, `--dj`, `--cache` and `--tkmax` extents, each at least 1.
+fn extents(flags: &ParsedFlags) -> Result<(usize, usize, usize, usize), String> {
     Ok((
         flag_at_least(flags, "--di", 1, None)?,
         flag_at_least(flags, "--dj", 1, None)?,
         flag_at_least(flags, "--cache", 1, None)?,
+        flag_at_least(flags, "--tkmax", 1, None)?,
     ))
 }
 
 fn main() {
     let flags = driver::parse_or_exit(&flag_set());
-    let (di, dj, cache) = driver::or_exit(extents(&flags));
-    let tk_max = flags.usize("--tkmax");
+    let (di, dj, cache, tk_max) = driver::or_exit(extents(&flags));
 
-    println!("Table 1: non-conflicting array tiles ({di}x{dj}xM array, {cache}-element cache)");
+    let mut out = format!(
+        "Table 1: non-conflicting array tiles ({di}x{dj}xM array, {cache}-element cache)\n"
+    );
     let tiles = enumerate_array_tiles(cache, di, dj, tk_max);
-    print!("{:>4}", "TK");
-    for t in &tiles {
-        print!("{:>6}", t.tk);
+    for (row, name) in ["TK", "TJ", "TI"].into_iter().enumerate() {
+        let _ = write!(out, "{name:>4}");
+        for t in &tiles {
+            let _ = write!(out, "{:>6}", [t.tk, t.tj, t.ti][row]);
+        }
+        out.push('\n');
     }
-    println!();
-    print!("{:>4}", "TJ");
-    for t in &tiles {
-        print!("{:>6}", t.tj);
-    }
-    println!();
-    print!("{:>4}", "TI");
-    for t in &tiles {
-        print!("{:>6}", t.ti);
-    }
-    println!();
 
     let sel = euc3d(
         CacheSpec { elements: cache },
@@ -63,7 +59,8 @@ fn main() {
         dj,
         &StencilShape::jacobi3d(),
     );
-    println!(
+    let _ = writeln!(
+        out,
         "\nEuc3D selection (Jacobi, ATD=3): iteration tile (TI',TJ') = ({}, {}) \
          from array tile TK={} TJ={} TI={}  [cost {:.4}]",
         sel.iter_tile.0,
@@ -73,7 +70,8 @@ fn main() {
         sel.array_tile.ti,
         sel.cost
     );
-    println!("paper reference: (22, 13) from TK=3 TJ=15 TI=24 for the default arguments");
+    out.push_str("paper reference: (22, 13) from TK=3 TJ=15 TI=24 for the default arguments\n");
+    driver::write_stdout(&out);
     driver::finish();
 }
 
@@ -88,12 +86,12 @@ mod tests {
 
     #[test]
     fn zero_extents_are_usage_errors_naming_the_flag() {
-        for flag in ["--di", "--dj", "--cache"] {
+        for flag in ["--di", "--dj", "--cache", "--tkmax"] {
             assert_eq!(
                 extents(&parse(&[flag, "0"])).unwrap_err(),
                 format!("table1 requires {flag} >= 1 (got 0)")
             );
         }
-        assert_eq!(extents(&parse(&[])).unwrap(), (200, 200, 2048));
+        assert_eq!(extents(&parse(&[])).unwrap(), (200, 200, 2048, 4));
     }
 }

@@ -40,7 +40,8 @@ use fault::FaultPlan;
 pub use pool::SimPool;
 pub use supervise::{SupervisePolicy, SweepError};
 use tiling3d_cachesim::{CacheConfig, Hierarchy, Throughput, ThroughputTimer};
-use tiling3d_core::{CacheSpec, Transform, TransformPlan};
+use tiling3d_core::legality::certificate_for;
+use tiling3d_core::{plan, CacheSpec, Transform, TransformPlan};
 use tiling3d_grid::health;
 use tiling3d_obs as obs;
 use tiling3d_obs::flags::{FlagSpec, ParsedFlags};
@@ -150,14 +151,15 @@ impl SweepConfig {
     ///
     /// # Errors
     /// Rejects `--min` or `--nk` below [`MIN_EXTENT`] ([`extent_flag`]),
-    /// and `--max` below `--min`, which would sweep no size at all.
+    /// `--step` below 1 ([`flag_at_least`]), and `--max` below `--min`,
+    /// which would sweep no size at all.
     pub fn from_flags(flags: &ParsedFlags) -> Result<Self, String> {
         let d = SweepConfig::default();
         let get = |name: &str, fallback: usize| flags.opt_usize(name).unwrap_or(fallback);
         let cfg = SweepConfig {
             n_min: extent_flag(flags, "--min", Some(d.n_min))?,
             n_max: get("--max", d.n_max),
-            step: get("--step", d.step),
+            step: flag_at_least(flags, "--step", 1, Some(d.step))?,
             nk: extent_flag(flags, "--nk", Some(d.nk))?,
             reps: get("--reps", d.reps),
             jobs: get("--jobs", d.jobs),
@@ -321,20 +323,27 @@ impl SweepReport {
     }
 }
 
-/// Resolves the plan for (kernel, transform, n) under this sweep's cache,
-/// via the certified path: the transform's schedule is proved legal for
-/// the kernel's dependence set before any trace is generated, so every
+/// Resolves the plan for (kernel, transform, n) under this sweep's cache
+/// and certifies it: `core::plan` picks the tile and pads, then
+/// [`certificate_for`] proves the schedule the executors run (tiled
+/// red-black is skew-tiled) legal for the kernel's dependences, so every
 /// number the harness reports comes from a certified schedule.
 ///
 /// # Panics
-/// Panics if the schedule is illegal — unreachable for the paper's
-/// transforms, whose executors always run the skewed schedule where one
-/// is required.
+/// Panics with the certificate's violations if the schedule is illegal —
+/// unreachable for the paper's transforms, whose executors always run the
+/// skewed schedule where one is required.
 pub fn plan_for(cfg: &SweepConfig, kernel: Kernel, t: Transform, n: usize) -> TransformPlan {
-    let cp = kernel
-        .plan_certified(t, cfg.cache_spec(), n, n)
-        .unwrap_or_else(|e| panic!("refusing to simulate an illegal schedule: {e}"));
-    *cp.plan()
+    let p = plan(t, cfg.cache_spec(), n, n, &kernel.shape());
+    let certificate = certificate_for(&kernel.discipline(), p.tile.is_some(), true);
+    assert!(
+        certificate.is_legal(),
+        "refusing an illegal schedule for {} {} at N = {n}:\n{}",
+        kernel.name(),
+        t.name(),
+        certificate.report()
+    );
+    p
 }
 
 /// One simulated data point.
@@ -806,6 +815,8 @@ pub fn run_miss_sweeps_supervised(
 /// [`SweepConfig::FLAGS`] plus its own extras, then initialises the
 /// observability layer from the auto-appended obs flags.
 pub mod driver {
+    use std::io::{self, Write};
+
     use tiling3d_obs as obs;
     use tiling3d_obs::flags::{FlagSet, ParsedFlags};
 
@@ -829,6 +840,27 @@ pub mod driver {
         })
     }
 
+    /// Writes a command's rendered output to stdout in one call (the
+    /// drivers that render whole reports, and `tiling3d`'s `main`). A
+    /// reader that closes the pipe early (`table1 | head -1`) has taken
+    /// what it wanted, so a broken pipe is success; any other write error
+    /// is reported on stderr and exits with status 1.
+    pub fn write_stdout(out: &str) {
+        if let Err(e) = write_all_or_closed(&mut io::stdout().lock(), out) {
+            eprintln!("error writing to stdout: {e}");
+            std::process::exit(1);
+        }
+    }
+
+    /// Writes and flushes `out`, treating [`io::ErrorKind::BrokenPipe`]
+    /// as success.
+    fn write_all_or_closed(w: &mut impl Write, out: &str) -> io::Result<()> {
+        match w.write_all(out.as_bytes()).and_then(|()| w.flush()) {
+            Err(e) if e.kind() == io::ErrorKind::BrokenPipe => Ok(()),
+            r => r,
+        }
+    }
+
     /// Flushes the observability layer at driver exit.
     pub fn finish() {
         let _ = obs::shutdown();
@@ -846,6 +878,33 @@ pub mod driver {
         }
         finish();
         std::process::exit(i32::from(!ok));
+    }
+
+    #[cfg(test)]
+    mod tests {
+        use super::*;
+
+        /// A stdout whose reader is gone, or failing some other way.
+        struct Failing(io::ErrorKind);
+
+        impl Write for Failing {
+            fn write(&mut self, _: &[u8]) -> io::Result<usize> {
+                Err(self.0.into())
+            }
+            fn flush(&mut self) -> io::Result<()> {
+                Ok(())
+            }
+        }
+
+        #[test]
+        fn a_closed_pipe_is_success_and_other_errors_are_not() {
+            let mut buf = Vec::new();
+            write_all_or_closed(&mut buf, "table\n").unwrap();
+            assert_eq!(buf, b"table\n");
+            write_all_or_closed(&mut Failing(io::ErrorKind::BrokenPipe), "x").unwrap();
+            let err = write_all_or_closed(&mut Failing(io::ErrorKind::PermissionDenied), "x");
+            assert_eq!(err.unwrap_err().kind(), io::ErrorKind::PermissionDenied);
+        }
     }
 }
 
@@ -966,5 +1025,21 @@ mod tests {
         assert!(from(&["--min", "401"]).unwrap_err().contains("--max 400"));
         let one = from(&["--min", "256", "--max", "256"]).unwrap();
         assert_eq!(one.sizes(), vec![256]);
+    }
+
+    #[test]
+    fn sweep_config_rejects_a_zero_step() {
+        use tiling3d_obs::flags::FlagSet;
+        let set = FlagSet::new("demo", "demo driver", None, SweepConfig::FLAGS);
+        let from = |args: &[&str]| {
+            let raw: Vec<String> = args.iter().map(ToString::to_string).collect();
+            SweepConfig::from_flags(&set.parse(&raw).unwrap())
+        };
+        assert_eq!(
+            from(&["--step", "0"]).unwrap_err(),
+            "demo requires --step >= 1 (got 0)"
+        );
+        assert_eq!(from(&["--step", "1"]).unwrap().step, 1);
+        assert_eq!(from(&[]).unwrap().step, 8);
     }
 }

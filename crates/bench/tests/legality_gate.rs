@@ -15,16 +15,12 @@ fn every_simulated_kernel_transform_pair_is_certified_legal() {
     for n in [200usize, 256, 341] {
         for kernel in Kernel::ALL {
             for t in Transform::ALL {
-                let cp = kernel
-                    .plan_certified(t, cfg.cache_spec(), n, n)
-                    .unwrap_or_else(|e| panic!("{} {t:?} n={n}: {e}", kernel.name()));
-                assert!(cp.certificate().is_legal());
-                assert!(
-                    cp.certificate().revalidate().is_ok(),
-                    "tampered certificate"
-                );
-                // The certified plan is exactly what the harness runs.
-                assert_eq!(cp.plan(), &plan_for(&cfg, kernel, t, n));
+                // The plan the harness runs, certified as its executors
+                // run it.
+                let p = plan_for(&cfg, kernel, t, n);
+                let cert = certificate_for(&kernel.discipline(), p.tile.is_some(), true);
+                assert!(cert.is_legal(), "{} {t:?} n={n}", kernel.name());
+                assert!(cert.revalidate().is_ok(), "tampered certificate");
             }
         }
     }

@@ -119,8 +119,8 @@ use std::sync::Arc;
 use tiling3d_bench::fault::{FaultKind, FaultMode, FaultPlan};
 use tiling3d_bench::serve::{self, ServeConfig, ServeLimits};
 use tiling3d_bench::{
-    checkpoint, extent_flag, flag_at_least, simulate_grid, simulate_grid_supervised, supervise,
-    SimPoint, SimPool, SweepConfig, SweepError, SweepOptions,
+    checkpoint, extent_flag, flag_at_least, plan_for, simulate_grid, simulate_grid_supervised,
+    supervise, SimPoint, SimPool, SweepConfig, SweepError, SweepOptions,
 };
 use tiling3d_cachesim::{AccessSink, CacheConfig, Hierarchy, MmuHierarchy, Tlb, WritePolicy};
 use tiling3d_core::api::{
@@ -128,7 +128,7 @@ use tiling3d_core::api::{
 };
 use tiling3d_core::nonconflict::enumerate_array_tiles;
 use tiling3d_core::{
-    histogram, lower_bound_misses, plan, plan_temporal, CacheSpec, KernelModel, LevelGeometry,
+    histogram, lower_bound_misses, plan_temporal, CacheSpec, KernelModel, LevelGeometry,
     PlanSchedule, Problem, TemporalKernel, Transform,
 };
 use tiling3d_grid::{fill_random, Array3};
@@ -533,7 +533,7 @@ fn cmd_tiles(flags: &ParsedFlags) -> Result<String, String> {
     let di = flag_at_least(flags, "--di", 1, None)?;
     let dj = flag_at_least(flags, "--dj", 1, Some(di))?;
     let cache = flag_at_least(flags, "--cache", 1, None)?;
-    let tkmax = flags.usize("--tkmax");
+    let tkmax = flag_at_least(flags, "--tkmax", 1, None)?;
     let tiles = enumerate_array_tiles(cache, di, dj, tkmax);
     if json_format(flags)? {
         let rows = tiles
@@ -705,11 +705,16 @@ fn cmd_simulate(flags: &ParsedFlags) -> Result<String, String> {
     }
     let opts = SweepOptions::from_flags(flags)?;
     let t: Transform = flags.parse_str("--transform")?;
+    // Plans size their tiles for this L1, as in every sweep.
+    let cfg = SweepConfig {
+        l1,
+        ..SweepConfig::default()
+    };
     if flags.switch("--tlb") {
-        return simulate_tlb(&opts, kernel, t, n, nk, cache, l1);
+        return simulate_tlb(&opts, &cfg, kernel, t, n, nk);
     }
     let (p, h) = supervise::supervise_item(&opts.policy, || {
-        let p = plan(t, cache, n, n, &kernel.shape());
+        let p = plan_for(&cfg, kernel, t, n);
         let mut h = Hierarchy::new(l1, CacheConfig::ULTRASPARC2_L2);
         kernel.trace(n, nk, p.padded_di, p.padded_dj, p.tile, &mut h);
         supervise::check_finite(&miss_rates(&h))?;
@@ -740,18 +745,17 @@ fn cmd_simulate(flags: &ParsedFlags) -> Result<String, String> {
 /// quantifying the cache-vs-TLB trade-off of thin tiles (Mitchell et al.).
 fn simulate_tlb(
     opts: &SweepOptions,
+    cfg: &SweepConfig,
     kernel: Kernel,
     t: Transform,
     n: usize,
     nk: usize,
-    cache: CacheSpec,
-    l1: CacheConfig,
 ) -> Result<String, String> {
     let (p, m) = supervise::supervise_item(&opts.policy, || {
-        let p = plan(t, cache, n, n, &kernel.shape());
+        let p = plan_for(cfg, kernel, t, n);
         let mut m = MmuHierarchy::new(
             Tlb::ultrasparc2(),
-            Hierarchy::new(l1, CacheConfig::ULTRASPARC2_L2),
+            Hierarchy::new(cfg.l1, CacheConfig::ULTRASPARC2_L2),
         );
         kernel.trace(n, nk, p.padded_di, p.padded_dj, p.tile, &mut m);
         supervise::check_finite(&miss_rates(m.hierarchy()))?;
@@ -830,7 +834,7 @@ fn simulate_all(
     for (&t, point) in Transform::ALL.iter().zip(points) {
         match point {
             Ok(sim) => {
-                let p = tiling3d_bench::plan_for(&cfg, kernel, t, n);
+                let p = plan_for(&cfg, kernel, t, n);
                 let _ = writeln!(
                     out,
                     "{:<10}{:>10}{:>14}{:>12.2}{:>12.2}",
@@ -1515,7 +1519,7 @@ fn cmd_measure(flags: &ParsedFlags) -> Result<String, String> {
         ..SweepConfig::default()
     };
     let jobs = cfg.pool().jobs();
-    let p = tiling3d_bench::plan_for(&cfg, kernel, t, n);
+    let p = plan_for(&cfg, kernel, t, n);
 
     // Jobs-invariance gate: the parallel sweep must reproduce the
     // sequential sweep bit for bit from the same initial state.
@@ -1627,7 +1631,7 @@ fn cmd_profile(flags: &ParsedFlags) -> Result<String, String> {
     // Red-black nests its `redblack:red` / `redblack:black` colour
     // half-sweeps underneath.
     {
-        let p = tiling3d_bench::plan_for(&cfg, kernel, Transform::GcdPad, n);
+        let p = plan_for(&cfg, kernel, Transform::GcdPad, n);
         let _compute = obs::span(&format!("compute:{}", kernel.name()));
         let mut state = kernel.make_state(n, cfg.nk, &p, 0x5EED);
         kernel.run_parallel(&mut state, p.tile, cfg.pool().jobs());
@@ -1835,7 +1839,7 @@ fn cmd_chaos(flags: &ParsedFlags) -> Result<String, String> {
     let cfg = SweepConfig {
         n_min: extent_flag(flags, "--min", None)?,
         n_max: flags.usize("--max"),
-        step: flags.usize("--step").max(1),
+        step: flag_at_least(flags, "--step", 1, None)?,
         nk: extent_flag(flags, "--nk", None)?,
         jobs: flags.usize("--jobs"),
         ..SweepConfig::default()
@@ -2808,11 +2812,20 @@ mod tests {
             ),
             ("tiles --di 0", "tiling3d tiles requires --di >= 1 (got 0)"),
             ("tiles --dj 0", "tiling3d tiles requires --dj >= 1 (got 0)"),
+            (
+                "tiles --tkmax 0",
+                "tiling3d tiles requires --tkmax >= 1 (got 0)",
+            ),
+            (
+                "chaos --step 0",
+                "tiling3d chaos requires --step >= 1 (got 0)",
+            ),
         ] {
             assert_eq!(run_line(cmd).expect_err(cmd), want, "`{cmd}`");
         }
         assert!(run_line("predict --kernel jacobi --n 40 --tile 1x1").is_ok());
         assert!(run_line("tiles --di 1").is_ok());
+        assert!(run_line("tiles --tkmax 1").is_ok());
     }
 
     #[test]

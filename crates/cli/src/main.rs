@@ -7,7 +7,7 @@ fn main() {
     let raw: Vec<String> = std::env::args().skip(1).collect();
     let code = match tiling3d_cli::run_argv(&raw) {
         Ok(out) => {
-            print!("{out}");
+            tiling3d_bench::driver::write_stdout(&out);
             0
         }
         Err(e) => {

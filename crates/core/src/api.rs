@@ -20,9 +20,7 @@ use crate::missmodel::{
     histogram, predict_level, KernelModel, LevelGeometry, LevelPrediction, PlanSchedule, Problem,
 };
 use crate::plan::{plan, CacheSpec, Transform, TransformPlan};
-use crate::temporal::{
-    plan_temporal, plan_temporal_certified, temporal_certificate, TemporalKernel, TemporalPlan,
-};
+use crate::temporal::{plan_temporal, temporal_certificate, TemporalKernel, TemporalPlan};
 use crate::TileSelection;
 use tiling3d_loopnest::locality::ReuseHistogram;
 use tiling3d_loopnest::{reuse, LegalityCertificate, StencilShape};
@@ -965,22 +963,13 @@ fn temporal_section(
     certify: bool,
 ) -> Result<TemporalSection, String> {
     let tk = req.stencil.temporal_kernel()?;
-    let (plan, certified) = if certify {
-        let cp = plan_temporal_certified(tk, req.cache, plane_elements, req.steps, req.jobs, true)
-            .map_err(|e| e.to_string())?;
-        (
-            *cp.plan(),
-            Some((
-                cp.certificate().schedule.name.clone(),
-                cp.certificate().is_legal(),
-            )),
-        )
-    } else {
-        (
-            plan_temporal(tk, req.cache, plane_elements, req.steps, req.jobs),
-            None,
-        )
-    };
+    let plan = plan_temporal(tk, req.cache, plane_elements, req.steps, req.jobs);
+    // The skewed band tiling is the schedule the executors run.
+    let certified = certify.then(|| {
+        let certificate = temporal_certificate(tk, true);
+        let legal = certificate.is_legal();
+        (certificate.schedule.name, legal)
+    });
     Ok(TemporalSection {
         kernel: tk,
         steps: req.steps,

@@ -1,22 +1,21 @@
-//! Certified planning: every [`TransformPlan`] is paired with the
-//! [`LegalityCertificate`] proving its schedule respects the kernel's data
-//! dependences, and constructing an illegal plan is a typed error.
+//! The legality gate for spatial plans: [`certificate_for`] proves (or
+//! refutes) that the schedule a plan executes respects its kernel's data
+//! dependences.
 //!
-//! [`plan`] resolves *what* to run (tile sizes, pads); this module settles
-//! *whether it may run at all*. The bridge is [`SweepDiscipline`]: how the
-//! kernel's sweep uses its arrays, which fixes the dependence set —
-//! out-of-place sweeps (Jacobi, RESID) carry none, the fused red-black
-//! update carries the 4D fused-space set, an in-place SOR-style sweep
-//! carries one dependence per stencil offset. [`plan_certified`] plans as
-//! usual, certifies the schedule the executors will actually use (tiled
-//! red-black runs the *skew-tiled* Fig 12 schedule), and only hands out a
-//! [`CertifiedPlan`] when the verdict is legal; the only way to observe the
-//! illegal case is the [`IllegalPlan`] error, which carries the certificate
-//! with its violation witnesses.
+//! [`plan`](crate::plan()) resolves *what* to run (tile sizes, pads); this
+//! module settles *whether it may run at all*. The bridge is
+//! [`SweepDiscipline`]: how the kernel's sweep uses its arrays, which
+//! fixes the dependence set — out-of-place sweeps (Jacobi, RESID) carry
+//! none, the fused red-black update carries the 4D fused-space set. A
+//! caller plans, then certifies the schedule the executors will actually
+//! use (tiled red-black runs the *skew-tiled* Fig 12 schedule, so
+//! `skewed = true`) and refuses the plan unless the certificate is legal;
+//! an illegal certificate names every broken dependence with a witness.
+//! Its callers are `bench::plan_for`, which every harness point plans
+//! through, and the planning API's `legality` query behind
+//! `tiling3d analyze`.
 
-use crate::plan::{plan, CacheSpec, Transform, TransformPlan};
-use std::fmt;
-use tiling3d_loopnest::{certify, DepSet, LegalityCertificate, Schedule, StencilShape};
+use tiling3d_loopnest::{certify, DepSet, LegalityCertificate, Schedule};
 
 /// How a kernel's sweep uses its arrays — determines which dependences its
 /// schedule must respect.
@@ -24,9 +23,6 @@ use tiling3d_loopnest::{certify, DepSet, LegalityCertificate, Schedule, StencilS
 pub enum SweepDiscipline {
     /// `A = f(B)` over distinct arrays: the loops carry no dependences.
     OutOfPlace,
-    /// In-place single-statement sweep `A = f(A)`: one dependence per
-    /// nonzero stencil offset.
-    InPlace(StencilShape),
     /// The fused red-black update (Fig 12): dependences live in the fused
     /// `(KK, T, J, I)` iteration space; tiling is only legal with skewed
     /// tile origins.
@@ -38,7 +34,6 @@ impl SweepDiscipline {
     pub fn deps(&self) -> DepSet {
         match self {
             SweepDiscipline::OutOfPlace => DepSet::out_of_place(),
-            SweepDiscipline::InPlace(shape) => DepSet::in_place(shape),
             SweepDiscipline::FusedRedBlack => DepSet::fused_redblack(),
         }
     }
@@ -58,7 +53,7 @@ impl SweepDiscipline {
                     s
                 }
             }
-            _ => {
+            SweepDiscipline::OutOfPlace => {
                 if tiled {
                     Schedule::tiled_ji()
                 } else {
@@ -80,103 +75,11 @@ pub fn certificate_for(
     certify(&discipline.deps(), &discipline.schedule(tiled, skewed))
 }
 
-/// A [`TransformPlan`] whose schedule has been *proved* legal for its
-/// kernel's dependences. The fields are private: the only constructor is
-/// [`plan_certified`], so holding one of these is holding the proof.
-#[derive(Clone, Debug, PartialEq)]
-pub struct CertifiedPlan {
-    plan: TransformPlan,
-    certificate: LegalityCertificate,
-}
-
-impl CertifiedPlan {
-    /// The underlying resolved plan.
-    pub fn plan(&self) -> &TransformPlan {
-        &self.plan
-    }
-
-    /// The legality proof (always a `Legal` verdict).
-    pub fn certificate(&self) -> &LegalityCertificate {
-        &self.certificate
-    }
-
-    /// Convenience: the plan's iteration tile.
-    pub fn tile(&self) -> Option<(usize, usize)> {
-        self.plan.tile
-    }
-
-    /// Convenience: the plan's padded allocation dims `(di, dj)`.
-    pub fn padded_dims(&self) -> (usize, usize) {
-        (self.plan.padded_di, self.plan.padded_dj)
-    }
-}
-
-/// The typed error for an illegal plan request: carries the certificate
-/// whose verdict names every broken dependence.
-#[derive(Clone, Debug, PartialEq)]
-pub struct IllegalPlan {
-    /// The transform that was requested.
-    pub transform: Transform,
-    /// The failed certificate (verdict is `Illegal` with witnesses).
-    /// Boxed so the error variant stays small next to `CertifiedPlan`.
-    pub certificate: Box<LegalityCertificate>,
-}
-
-impl fmt::Display for IllegalPlan {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "transform {} is illegal under schedule '{}'",
-            self.transform.name(),
-            self.certificate.schedule.name
-        )?;
-        for v in self.certificate.violations() {
-            write!(f, "\n  {v}")?;
-        }
-        Ok(())
-    }
-}
-
-impl std::error::Error for IllegalPlan {}
-
-/// Plans a transform and certifies the schedule its executors will run
-/// (tiled fused red-black uses the skewed schedule, exactly like the
-/// `stencil` executors). Returns the paired plan + proof, or the typed
-/// [`IllegalPlan`] error.
-///
-/// Certification happens once per plan — never per access — so the gate
-/// adds nothing to simulation or sweep throughput.
-pub fn plan_certified(
-    t: Transform,
-    cache: CacheSpec,
-    di: usize,
-    dj: usize,
-    shape: &StencilShape,
-    discipline: &SweepDiscipline,
-) -> Result<CertifiedPlan, IllegalPlan> {
-    let _span = if tiling3d_obs::collecting() {
-        Some(tiling3d_obs::span(&format!("plan_certified:{}", t.name())))
-    } else {
-        None
-    };
-    let p = plan(t, cache, di, dj, shape);
-    let certificate = certificate_for(discipline, p.tile.is_some(), true);
-    if certificate.is_legal() {
-        Ok(CertifiedPlan {
-            plan: p,
-            certificate,
-        })
-    } else {
-        Err(IllegalPlan {
-            transform: t,
-            certificate: Box::new(certificate),
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::plan::{plan, CacheSpec, Transform};
+    use tiling3d_loopnest::StencilShape;
 
     fn spec() -> CacheSpec {
         CacheSpec::ELEMENTS_16K_DOUBLES
@@ -191,66 +94,40 @@ mod tests {
                 SweepDiscipline::FusedRedBlack,
                 StencilShape::redblack3d_fused(),
             ),
-            (
-                SweepDiscipline::InPlace(StencilShape::jacobi3d()),
-                StencilShape::jacobi3d(),
-            ),
         ];
         for (discipline, shape) in &cases {
             for t in Transform::ALL {
-                let cp = plan_certified(t, spec(), 200, 200, shape, discipline)
-                    .unwrap_or_else(|e| panic!("{discipline:?} {t:?}: {e}"));
-                assert!(cp.certificate().is_legal());
-                assert!(cp.certificate().revalidate().is_ok());
-                // The certified plan matches the uncertified planner.
-                assert_eq!(cp.plan(), &plan(t, spec(), 200, 200, shape));
+                let p = plan(t, spec(), 200, 200, shape);
+                let cert = certificate_for(discipline, p.tile.is_some(), true);
+                assert!(cert.is_legal(), "{discipline:?} {t:?}: {cert:?}");
+                assert!(cert.revalidate().is_ok());
             }
         }
     }
 
     #[test]
-    fn rectangular_fused_redblack_tiling_is_a_typed_error() {
+    fn rectangular_fused_redblack_tiling_is_rejected_with_its_witness() {
         let cert = certificate_for(&SweepDiscipline::FusedRedBlack, true, false);
         assert!(!cert.is_legal());
-        let err = IllegalPlan {
-            transform: Transform::GcdPad,
-            certificate: Box::new(cert),
-        };
-        let msg = err.to_string();
-        assert!(msg.contains("illegal"), "{msg}");
-        assert!(msg.contains("[1, 1, -1, 0]"), "witness in message: {msg}");
+        let witnesses: Vec<String> = cert.violations().iter().map(ToString::to_string).collect();
+        assert!(
+            witnesses.iter().any(|w| w.contains("[1, 1, -1, 0]")),
+            "witness in certificate: {witnesses:?}"
+        );
     }
 
     #[test]
     fn untiled_plans_certify_under_the_original_schedule() {
-        let cp = plan_certified(
+        let p = plan(
             Transform::Orig,
             spec(),
             100,
             100,
             &StencilShape::redblack3d_fused(),
-            &SweepDiscipline::FusedRedBlack,
-        )
-        .unwrap();
-        assert!(cp.tile().is_none());
-        assert_eq!(cp.certificate().schedule.steps, vec![]);
-    }
-
-    #[test]
-    fn certificates_are_computed_once_per_plan() {
-        // The certificate is part of the plan value, not recomputed per
-        // access: two plans for the same inputs carry equal certificates.
-        let mk = || {
-            plan_certified(
-                Transform::Pad,
-                spec(),
-                341,
-                341,
-                &StencilShape::jacobi3d(),
-                &SweepDiscipline::OutOfPlace,
-            )
-            .unwrap()
-        };
-        assert_eq!(mk(), mk());
+        );
+        assert!(p.tile.is_none());
+        let cert = certificate_for(&SweepDiscipline::FusedRedBlack, p.tile.is_some(), true);
+        assert!(cert.is_legal());
+        assert_eq!(cert.schedule.steps, vec![]);
     }
 }

@@ -61,7 +61,7 @@ pub use cost::CostModel;
 pub use effcache::effective_cache_tile;
 pub use euc::{euc3d, euc3d_select, Euc3dOptions, Euc3dSelection, TileSelection};
 pub use gcdpad::{gcd_pad, GcdPadPlan};
-pub use legality::{plan_certified, CertifiedPlan, IllegalPlan, SweepDiscipline};
+pub use legality::SweepDiscipline;
 pub use missmodel::{
     histogram, lower_bound_misses, predict_level, KernelModel, LevelGeometry, LevelPrediction,
     PlanSchedule, Problem,
@@ -70,7 +70,4 @@ pub use nonconflict::ArrayTile;
 pub use overhead::{memory_overhead_pct, padded_elements};
 pub use padsearch::pad;
 pub use plan::{plan, CacheSpec, Transform, TransformPlan};
-pub use temporal::{
-    plan_temporal, plan_temporal_certified, temporal_certificate, CertifiedTemporalPlan,
-    IllegalTemporalPlan, TemporalKernel, TemporalPlan,
-};
+pub use temporal::{plan_temporal, temporal_certificate, TemporalKernel, TemporalPlan};

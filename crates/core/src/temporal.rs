@@ -1,7 +1,11 @@
 //! Temporal tile selection: pick `(ST, SK)` blocks of the time-skewed
-//! `(T, K')` band from cache geometry, the way Euc3D picks spatial tiles
-//! — and pair the choice with the legality certificate for the skewed
-//! schedule, the way [`plan_certified`](crate::plan_certified) does.
+//! `(T, K')` band from cache geometry, the way Euc3D picks spatial tiles.
+//! [`temporal_certificate`] is the legality gate for these plans, as
+//! [`certificate_for`](crate::legality::certificate_for) is for spatial
+//! ones: it proves the skewed band tiling the `stencil::timetile`
+//! executors run legal for the kernel's time-stepped dependences, and
+//! refutes the rectangular one with a witness. The planning API's
+//! temporal section calls both, [`plan_temporal`] then the certificate.
 //!
 //! The model is the working set of one time block at a fixed time step:
 //! carrying a band of `SK` skewed planes through a time block touches
@@ -14,7 +18,6 @@
 //! blocks and the wavefronts stay wide enough to feed every thread.
 
 use crate::plan::CacheSpec;
-use std::fmt;
 use tiling3d_loopnest::{certify, DepSet, LegalityCertificate, Schedule, StencilShape};
 
 /// Which iterated kernel a temporal plan schedules — fixes the
@@ -117,93 +120,11 @@ pub fn plan_temporal(
     }
 }
 
-/// A temporal plan paired with the proof that the skewed `(T, K')` band
-/// tiling is legal for the kernel's time-stepped dependences. Private
-/// fields: [`plan_temporal_certified`] is the only constructor.
-#[derive(Clone, Debug, PartialEq)]
-pub struct CertifiedTemporalPlan {
-    plan: TemporalPlan,
-    certificate: LegalityCertificate,
-}
-
-impl CertifiedTemporalPlan {
-    /// The resolved tile.
-    pub fn plan(&self) -> &TemporalPlan {
-        &self.plan
-    }
-
-    /// The legality proof (always a `Legal` verdict).
-    pub fn certificate(&self) -> &LegalityCertificate {
-        &self.certificate
-    }
-}
-
-/// The typed error for an illegal temporal schedule request: carries the
-/// certificate whose verdict names every broken dependence.
-#[derive(Clone, Debug, PartialEq)]
-pub struct IllegalTemporalPlan {
-    /// The kernel whose schedule failed.
-    pub kernel: TemporalKernel,
-    /// The failed certificate (verdict is `Illegal` with witnesses).
-    pub certificate: Box<LegalityCertificate>,
-}
-
-impl fmt::Display for IllegalTemporalPlan {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "temporal schedule '{}' is illegal for kernel {}",
-            self.certificate.schedule.name,
-            self.kernel.name()
-        )?;
-        for v in self.certificate.violations() {
-            write!(f, "\n  {v}")?;
-        }
-        Ok(())
-    }
-}
-
-impl std::error::Error for IllegalTemporalPlan {}
-
 /// Certifies the (skewed or rectangular) `(T, K)` band tiling for the
 /// kernel's time-stepped dependences. `skewed = false` models the
 /// rectangular tiling the analyzer must reject.
 pub fn temporal_certificate(kernel: TemporalKernel, skewed: bool) -> LegalityCertificate {
     certify(&kernel.deps(), &Schedule::time_skewed_3d(skewed))
-}
-
-/// Plans a temporal tile and certifies the skewed schedule the
-/// `stencil::timetile` executors run. The error path is only reachable
-/// through a rectangular (unskewed) request — kept so the CLI can gate
-/// the known-illegal combination with a typed witness.
-pub fn plan_temporal_certified(
-    kernel: TemporalKernel,
-    cache: CacheSpec,
-    plane_elements: usize,
-    steps: usize,
-    jobs: usize,
-    skewed: bool,
-) -> Result<CertifiedTemporalPlan, IllegalTemporalPlan> {
-    let _span = if tiling3d_obs::collecting() {
-        Some(tiling3d_obs::span(&format!(
-            "plan_temporal:{}",
-            kernel.name()
-        )))
-    } else {
-        None
-    };
-    let certificate = temporal_certificate(kernel, skewed);
-    if certificate.is_legal() {
-        Ok(CertifiedTemporalPlan {
-            plan: plan_temporal(kernel, cache, plane_elements, steps, jobs),
-            certificate,
-        })
-    } else {
-        Err(IllegalTemporalPlan {
-            kernel,
-            certificate: Box::new(certificate),
-        })
-    }
 }
 
 #[cfg(test)]
@@ -253,22 +174,23 @@ mod tests {
     #[test]
     fn skewed_schedule_certifies_for_both_kernels() {
         for kernel in [TemporalKernel::Jacobi, TemporalKernel::RedBlack] {
-            let cp = plan_temporal_certified(kernel, spec(), 4096, 8, 2, true)
-                .unwrap_or_else(|e| panic!("{kernel:?}: {e}"));
-            assert!(cp.certificate().is_legal());
-            assert!(cp.certificate().revalidate().is_ok());
+            let cert = temporal_certificate(kernel, true);
+            assert!(cert.is_legal(), "{kernel:?}: {cert:?}");
+            assert!(cert.revalidate().is_ok());
         }
     }
 
     #[test]
-    fn rectangular_band_tiling_is_a_typed_error_with_witness() {
-        let err =
-            plan_temporal_certified(TemporalKernel::Jacobi, spec(), 4096, 8, 2, false).unwrap_err();
-        let msg = err.to_string();
-        assert!(msg.contains("illegal"), "{msg}");
+    fn rectangular_band_tiling_is_rejected_with_its_witness() {
+        let cert = temporal_certificate(TemporalKernel::Jacobi, false);
+        assert!(!cert.is_legal());
         // The witness: flow distance (1, -1, ...) reversed by the
         // rectangular tile controllers.
-        assert!(msg.contains("[1, -1"), "witness in message: {msg}");
+        let witnesses: Vec<String> = cert.violations().iter().map(ToString::to_string).collect();
+        assert!(
+            witnesses.iter().any(|w| w.contains("[1, -1")),
+            "witness in certificate: {witnesses:?}"
+        );
     }
 
     #[test]

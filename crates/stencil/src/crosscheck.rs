@@ -18,8 +18,9 @@
 //!    original values) — so a pass here means the executed permutation is
 //!    consistent with the certificate's dependence set.
 //!
-//! [`Kernel::run_certified`](crate::kernels::Kernel::run_certified) runs
-//! these checks in debug builds only; release sweeps pay nothing.
+//! The row-engine golden gate (`tests/row_engine_golden.rs`) runs
+//! [`check_schedule`] on every tile `core::plan` picks across its
+//! planner-facing matrix; sweeps never call it, so they pay nothing.
 
 use crate::kernels::Kernel;
 use crate::redblack;

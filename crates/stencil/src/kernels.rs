@@ -7,10 +7,7 @@
 //! padded dimensions), run timed sweeps, and replay cache traces.
 
 use tiling3d_cachesim::AccessSink;
-use tiling3d_core::{
-    plan_certified, CacheSpec, CertifiedPlan, IllegalPlan, SweepDiscipline, Transform,
-    TransformPlan,
-};
+use tiling3d_core::{SweepDiscipline, TransformPlan};
 use tiling3d_grid::{fill_random, Array3};
 use tiling3d_loopnest::{StencilShape, TileDims};
 
@@ -128,19 +125,6 @@ impl Kernel {
         }
     }
 
-    /// Plans `t` for this kernel and certifies the schedule its executors
-    /// will run. The only way to obtain the [`CertifiedPlan`] that
-    /// [`Kernel::run_certified`] and [`Kernel::trace_certified`] require.
-    pub fn plan_certified(
-        self,
-        t: Transform,
-        cache: CacheSpec,
-        di: usize,
-        dj: usize,
-    ) -> Result<CertifiedPlan, IllegalPlan> {
-        plan_certified(t, cache, di, dj, &self.shape(), &self.discipline())
-    }
-
     /// FLOPs of one full sweep over an `n x n x nk` problem.
     pub fn sweep_flops(self, n: usize, nk: usize) -> u64 {
         match self {
@@ -230,48 +214,6 @@ impl Kernel {
             }
             _ => panic!("kernel/state mismatch"),
         }
-    }
-
-    /// Runs one sweep under a dependence-certified plan.
-    ///
-    /// In debug builds this first revalidates the certificate and replays
-    /// the transformed visit order through the dynamic cross-check
-    /// ([`crate::crosscheck`]): the executed permutation must cover every
-    /// interior point once and respect the certificate's dependences.
-    /// Release builds run the sweep directly — certification is a
-    /// plan-time gate, not a per-sweep cost.
-    ///
-    /// # Panics
-    /// Panics if `state` was built for a different kernel, or (debug
-    /// builds) if the dynamic cross-check contradicts the certificate.
-    pub fn run_certified(self, state: &mut KernelState, plan: &CertifiedPlan) {
-        #[cfg(debug_assertions)]
-        {
-            let a = match state {
-                KernelState::Jacobi { a, .. } => &*a,
-                KernelState::RedBlack { a } => &*a,
-                KernelState::Resid { r, .. } => &*r,
-            };
-            plan.certificate()
-                .revalidate()
-                .expect("stored legality certificate no longer validates");
-            crate::crosscheck::check_schedule(self, a.ni(), a.nk(), plan.tile())
-                .expect("dynamic cross-check contradicts the legality certificate");
-        }
-        self.run(state, plan.tile());
-    }
-
-    /// Replays the cache trace of one sweep under a dependence-certified
-    /// plan, using the plan's padded allocation dimensions.
-    pub fn trace_certified<S: AccessSink>(
-        self,
-        n: usize,
-        nk: usize,
-        plan: &CertifiedPlan,
-        sink: &mut S,
-    ) {
-        let (di, dj) = plan.padded_dims();
-        self.trace(n, nk, di, dj, plan.tile(), sink);
     }
 
     /// Replays the cache trace of one sweep for an `n x n x nk` problem
@@ -503,44 +445,6 @@ mod tests {
                 &mut h2,
             );
             assert_eq!(h1.l1_stats(), h2.l1_stats(), "{}", kernel.name());
-        }
-    }
-
-    #[test]
-    fn certified_runs_match_uncertified_for_every_kernel_and_transform() {
-        let cache = CacheSpec::ELEMENTS_16K_DOUBLES;
-        for kernel in Kernel::ALL {
-            for t in Transform::ALL {
-                let cp = kernel
-                    .plan_certified(t, cache, 30, 30)
-                    .unwrap_or_else(|e| panic!("{} {t:?}: {e}", kernel.name()));
-                let mut s1 = kernel.make_state(30, 10, cp.plan(), 3);
-                let mut s2 = s1.clone();
-                kernel.run_certified(&mut s1, &cp);
-                kernel.run(&mut s2, cp.tile());
-                let out = |s: &KernelState| match s {
-                    KernelState::Jacobi { a, .. } => a.clone(),
-                    KernelState::RedBlack { a } => a.clone(),
-                    KernelState::Resid { r, .. } => r.clone(),
-                };
-                assert!(out(&s1).logical_eq(&out(&s2)), "{} {t:?}", kernel.name());
-            }
-        }
-    }
-
-    #[test]
-    fn certified_trace_matches_uncertified_trace() {
-        let cache = CacheSpec::ELEMENTS_16K_DOUBLES;
-        for kernel in Kernel::ALL {
-            let cp = kernel
-                .plan_certified(Transform::GcdPad, cache, 25, 25)
-                .unwrap();
-            let mut c1 = CountingSink::default();
-            kernel.trace_certified(25, 9, &cp, &mut c1);
-            let (di, dj) = cp.padded_dims();
-            let mut c2 = CountingSink::default();
-            kernel.trace(25, 9, di, dj, cp.tile(), &mut c2);
-            assert_eq!((c1.reads, c1.writes), (c2.reads, c2.writes));
         }
     }
 

@@ -35,12 +35,15 @@
 //! per-point formulations, which survive in [`mod@reference`] as the
 //! executable specification.
 //!
-//! Schedule legality is enforced in two layers: statically, each kernel's
-//! transforms are planned through `tiling3d_core::plan_certified` and run
-//! via [`kernels::Kernel::run_certified`], which only accepts a
-//! dependence-certified plan; dynamically (debug builds), [`crosscheck`]
-//! replays the transformed visit order and verifies it is a permutation of
-//! the iteration space consistent with the certificate's dependences.
+//! Schedule legality is checked in two independent layers. Statically,
+//! the planner certifies each plan's schedule against
+//! [`kernels::Kernel::discipline`] with
+//! `tiling3d_core::legality::certificate_for` where the plan is made
+//! (`tiling3d_bench::plan_for` refuses an illegal one); the executors
+//! here take raw tiles. Dynamically, [`crosscheck`] replays a walker's
+//! visit order and verifies it is a permutation of the iteration space
+//! consistent with the certified dependences; the row-engine golden gate
+//! runs it for every planned tile.
 
 #![warn(missing_docs)]
 

@@ -8,7 +8,8 @@
 //! `TI >= NI` and `TJ = 1`, threads `{1, 2, 7}`. The red-black gates run
 //! a second, signed fill with exact `±0.0` points and `-0.0` bands. The
 //! planner-facing gate adds the exact padded geometry and tile
-//! `core::plan` picks for every kernel and transform.
+//! `core::plan` picks for every kernel and transform, and replays each
+//! such tile's visit order through `crosscheck`.
 
 use tiling3d_core::{plan, CacheSpec, Transform};
 use tiling3d_grid::{fill_random, fill_random2, Array2, Array3, Xorshift64};
@@ -17,7 +18,9 @@ use tiling3d_stencil::kernels::{Kernel, KernelState};
 use tiling3d_stencil::redblack::Schedule;
 use tiling3d_stencil::redblack2d::Schedule2D;
 use tiling3d_stencil::resid::Coeffs;
-use tiling3d_stencil::{copyopt, jacobi2d, jacobi3d, parallel, redblack, redblack2d, resid};
+use tiling3d_stencil::{
+    copyopt, crosscheck, jacobi2d, jacobi3d, parallel, redblack, redblack2d, resid,
+};
 use tiling3d_stencil::{reference, timestep};
 
 /// Deterministic seed per configuration, so failures reproduce exactly.
@@ -278,8 +281,9 @@ fn run_reference(kernel: Kernel, state: &mut KernelState, tile: Option<(usize, u
 
 /// The planner-facing gate: for every kernel x transform x size, the
 /// plan's exact padded geometry and tile run bitwise identically through
-/// `Kernel::run` and the per-point reference. `n = 34` and `n = 37` add
-/// interior rows past the small-size matrix.
+/// `Kernel::run` and the per-point reference, and the tile's visit order
+/// passes the dynamic legality cross-check ([`crosscheck`]). `n = 34` and
+/// `n = 37` add interior rows past the small-size matrix.
 #[test]
 fn kernel_run_matches_reference_across_transform_plans() {
     let cache = CacheSpec::from_bytes(16 * 1024);
@@ -293,6 +297,14 @@ fn kernel_run_matches_reference_across_transform_plans() {
         ] {
             for &n in &sizes {
                 let p = plan(t, cache, n, n, &kernel.shape());
+                crosscheck::check_schedule(kernel, n, n, p.tile).unwrap_or_else(|e| {
+                    panic!(
+                        "{}/{} n={n} tile={:?}: {e}",
+                        kernel.name(),
+                        t.name(),
+                        p.tile
+                    )
+                });
                 let mut got = kernel.make_state(n, n, &p, seed(n, p.padded_di, p.padded_dj));
                 let mut want = got.clone();
                 kernel.run(&mut got, p.tile);
