@@ -10,9 +10,10 @@
 //! `--jobs` worker pool; the wall-clock `threads` sweep is itself the
 //! measurement and always runs alone.
 
+use std::fmt::Write as _;
 use std::time::Instant;
 
-use tiling3d_bench::{driver, extent_flag, SimPool};
+use tiling3d_bench::{driver, extent_flag, simulate, SimPool, SweepConfig};
 use tiling3d_cachesim::{CacheConfig, Hierarchy, WritePolicy};
 use tiling3d_core::{plan, CacheSpec, Transform};
 use tiling3d_grid::{fill_random, Array3};
@@ -36,23 +37,13 @@ fn flag_set() -> FlagSet {
     )
 }
 
-fn simulate(kernel: Kernel, n: usize, nk: usize, t: Transform, l1: CacheConfig) -> f64 {
-    let p = plan(
-        t,
-        CacheSpec::from_bytes(l1.size_bytes),
-        n,
-        n,
-        &kernel.shape(),
+fn assoc_sweep(n: usize, nk: usize, pool: &SimPool) -> String {
+    let mut out = format!(
+        "L1 associativity ablation (JACOBI, N={n}): conflict misses — and thus\n\
+         the gap between Tile and GcdPad — should fade as associativity grows.\n"
     );
-    let mut h = Hierarchy::new(l1, CacheConfig::ULTRASPARC2_L2);
-    kernel.trace(n, nk, p.padded_di, p.padded_dj, p.tile, &mut h);
-    h.l1_miss_rate_pct()
-}
-
-fn assoc_sweep(n: usize, nk: usize, pool: &SimPool) {
-    println!("L1 associativity ablation (JACOBI, N={n}): conflict misses — and thus");
-    println!("the gap between Tile and GcdPad — should fade as associativity grows.");
-    println!(
+    let _ = writeln!(
+        out,
         "{:>6}{:>10}{:>10}{:>10}{:>10}",
         "ways", "Orig", "Tile", "Euc3D", "GcdPad"
     );
@@ -72,20 +63,26 @@ fn assoc_sweep(n: usize, nk: usize, pool: &SimPool) {
             ways,
             ..CacheConfig::ULTRASPARC2_L1
         };
-        simulate(Kernel::Jacobi, n, nk, t, l1)
+        let cfg = SweepConfig {
+            l1,
+            nk,
+            ..SweepConfig::default()
+        };
+        simulate(&cfg, Kernel::Jacobi, t, n).l1_pct
     });
     for (r, ways) in WAYS.iter().enumerate() {
-        print!("{ways:>6}");
+        let _ = write!(out, "{ways:>6}");
         for v in &rates[r * TS.len()..(r + 1) * TS.len()] {
-            print!("{v:>10.2}");
+            let _ = write!(out, "{v:>10.2}");
         }
-        println!();
+        out.push('\n');
     }
+    out
 }
 
-fn line_sweep(n: usize, nk: usize, pool: &SimPool) {
-    println!("L1 line-size ablation (JACOBI, N={n}), GcdPad vs Orig:");
-    println!("{:>6}{:>10}{:>10}", "line", "Orig", "GcdPad");
+fn line_sweep(n: usize, nk: usize, pool: &SimPool) -> String {
+    let mut out = format!("L1 line-size ablation (JACOBI, N={n}), GcdPad vs Orig:\n");
+    let _ = writeln!(out, "{:>6}{:>10}{:>10}", "line", "Orig", "GcdPad");
     const LINES: [usize; 4] = [16, 32, 64, 128];
     let points: Vec<(usize, Transform)> = LINES
         .iter()
@@ -96,16 +93,27 @@ fn line_sweep(n: usize, nk: usize, pool: &SimPool) {
             line_bytes,
             ..CacheConfig::ULTRASPARC2_L1
         };
-        simulate(Kernel::Jacobi, n, nk, t, l1)
+        let cfg = SweepConfig {
+            l1,
+            nk,
+            ..SweepConfig::default()
+        };
+        simulate(&cfg, Kernel::Jacobi, t, n).l1_pct
     });
     for (r, line) in LINES.iter().enumerate() {
-        println!("{line:>6}{:>10.2}{:>10.2}", rates[2 * r], rates[2 * r + 1]);
+        let _ = writeln!(
+            out,
+            "{line:>6}{:>10.2}{:>10.2}",
+            rates[2 * r],
+            rates[2 * r + 1]
+        );
     }
+    out
 }
 
-fn write_sweep(n: usize, nk: usize, pool: &SimPool) {
-    println!("L1 write-policy ablation (JACOBI, N={n}):");
-    println!("{:>14}{:>10}{:>10}", "policy", "Orig", "GcdPad");
+fn write_sweep(n: usize, nk: usize, pool: &SimPool) -> String {
+    let mut out = format!("L1 write-policy ablation (JACOBI, N={n}):\n");
+    let _ = writeln!(out, "{:>14}{:>10}{:>10}", "policy", "Orig", "GcdPad");
     const POLICIES: [(&str, WritePolicy); 2] = [
         ("write-around", WritePolicy::WriteAround),
         ("write-alloc", WritePolicy::WriteAllocate),
@@ -119,18 +127,34 @@ fn write_sweep(n: usize, nk: usize, pool: &SimPool) {
             write_policy,
             ..CacheConfig::ULTRASPARC2_L1
         };
-        simulate(Kernel::Jacobi, n, nk, t, l1)
+        let cfg = SweepConfig {
+            l1,
+            nk,
+            ..SweepConfig::default()
+        };
+        simulate(&cfg, Kernel::Jacobi, t, n).l1_pct
     });
     for (r, (name, _)) in POLICIES.iter().enumerate() {
-        println!("{name:>14}{:>10.2}{:>10.2}", rates[2 * r], rates[2 * r + 1]);
+        let _ = writeln!(
+            out,
+            "{name:>14}{:>10.2}{:>10.2}",
+            rates[2 * r],
+            rates[2 * r + 1]
+        );
     }
-    println!("(the paper assumes write-around: stores to A never evict B's tile)");
+    let _ = writeln!(
+        out,
+        "(the paper assumes write-around: stores to A never evict B's tile)"
+    );
+    out
 }
 
-fn atd_sweep(n: usize, nk: usize, pool: &SimPool) {
-    println!("array-tile-depth sensitivity (JACOBI, N={n}): simulated L1 miss rate");
-    println!("when the tiled nest keeps TK planes in cache via a TK-deep GcdPad tile.");
-    println!("{:>4}{:>10}{:>14}", "TK", "tile", "L1 miss %");
+fn atd_sweep(n: usize, nk: usize, pool: &SimPool) -> String {
+    let mut out = format!(
+        "array-tile-depth sensitivity (JACOBI, N={n}): simulated L1 miss rate\n\
+         when the tiled nest keeps TK planes in cache via a TK-deep GcdPad tile.\n"
+    );
+    let _ = writeln!(out, "{:>4}{:>10}{:>14}", "TK", "tile", "L1 miss %");
     let c = 2048usize;
     let tks = [2usize, 4, 8, 16];
     let rows = pool.map(&tks, |&tk| {
@@ -151,19 +175,24 @@ fn atd_sweep(n: usize, nk: usize, pool: &SimPool) {
         Some((ti, tj, h.l1_miss_rate_pct()))
     });
     for (&tk, row) in tks.iter().zip(&rows) {
-        match row {
-            None => println!("{tk:>4}{:>10}{:>14}", "-", "tile too small"),
-            Some((ti, tj, rate)) => println!(
+        let _ = match row {
+            None => writeln!(out, "{tk:>4}{:>10}{:>14}", "-", "tile too small"),
+            Some((ti, tj, rate)) => writeln!(
+                out,
                 "{tk:>4}{:>10}{rate:>14.2}",
                 format!("{}x{}", ti - 2, tj - 2)
             ),
-        }
+        };
     }
-    println!("(TK=4 — the paper's GcdPad default — balances depth against tile area)");
+    let _ = writeln!(
+        out,
+        "(TK=4 — the paper's GcdPad default — balances depth against tile area)"
+    );
+    out
 }
 
-fn thread_sweep(n: usize, nk: usize) {
-    println!("tiling x parallelism composition (JACOBI, N={n}x{n}x{nk}): MFlops");
+fn thread_sweep(n: usize, nk: usize) -> String {
+    let mut out = format!("tiling x parallelism composition (JACOBI, N={n}x{n}x{nk}): MFlops\n");
     let mut b = Array3::new(n, n, nk);
     fill_random(&mut b, 3);
     let mut a = Array3::new(n, n, nk);
@@ -176,7 +205,7 @@ fn thread_sweep(n: usize, nk: usize) {
         &Kernel::Jacobi.shape(),
     );
     let tile = g.tile.map(|(ti, tj)| TileDims::new(ti, tj));
-    println!("{:>8}{:>12}{:>12}", "threads", "untiled", "tiled");
+    let _ = writeln!(out, "{:>8}{:>12}{:>12}", "threads", "untiled", "tiled");
     for threads in [1usize, 2, 4, 8] {
         let mut row = format!("{threads:>8}");
         for t in [None, tile] {
@@ -187,17 +216,20 @@ fn thread_sweep(n: usize, nk: usize) {
             }
             row += &format!("{:>12.0}", 3.0 * flops / t0.elapsed().as_secs_f64() / 1e6);
         }
-        println!("{row}");
+        let _ = writeln!(out, "{row}");
     }
+    out
 }
 
-fn crossinterf_sweep(n: usize, pool: &SimPool) {
+fn crossinterf_sweep(n: usize, pool: &SimPool) -> String {
     use tiling3d_stencil::kernels::ArrayLayout;
-    println!("cross-interference ablation (RESID, N={n}): L1 miss rate under GcdPad");
-    println!("with consecutive vs inter-variable-padded (Section 3.5) array layouts.");
-    println!("K extents where the padded array size = 0 mod cache make consecutive");
-    println!("bases collide exactly; staggering the bases defuses it.");
-    println!("{:>6}{:>14}{:>14}", "K", "consecutive", "staggered");
+    let mut out = format!(
+        "cross-interference ablation (RESID, N={n}): L1 miss rate under GcdPad\n\
+         with consecutive vs inter-variable-padded (Section 3.5) array layouts.\n\
+         K extents where the padded array size = 0 mod cache make consecutive\n\
+         bases collide exactly; staggering the bases defuses it.\n"
+    );
+    let _ = writeln!(out, "{:>6}{:>14}{:>14}", "K", "consecutive", "staggered");
     let kernel = Kernel::Resid;
     let p = plan(
         Transform::GcdPad,
@@ -224,16 +256,28 @@ fn crossinterf_sweep(n: usize, pool: &SimPool) {
         h.l1_miss_rate_pct()
     });
     for (r, nk) in nks.iter().enumerate() {
-        println!("{nk:>6}{:>14.2}{:>14.2}", rates[2 * r], rates[2 * r + 1]);
+        let _ = writeln!(
+            out,
+            "{nk:>6}{:>14.2}{:>14.2}",
+            rates[2 * r],
+            rates[2 * r + 1]
+        );
     }
+    out
 }
 
-fn tlb_sweep(n: usize, nk: usize, pool: &SimPool) {
+fn tlb_sweep(n: usize, nk: usize, pool: &SimPool) -> String {
     use tiling3d_cachesim::Tlb;
-    println!("TLB ablation (JACOBI, N={n}): translation miss rate (64-entry, 8KB pages).");
-    println!("Tiling touches N planes per tile pass, stressing the TLB — the");
-    println!("cache/TLB trade-off of Mitchell et al. that the paper cites.");
-    println!("{:>10}{:>14}{:>14}", "transform", "L1 miss %", "TLB miss %");
+    let mut out = format!(
+        "TLB ablation (JACOBI, N={n}): translation miss rate (64-entry, 8KB pages).\n\
+         Tiling touches N planes per tile pass, stressing the TLB — the\n\
+         cache/TLB trade-off of Mitchell et al. that the paper cites.\n"
+    );
+    let _ = writeln!(
+        out,
+        "{:>10}{:>14}{:>14}",
+        "transform", "L1 miss %", "TLB miss %"
+    );
     let ts = [Transform::Orig, Transform::GcdPad];
     let rows = pool.map(&ts, |&t| {
         let p = plan(
@@ -250,13 +294,15 @@ fn tlb_sweep(n: usize, nk: usize, pool: &SimPool) {
         (h.l1_miss_rate_pct(), tlb.stats().miss_rate_pct())
     });
     for (&t, &(l1, tlb)) in ts.iter().zip(&rows) {
-        println!("{:>10}{l1:>14.2}{tlb:>14.2}", t.name());
+        let _ = writeln!(out, "{:>10}{l1:>14.2}{tlb:>14.2}", t.name());
     }
+    out
 }
 
-fn copyopt_sweep(n: usize, nk: usize, pool: &SimPool) {
+fn copyopt_sweep(n: usize, nk: usize, pool: &SimPool) -> String {
     use tiling3d_stencil::copyopt;
-    println!("copy-optimization ablation (JACOBI, N={n}): Section 3.1's negative result.");
+    let mut out =
+        format!("copy-optimization ablation (JACOBI, N={n}): Section 3.1's negative result.\n");
     let p = plan(
         Transform::GcdPad,
         CacheSpec::ELEMENTS_16K_DOUBLES,
@@ -287,29 +333,35 @@ fn copyopt_sweep(n: usize, nk: usize, pool: &SimPool) {
     });
     let (plain, copying) = (&hs[0], &hs[1]);
     let (pa, ca) = (plain.l1_stats(), copying.l1_stats());
-    println!(
+    let _ = writeln!(
+        out,
         "  tiled (GcdPad):        {:>10} accesses, {:>9} L1 misses ({:.2}%)",
         pa.accesses,
         pa.misses,
         plain.l1_miss_rate_pct()
     );
-    println!(
+    let _ = writeln!(
+        out,
         "  tiled + tile copying:  {:>10} accesses, {:>9} L1 misses ({:.2}%)",
         ca.accesses,
         ca.misses,
         copying.l1_miss_rate_pct()
     );
-    println!(
+    let _ = writeln!(
+        out,
         "  copying inflates the access stream by {:.0}% — 'copy operations comprise a\n  large, constant fraction of the data accesses' (Section 3.1)",
         100.0 * (ca.accesses as f64 - pa.accesses as f64) / pa.accesses as f64
     );
+    out
 }
 
-fn effcache_sweep(n: usize, nk: usize, pool: &SimPool) {
+fn effcache_sweep(n: usize, nk: usize, pool: &SimPool) -> String {
     use tiling3d_core::effective_cache_tile;
-    println!("effective-cache-size ablation (JACOBI, N={n}): the Section 3.2 method");
-    println!("targets ~10% of the cache; compare its miss rate against GcdPad's.");
-    println!("{:>12}{:>12}{:>12}", "method", "tile", "L1 miss %");
+    let mut out = format!(
+        "effective-cache-size ablation (JACOBI, N={n}): the Section 3.2 method\n\
+         targets ~10% of the cache; compare its miss rate against GcdPad's.\n"
+    );
+    let _ = writeln!(out, "{:>12}{:>12}{:>12}", "method", "tile", "L1 miss %");
     let shape = Kernel::Jacobi.shape();
     let Some(eff) = effective_cache_tile(CacheSpec::ELEMENTS_16K_DOUBLES, &shape, 0.10) else {
         eprintln!("ablation: no tile fits 10% of the cache for this stencil shape");
@@ -339,16 +391,20 @@ fn effcache_sweep(n: usize, nk: usize, pool: &SimPool) {
         }
     });
     for (name, tile, rate) in rows {
-        println!("{name:>12}{tile:>12}{rate:>12.2}");
+        let _ = writeln!(out, "{name:>12}{tile:>12}{rate:>12.2}");
     }
+    out
 }
 
-fn threec_sweep(n: usize, nk: usize, pool: &SimPool) {
+fn threec_sweep(n: usize, nk: usize, pool: &SimPool) -> String {
     use tiling3d_cachesim::ThreeC;
-    println!("3C miss classification (JACOBI, N={n}): cold / capacity / conflict as %");
-    println!("of accesses on the 16K direct-mapped L1. The paper's algorithms are");
-    println!("conflict-elimination algorithms: GcdPad/Pad should zero the last column.");
-    println!(
+    let mut out = format!(
+        "3C miss classification (JACOBI, N={n}): cold / capacity / conflict as %\n\
+         of accesses on the 16K direct-mapped L1. The paper's algorithms are\n\
+         conflict-elimination algorithms: GcdPad/Pad should zero the last column.\n"
+    );
+    let _ = writeln!(
+        out,
         "{:>10}{:>10}{:>10}{:>10}{:>10}",
         "transform", "total", "cold", "capacity", "conflict"
     );
@@ -366,7 +422,8 @@ fn threec_sweep(n: usize, nk: usize, pool: &SimPool) {
     });
     for (&t, c) in Transform::ALL.iter().zip(&rows) {
         let pct = |x: u64| 100.0 * x as f64 / c.accesses as f64;
-        println!(
+        let _ = writeln!(
+            out,
             "{:>10}{:>10.2}{:>10.2}{:>10.2}{:>10.2}",
             t.name(),
             pct(c.total_misses()),
@@ -375,6 +432,7 @@ fn threec_sweep(n: usize, nk: usize, pool: &SimPool) {
             pct(c.conflict)
         );
     }
+    out
 }
 
 fn main() {
@@ -383,7 +441,7 @@ fn main() {
     let nk = driver::or_exit(extent_flag(&flags, "--nk", None));
     let which = flags.positional().unwrap_or("assoc").to_string();
     let pool = SimPool::new(flags.usize("--jobs"));
-    match which.as_str() {
+    let out = match which.as_str() {
         "assoc" => assoc_sweep(n, nk, &pool),
         "line" => line_sweep(n, nk, &pool),
         "write" => write_sweep(n, nk, &pool),
@@ -400,6 +458,7 @@ fn main() {
             );
             std::process::exit(2);
         }
-    }
+    };
+    driver::write_stdout(&out);
     driver::finish();
 }

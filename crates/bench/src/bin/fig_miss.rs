@@ -10,6 +10,8 @@
 //! cargo run --release -p tiling3d-bench --bin fig_miss -- jacobi [--min 200 --max 400 --step 8 --l2 --csv]
 //! ```
 
+use std::fmt::Write as _;
+
 use tiling3d_bench::{driver, run_miss_sweeps_supervised, SweepConfig, SweepOptions};
 use tiling3d_core::Transform;
 use tiling3d_obs::flags::{FlagSet, FlagSpec};
@@ -47,24 +49,25 @@ fn main() {
         (Kernel::Resid, false) => "Fig 18",
         (Kernel::Resid, true) => "Fig 20",
     };
-    println!(
-        "{fig}: {} L1 miss rates (%), N = {}..{} step {}, NxNx{} grids, 16K/2M direct-mapped",
+    driver::write_stdout(&format!(
+        "{fig}: {} L1 miss rates (%), N = {}..{} step {}, NxNx{} grids, 16K/2M direct-mapped\n",
         kernel.name(),
         cfg.n_min,
         cfg.n_max,
         cfg.step,
         cfg.nk
-    );
+    ));
     let sweeps = run_miss_sweeps_supervised(&cfg, kernel, &transforms, &opts);
     let (l1, l2, _, report) = driver::or_exit(sweeps.map_err(|e| format!("fig_miss: {e}")));
-    l1.print(csv);
+    let mut out = l1.render(csv);
     if flags.switch("--plot") {
-        println!("\n{}", tiling3d_bench::plot::render(&l1, 6));
+        let _ = writeln!(out, "\n{}", tiling3d_bench::plot::render(&l1, 6));
     }
 
     if flags.switch("--l2") {
-        println!("\n{fig}: {} L2 miss rates (%)", kernel.name());
-        l2.print(csv);
+        let _ = writeln!(out, "\n{fig}: {} L2 miss rates (%)", kernel.name());
+        out.push_str(&l2.render(csv));
     }
+    driver::write_stdout(&out);
     driver::finish_sweep(&report);
 }

@@ -11,6 +11,8 @@
 //! cargo run --release -p tiling3d-bench --bin fig_perf -- redblack [--min 200 --max 400 --step 8 --reps 3 --csv]
 //! ```
 
+use std::fmt::Write as _;
+
 use tiling3d_bench::{
     driver, measure_grid_supervised, run_miss_sweeps_supervised, SweepConfig, SweepOptions,
 };
@@ -60,8 +62,8 @@ fn main() {
         (Kernel::Resid, false) => "Fig 19",
         (Kernel::Resid, true) => "Fig 21",
     };
-    println!(
-        "{fig}: {} performance (MFlops), N = {}..{} step {}, NxNx{} grids",
+    let mut out = format!(
+        "{fig}: {} performance (MFlops), N = {}..{} step {}, NxNx{} grids\n",
         kernel.name(),
         cfg.n_min,
         cfg.n_max,
@@ -69,10 +71,18 @@ fn main() {
         cfg.nk
     );
     if modeled {
-        println!(
-            "(modeled from simulated misses at UltraSparc2-era penalties; see EXPERIMENTS.md)"
+        out.push_str(
+            "(modeled from simulated misses at UltraSparc2-era penalties; see EXPERIMENTS.md)\n",
         );
     }
+    if parallel {
+        let _ = writeln!(
+            out,
+            "(K-slab parallel sweeps, --jobs {})",
+            cfg.pool().jobs()
+        );
+    }
+    driver::write_stdout(&std::mem::take(&mut out));
     let (perf, report) = if modeled {
         let sweeps = run_miss_sweeps_supervised(&cfg, kernel, &Transform::ALL, &opts);
         let (_, _, modeled, report) = driver::or_exit(sweeps.map_err(|e| format!("fig_perf: {e}")));
@@ -81,9 +91,6 @@ fn main() {
         // Wall-clock sweep, one point at a time. `--parallel` times the
         // K-slab parallel sweeps (bitwise identical results to the
         // sequential sweep, so the delta is pure thread scaling).
-        if parallel {
-            println!("(K-slab parallel sweeps, --jobs {})", cfg.pool().jobs());
-        }
         let slabs = parallel.then_some(cfg.jobs);
         let grid = measure_grid_supervised(&cfg, kernel, &Transform::ALL, slabs, &opts);
         let metric = if parallel {
@@ -93,9 +100,10 @@ fn main() {
         };
         (grid.table(metric, &Transform::ALL, |&v| v), grid.report)
     };
-    perf.print(csv);
+    out.push_str(&perf.render(csv));
     if flags.switch("--plot") {
-        println!("\n{}", tiling3d_bench::plot::render(&perf, 6));
+        let _ = writeln!(out, "\n{}", tiling3d_bench::plot::render(&perf, 6));
     }
+    driver::write_stdout(&out);
     driver::finish_sweep(&report);
 }

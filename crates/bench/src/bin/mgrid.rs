@@ -14,6 +14,8 @@
 //! The timed V-cycles always run sequentially (they are the measurement);
 //! `--jobs` shards only the closing cache simulations.
 
+use std::fmt::Write as _;
+
 use tiling3d_bench::{driver, flag_at_least, SimPool, SupervisePolicy};
 use tiling3d_core::{gcd_pad, CacheSpec};
 use tiling3d_loopnest::{StencilShape, TileDims};
@@ -54,13 +56,13 @@ fn run(cfg: MgConfig, iters: usize, label: &str) -> (f64, MgSolver) {
         std::process::exit(1);
     }
     let resid_pct = 100.0 * s.stats.resid_fraction();
-    println!(
-        "  {label:<22} total {dt:>7.3}s   resid {:>6.3}s ({resid_pct:.0}% of routine time)   psinv {:>6.3}s   rprj3 {:>6.3}s   interp {:>6.3}s",
+    driver::write_stdout(&format!(
+        "  {label:<22} total {dt:>7.3}s   resid {:>6.3}s ({resid_pct:.0}% of routine time)   psinv {:>6.3}s   rprj3 {:>6.3}s   interp {:>6.3}s\n",
         s.stats.resid.as_secs_f64(),
         s.stats.psinv.as_secs_f64(),
         s.stats.rprj3.as_secs_f64(),
         s.stats.interp.as_secs_f64(),
-    );
+    ));
     (dt, s)
 }
 
@@ -73,8 +75,8 @@ fn main() {
     let pool = SimPool::new(flags.usize("--jobs"));
 
     let m = 1usize << levels;
-    println!(
-        "Section 4.6: MGRID whole-application experiment, finest grid {0}^3 (arrays {1}x{1}x{1}), {iters} V-cycles",
+    let mut out = format!(
+        "Section 4.6: MGRID whole-application experiment, finest grid {0}^3 (arrays {1}x{1}x{1}), {iters} V-cycles\n",
         m,
         m + 2
     );
@@ -82,7 +84,8 @@ fn main() {
     // GcdPad plan for the finest-level arrays against the 16K L1.
     let shape = StencilShape::resid27();
     let g = gcd_pad(CacheSpec::ELEMENTS_16K_DOUBLES, m + 2, m + 2, &shape);
-    println!(
+    let _ = writeln!(
+        out,
         "GcdPad plan for the largest grid: tile ({}, {}), padded dims {}x{} (orig {}x{})",
         g.iter_tile.0,
         g.iter_tile.1,
@@ -92,8 +95,11 @@ fn main() {
         m + 2,
     );
     if tile_psinv {
-        println!("(also tiling PSINV at the finest level — the paper's suggested extension)");
+        out.push_str("(also tiling PSINV at the finest level — the paper's suggested extension)\n");
     }
+    // One write per section: the header now, each timed run's line as it
+    // finishes, then the verdict and the closing simulation.
+    driver::write_stdout(&std::mem::take(&mut out));
 
     let base = MgConfig {
         health,
@@ -117,20 +123,24 @@ fn main() {
     let n_orig = s_orig.residual_norm();
     let n_tiled = s_tiled.residual_norm();
     let same = n_orig.to_bits() == n_tiled.to_bits();
-    println!(
+    let _ = writeln!(
+        out,
         "\nresidual norms {}: orig {n_orig:.6e} ({:#018x}) vs transformed {n_tiled:.6e} ({:#018x})",
         if same { "agree bitwise" } else { "DIFFER" },
         n_orig.to_bits(),
         n_tiled.to_bits(),
     );
     if !same {
+        driver::write_stdout(&out);
         eprintln!("mgrid: the transformed run's final residual norm differs from Orig's");
         std::process::exit(1);
     }
-    println!(
+    let _ = writeln!(
+        out,
         "total-time improvement: {:.1}%   (paper reference: ~6% on the 360MHz UltraSparc2)",
         100.0 * (t_orig - t_tiled) / t_orig
     );
+    driver::write_stdout(&std::mem::take(&mut out));
 
     // Simulation-side view of the same transformation: the RESID kernel at
     // the reference grid size on the paper's cache geometry. The paper
@@ -159,17 +169,19 @@ fn main() {
     };
     let cycles =
         |h: &Hierarchy| h.l1_stats().accesses + 10 * h.l1_stats().misses + 60 * h.l2_stats().misses;
-    println!(
+    let _ = writeln!(
+        out,
         "\nsimulated RESID at this grid (UltraSparc2 caches): L1 {:.1}% -> {:.1}% \
          (paper: 6.8% initial); modeled kernel speed-up {:.0}%",
         h_orig.l1_miss_rate_pct(),
         h_tiled.l1_miss_rate_pct(),
         100.0 * (cycles(h_orig) as f64 / cycles(h_tiled) as f64 - 1.0)
     );
-    println!(
+    out.push_str(
         "(~60% of MGRID time is RESID, so a paper-era machine sees a mid-single-digit\n\
          whole-application gain; on a modern host with a large L3 + prefetchers the\n\
-         tile's short rows make RESID slower instead — see EXPERIMENTS.md)"
+         tile's short rows make RESID slower instead — see EXPERIMENTS.md)\n",
     );
+    driver::write_stdout(&out);
     driver::finish();
 }

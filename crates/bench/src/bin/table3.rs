@@ -13,6 +13,8 @@
 //! `--jobs $(nproc)` (the default) to shard the simulations across cores.
 //! Miss rates are bit-identical for every `--jobs` value.
 
+use std::fmt::Write as _;
+
 use tiling3d_bench::{
     driver, measure_grid_supervised, run_miss_sweeps_supervised, SweepConfig, SweepOptions,
     SweepReport,
@@ -36,6 +38,26 @@ fn flag_set() -> FlagSet {
     )
 }
 
+/// The Table 2 taxonomy, printed above Table 3.
+const TABLE2: &str = "\
+Table 2 (taxonomy):
+  Orig      no tiling             no padding
+  Tile      square                no padding
+  Euc3D     non-conflicting       no padding
+  GcdPad    fixed non-conflicting GCD padding
+  Pad       variable non-confl.   < GCD padding
+  GcdPadNT  no tiling             GCD padding
+
+";
+
+/// The paper's Table 3, printed below the reproduced one.
+const PAPER_REFERENCE: &str = "
+paper reference (360MHz UltraSparc2):
+  JACOBI   % perf 13/10/16/17/-1   L1 1.9/3.7/4.8/5.1/1.6   L2 0.7/0.7/0.7/0.7/-0.2
+  REDBLACK % perf 89/74/120/121/10 L1 6.3/9.3/12.5/12.6/2.8 L2 2.0/1.8/2.0/2.0/-0.5
+  RESID    % perf 16/17/27/24/4    L1 1.9/2.5/4.7/4.7/2.2   L2 0.3/0.3/0.3/0.3/0.0
+";
+
 fn main() {
     let flags = driver::parse_or_exit(&flag_set());
     let cfg = driver::or_exit(SweepConfig::from_flags(&flags));
@@ -43,15 +65,9 @@ fn main() {
     let mut verdict = SweepReport::default();
     let with_perf = !flags.switch("--no-perf");
 
-    println!("Table 2 (taxonomy):");
-    println!("  Orig      no tiling             no padding");
-    println!("  Tile      square                no padding");
-    println!("  Euc3D     non-conflicting       no padding");
-    println!("  GcdPad    fixed non-conflicting GCD padding");
-    println!("  Pad       variable non-confl.   < GCD padding");
-    println!("  GcdPadNT  no tiling             GCD padding");
-    println!();
-    println!(
+    let mut out = String::from(TABLE2);
+    let _ = writeln!(
+        out,
         "Table 3: improvements vs Orig, averaged over N = {}..{} step {} (NxNx{})",
         cfg.n_min, cfg.n_max, cfg.step, cfg.nk
     );
@@ -65,10 +81,14 @@ fn main() {
     ];
     let all: Vec<Transform> = std::iter::once(Transform::Orig).chain(opt).collect();
 
-    println!(
+    let _ = writeln!(
+        out,
         "\n{:<10}{:<14}{:>9}{:>9}{:>9}{:>9}{:>9}",
         "kernel", "metric", "Tile", "Euc3D", "GcdPad", "Pad", "GcdPadNT"
     );
+    // One write per section: the header now, each kernel's rows as soon
+    // as its sweeps finish.
+    driver::write_stdout(&std::mem::take(&mut out));
     for kernel in Kernel::ALL {
         let kopts = opts.for_kernel(kernel);
         let sweeps = run_miss_sweeps_supervised(&cfg, kernel, &all, &kopts);
@@ -81,7 +101,8 @@ fn main() {
         });
 
         let (m1, m2) = (l1.means(), l2.means());
-        println!(
+        let _ = writeln!(
+            out,
             "{:<10}{:<14}{:>9}{:>9}{:>9}{:>9}{:>9}   (orig L1 {:.1}%, L2 {:.1}%)",
             kernel.name(),
             "",
@@ -95,35 +116,33 @@ fn main() {
         );
         {
             let mm = modeled.means();
-            print!("{:<10}{:<14}", "", "% perf (mdl)");
+            let _ = write!(out, "{:<10}{:<14}", "", "% perf (mdl)");
             for i in 1..all.len() {
-                print!("{:>9.0}", 100.0 * (mm[i] - mm[0]) / mm[0]);
+                let _ = write!(out, "{:>9.0}", 100.0 * (mm[i] - mm[0]) / mm[0]);
             }
-            println!();
+            out.push('\n');
         }
         if let Some(p) = &perf {
             let mp = p.means();
-            print!("{:<10}{:<14}", "", "% perf (wall)");
+            let _ = write!(out, "{:<10}{:<14}", "", "% perf (wall)");
             for i in 1..all.len() {
-                print!("{:>9.0}", 100.0 * (mp[i] - mp[0]) / mp[0]);
+                let _ = write!(out, "{:>9.0}", 100.0 * (mp[i] - mp[0]) / mp[0]);
             }
-            println!();
+            out.push('\n');
         }
-        print!("{:<10}{:<14}", "", "L1 miss rate");
+        let _ = write!(out, "{:<10}{:<14}", "", "L1 miss rate");
         for i in 1..all.len() {
-            print!("{:>9.1}", m1[0] - m1[i]);
+            let _ = write!(out, "{:>9.1}", m1[0] - m1[i]);
         }
-        println!();
-        print!("{:<10}{:<14}", "", "L2 miss rate");
+        out.push('\n');
+        let _ = write!(out, "{:<10}{:<14}", "", "L2 miss rate");
         for i in 1..all.len() {
-            print!("{:>9.1}", m2[0] - m2[i]);
+            let _ = write!(out, "{:>9.1}", m2[0] - m2[i]);
         }
-        println!();
+        out.push('\n');
+        driver::write_stdout(&std::mem::take(&mut out));
     }
 
-    println!("\npaper reference (360MHz UltraSparc2):");
-    println!("  JACOBI   % perf 13/10/16/17/-1   L1 1.9/3.7/4.8/5.1/1.6   L2 0.7/0.7/0.7/0.7/-0.2");
-    println!("  REDBLACK % perf 89/74/120/121/10 L1 6.3/9.3/12.5/12.6/2.8 L2 2.0/1.8/2.0/2.0/-0.5");
-    println!("  RESID    % perf 16/17/27/24/4    L1 1.9/2.5/4.7/4.7/2.2   L2 0.3/0.3/0.3/0.3/0.0");
+    driver::write_stdout(PAPER_REFERENCE);
     driver::finish_sweep(&verdict);
 }

@@ -10,6 +10,8 @@
 //! cargo run --release -p tiling3d-bench --bin twod_argument
 //! ```
 
+use std::fmt::Write as _;
+
 use tiling3d_bench::driver;
 use tiling3d_cachesim::{Cache, CacheConfig, Hierarchy};
 use tiling3d_loopnest::{reuse, StencilShape};
@@ -32,22 +34,25 @@ fn main() {
     let l1e = CacheConfig::ULTRASPARC2_L1.capacity_elements();
     let l2e = CacheConfig::ULTRASPARC2_L2.capacity_elements();
 
-    println!("analytic capacity boundaries (paper, Section 1):");
-    println!(
+    let mut out = String::from("analytic capacity boundaries (paper, Section 1):\n");
+    let _ = writeln!(
+        out,
         "  2D Jacobi, 16K L1:  group reuse up to N = {}   (paper: 1024)",
         reuse::max_column_extent_2d(l1e, &j2)
     );
-    println!(
+    let _ = writeln!(
+        out,
         "  3D Jacobi, 16K L1:  group reuse up to N = {}     (paper: 32)",
         reuse::max_plane_extent(l1e, &j3)
     );
-    println!(
+    let _ = writeln!(
+        out,
         "  3D Jacobi,  2M L2:  group reuse up to N = {}    (paper: 362)",
         reuse::max_plane_extent(l2e, &j3)
     );
 
-    println!("\nsimulated L1 *read* miss rates, one sweep (write-around floor excluded):");
-    println!("  2D Jacobi (N x N):");
+    out.push_str("\nsimulated L1 *read* miss rates, one sweep (write-around floor excluded):\n");
+    out.push_str("  2D Jacobi (N x N):\n");
     for n in [300usize, 500, 900, 1000, 1024, 1300, 1800] {
         let mut l1 = Cache::new(CacheConfig::ULTRASPARC2_L1);
         jacobi2d::trace(n, n, n, &mut l1);
@@ -58,12 +63,13 @@ fn main() {
         } else {
             ""
         };
-        println!(
+        let _ = writeln!(
+            out,
             "    N={n:>5}: {:>5.2}%{note}",
             l1.stats().read_miss_rate_pct()
         );
     }
-    println!("  3D Jacobi (N x N x 30):");
+    out.push_str("  3D Jacobi (N x N x 30):\n");
     for n in [20usize, 26, 30, 40, 60, 90, 200] {
         let mut h = Hierarchy::ultrasparc2();
         jacobi3d::trace(n, n, 30, n, n, None, &mut h);
@@ -72,15 +78,17 @@ fn main() {
         } else {
             ""
         };
-        println!(
+        let _ = writeln!(
+            out,
             "    N={n:>5}: {:>5.2}%{note}",
             h.l1_stats().read_miss_rate_pct()
         );
     }
-    println!(
+    out.push_str(
         "\nreading: 2D rates stay flat almost to N = 1024 (bar power-of-two conflict\n\
          pathologies); 3D rates jump right after N = 32 — reuse across the K loop\n\
-         dies when two planes no longer fit, which is what the paper's tiling restores."
+         dies when two planes no longer fit, which is what the paper's tiling restores.\n",
     );
+    driver::write_stdout(&out);
     driver::finish();
 }

@@ -4,8 +4,8 @@
 //! same [`Xorshift64`] generator the invariant tests use) and arms each
 //! with one [`FaultKind`]: a panic, an artificial delay, or a NaN write.
 //! Because selection is a pure function of `(seed, keys)`, a fault
-//! campaign is exactly reproducible — the property the integration suite
-//! and the `tiling3d chaos` subcommand rely on to prove graceful
+//! campaign is exactly reproducible — the property the fault-injection
+//! suite (`tests/fault_injection.rs`) relies on to prove graceful
 //! degradation, retry determinism, and resume correctness (DESIGN.md §13).
 
 use std::collections::{BTreeMap, HashSet};

@@ -16,9 +16,8 @@
 //! * every reply the server does send parses as a single JSON object
 //!   (typed errors, never a panic message or a half-written frame).
 //!
-//! The campaign runs in two harnesses: in-process (`tests/serve_fuzz.rs`)
-//! and as the `chaos --serve` CLI campaign that CI runs against a real
-//! server process.
+//! `tests/serve_fuzz.rs` runs the campaign against a live TCP server in
+//! the test process.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;

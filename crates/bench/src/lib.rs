@@ -32,6 +32,7 @@ pub mod pool;
 pub mod serve;
 pub mod supervise;
 
+use std::fmt::Write as _;
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
@@ -151,8 +152,8 @@ impl SweepConfig {
     ///
     /// # Errors
     /// Rejects `--min` or `--nk` below [`MIN_EXTENT`] ([`extent_flag`]),
-    /// `--step` below 1 ([`flag_at_least`]), and `--max` below `--min`,
-    /// which would sweep no size at all.
+    /// `--step` or `--reps` below 1 ([`flag_at_least`]), and `--max` below
+    /// `--min`, which would sweep no size at all.
     pub fn from_flags(flags: &ParsedFlags) -> Result<Self, String> {
         let d = SweepConfig::default();
         let get = |name: &str, fallback: usize| flags.opt_usize(name).unwrap_or(fallback);
@@ -161,7 +162,7 @@ impl SweepConfig {
             n_max: get("--max", d.n_max),
             step: flag_at_least(flags, "--step", 1, Some(d.step))?,
             nk: extent_flag(flags, "--nk", Some(d.nk))?,
-            reps: get("--reps", d.reps),
+            reps: flag_at_least(flags, "--reps", 1, Some(d.reps))?,
             jobs: get("--jobs", d.jobs),
             ..d
         };
@@ -195,9 +196,9 @@ impl SweepConfig {
 }
 
 /// Robustness options for one sweep: supervision policy, checkpoint /
-/// resume, and (for the chaos harness) an armed fault plan. Separate from
-/// [`SweepConfig`] — that stays `Copy` and describes *what* to sweep;
-/// this describes *how to survive* sweeping it.
+/// resume, and (for the fault-injection tests) an armed fault plan.
+/// Separate from [`SweepConfig`] — that stays `Copy` and describes *what*
+/// to sweep; this describes *how to survive* sweeping it.
 #[derive(Debug, Default)]
 pub struct SweepOptions {
     /// Retry / deadline / fail-fast policy for every point.
@@ -208,8 +209,8 @@ pub struct SweepOptions {
     /// Restore completed points from the checkpoint before sweeping and
     /// compute only the remainder.
     pub resume: bool,
-    /// Deterministic fault plan, armed by the chaos harness and the
-    /// integration suite; `None` in production runs.
+    /// Deterministic fault plan, armed by the fault-injection integration
+    /// suite; `None` in production runs.
     pub fault: Option<FaultPlan>,
 }
 
@@ -238,6 +239,10 @@ impl SweepOptions {
     /// Builds sweep options from parsed flags, reading whichever of the
     /// shared robustness flags the command declared (undeclared ones keep
     /// defaults, like [`SweepConfig::from_flags`]).
+    ///
+    /// # Errors
+    /// `"<command> requires --checkpoint PATH with --resume"` when
+    /// `--resume` names no checkpoint to resume from.
     pub fn from_flags(flags: &ParsedFlags) -> Result<Self, String> {
         let mut policy = SupervisePolicy::default();
         if let Some(r) = flags.opt_usize("--retries") {
@@ -253,7 +258,10 @@ impl SweepOptions {
         let checkpoint = flags.opt_str("--checkpoint").map(PathBuf::from);
         let resume = flags.opt_switch("--resume");
         if resume && checkpoint.is_none() {
-            return Err("--resume requires --checkpoint PATH".to_string());
+            return Err(format!(
+                "{} requires --checkpoint PATH with --resume",
+                flags.command()
+            ));
         }
         Ok(SweepOptions {
             policy,
@@ -266,8 +274,8 @@ impl SweepOptions {
     /// A per-kernel view of these options for drivers sweeping several
     /// kernels: the checkpoint base path grows a `.KERNEL` suffix so each
     /// kernel's sweep owns its own file (checkpoints are fingerprinted
-    /// per sweep). The fault plan is not carried over — faults are armed
-    /// per sweep by the chaos harness.
+    /// per sweep). The fault plan is not carried over — the fault-injection
+    /// tests arm faults per sweep.
     pub fn for_kernel(&self, kernel: Kernel) -> SweepOptions {
         SweepOptions {
             policy: self.policy,
@@ -550,7 +558,7 @@ pub fn simulate_grid_supervised(
         })
     };
     let point = |n: usize, t: Transform, key: &str| {
-        // Fault injection (chaos harness only): panics and delays fire
+        // Fault injection (tests only): panics and delays fire
         // here, before the simulation; a NaN write poisons the result.
         let poison = opts.fault.as_ref().is_some_and(|f| f.inject(key));
         let mut p = simulate(cfg, kernel, t, n);
@@ -632,8 +640,8 @@ pub fn simulate_grid(
 /// Numerical sentinel: after the warm-up sweep the kernel's output grid is
 /// scanned for NaN/Inf ([`tiling3d_grid::health::scan`]), and a poisoned
 /// grid or a non-finite rate surfaces as [`SweepError::Unhealthy`]
-/// instead of silently contaminating the figure. `fault` (chaos harness
-/// and tests only) may panic, delay, or plant a NaN write first.
+/// instead of silently contaminating the figure. `fault` (tests only) may
+/// panic, delay, or plant a NaN write first.
 pub fn measure_mflops(
     cfg: &SweepConfig,
     kernel: Kernel,
@@ -733,27 +741,28 @@ impl SweepResult {
             .collect()
     }
 
-    /// Renders an aligned plain-text table (and optional CSV) to stdout.
-    pub fn print(&self, csv: bool) {
+    /// Renders the aligned plain-text table, or CSV with `csv`.
+    pub fn render(&self, csv: bool) -> String {
+        let mut out = String::new();
         if csv {
-            print!("N");
+            out.push('N');
             for t in &self.transforms {
-                print!(",{}", t.name());
+                let _ = write!(out, ",{}", t.name());
             }
-            println!();
+            out.push('\n');
             for (n, vals) in &self.rows {
-                print!("{n}");
+                let _ = write!(out, "{n}");
                 for v in vals {
                     // Failed points render as empty CSV cells.
                     if v.is_finite() {
-                        print!(",{v:.3}");
+                        let _ = write!(out, ",{v:.3}");
                     } else {
-                        print!(",");
+                        out.push(',');
                     }
                 }
-                println!();
+                out.push('\n');
             }
-            return;
+            return out;
         }
         let cell = |v: f64| {
             if v.is_finite() {
@@ -762,28 +771,29 @@ impl SweepResult {
                 format!("{:>10}", "-")
             }
         };
-        print!("{:>6}", "N");
+        let _ = write!(out, "{:>6}", "N");
         for t in &self.transforms {
-            print!("{:>10}", t.name());
+            let _ = write!(out, "{:>10}", t.name());
         }
-        println!();
+        out.push('\n');
         for (n, vals) in &self.rows {
-            print!("{n:>6}");
+            let _ = write!(out, "{n:>6}");
             for v in vals {
-                print!("{}", cell(*v));
+                out.push_str(&cell(*v));
             }
-            println!();
+            out.push('\n');
         }
-        print!("{:>6}", "mean");
+        let _ = write!(out, "{:>6}", "mean");
         for v in self.means() {
-            print!("{}", cell(v));
+            out.push_str(&cell(v));
         }
-        println!();
+        out.push('\n');
+        out
     }
 }
 
 /// The per-point value a [`SweepResult`] stores for a failed point: a
-/// quiet NaN, rendered as `-` by [`SweepResult::print`] and skipped by
+/// quiet NaN, rendered as `-` by [`SweepResult::render`] and skipped by
 /// [`SweepResult::means`].
 const FAILED_POINT: f64 = f64::NAN;
 
@@ -959,6 +969,20 @@ mod tests {
     }
 
     #[test]
+    fn sweep_result_renders_failed_points_as_blank_cells() {
+        let r = SweepResult {
+            metric: "x",
+            transforms: vec![Transform::Orig, Transform::Pad],
+            rows: vec![(1, vec![1.0, FAILED_POINT]), (2, vec![3.0, 5.0])],
+        };
+        assert_eq!(r.render(true), "N,Orig,Pad\n1,1.000,\n2,3.000,5.000\n");
+        assert_eq!(
+            r.render(false),
+            "     N      Orig       Pad\n     1      1.00         -\n     2      3.00      5.00\n  mean      2.00      5.00\n"
+        );
+    }
+
+    #[test]
     fn sweep_config_from_flags() {
         use tiling3d_obs::flags::{FlagSet, FlagSpec};
         let set = FlagSet::new("demo", "demo driver", Some(("kernel", "which kernel")), &{
@@ -1028,6 +1052,23 @@ mod tests {
     }
 
     #[test]
+    fn sweep_options_reject_resume_without_a_checkpoint() {
+        use tiling3d_obs::flags::FlagSet;
+        let set = FlagSet::new("demo", "demo driver", None, SweepOptions::FLAGS);
+        let from = |args: &[&str]| {
+            let raw: Vec<String> = args.iter().map(ToString::to_string).collect();
+            SweepOptions::from_flags(&set.parse(&raw).unwrap())
+        };
+        assert_eq!(
+            from(&["--resume"]).unwrap_err(),
+            "demo requires --checkpoint PATH with --resume"
+        );
+        let opts = from(&["--resume", "--checkpoint", "ck.jsonl"]).unwrap();
+        assert!(opts.resume);
+        assert_eq!(opts.checkpoint, Some(PathBuf::from("ck.jsonl")));
+    }
+
+    #[test]
     fn sweep_config_rejects_a_zero_step() {
         use tiling3d_obs::flags::FlagSet;
         let set = FlagSet::new("demo", "demo driver", None, SweepConfig::FLAGS);
@@ -1041,5 +1082,11 @@ mod tests {
         );
         assert_eq!(from(&["--step", "1"]).unwrap().step, 1);
         assert_eq!(from(&[]).unwrap().step, 8);
+        assert_eq!(
+            from(&["--reps", "0"]).unwrap_err(),
+            "demo requires --reps >= 1 (got 0)"
+        );
+        assert_eq!(from(&["--reps", "1"]).unwrap().reps, 1);
+        assert_eq!(from(&[]).unwrap().reps, 3);
     }
 }

@@ -154,10 +154,10 @@ pub const INJECTED_PANIC_PREFIX: &str = "fault-injected:";
 
 /// Installs a process-wide panic hook (once) that suppresses the default
 /// "thread panicked" stderr spew for payloads carrying
-/// [`INJECTED_PANIC_PREFIX`] — deliberate faults from the chaos harness —
-/// while forwarding every other panic to the previous hook unchanged.
-/// `catch_unwind` still observes the suppressed panics; only the printing
-/// is filtered.
+/// [`INJECTED_PANIC_PREFIX`] — deliberate faults from the fault-injection
+/// tests — while forwarding every other panic to the previous hook
+/// unchanged. `catch_unwind` still observes the suppressed panics; only
+/// the printing is filtered.
 pub fn silence_expected_panics() {
     static INSTALL: Once = Once::new();
     INSTALL.call_once(|| {

@@ -1,11 +1,11 @@
 //! Fault-injection integration suite: the DESIGN.md §13 guarantees,
 //! proven end to end over `simulate_grid_supervised`.
 //!
-//! For every worker count and fault kind: an injected fault at any seeded
-//! point yields a *complete* sweep where exactly that point carries the
-//! matching typed [`SweepError`] and every other point is bit-identical
-//! to the fault-free run; with once-only faults plus a retry budget the
-//! whole sweep recovers bit-identically. Checkpoints written along the
+//! For every kernel, worker count and fault kind: an injected fault at
+//! any seeded point yields a *complete* sweep where exactly that point
+//! carries the matching typed [`SweepError`] and every other point is
+//! bit-identical to the fault-free run; with once-only faults plus a
+//! retry budget the whole sweep recovers bit-identically. Checkpoints written along the
 //! way validate against the golden schema, and a truncated
 //! (interrupted) checkpoint resumes to results byte-identical to an
 //! uninterrupted sweep. The wall-clock sweep (`measure_grid_supervised`,
@@ -83,52 +83,58 @@ fn expected_error(kind: FaultKind, e: &SweepError) -> bool {
 
 /// Graceful degradation: always-firing faults fail exactly the armed
 /// points with the matching typed error; everything else stays
-/// bit-identical to the fault-free sweep — at every worker count.
+/// bit-identical to the fault-free sweep — for every kernel, at every
+/// worker count.
 #[test]
 fn injected_faults_degrade_only_the_armed_points() {
     supervise::silence_expected_panics();
-    let kernel = Kernel::Jacobi;
-    for jobs in JOBS {
-        let cfg = cfg(jobs);
-        let base = baseline(&cfg, kernel);
-        let all_keys = keys(&cfg, kernel);
-        for kind in [
-            FaultKind::Panic,
-            FaultKind::NanWrite,
-            FaultKind::Delay(DELAY),
-        ] {
-            let plan = FaultPlan::seeded(SEED, &all_keys, FAULTS, kind, FaultMode::Always);
-            let armed: Vec<String> = plan.armed().iter().map(ToString::to_string).collect();
-            assert_eq!(armed.len(), FAULTS, "seeded plan must arm {FAULTS} points");
-            let opts = SweepOptions {
-                policy: policy_for(kind, 0),
-                fault: Some(plan),
-                ..SweepOptions::default()
-            };
-            let sg = simulate_grid_supervised(&cfg, kernel, &Transform::ALL, &opts)
-                .expect("campaign setup");
-            assert_eq!(sg.report.failures.len(), FAULTS, "{}", sg.report.summary());
-            for ((n, row), (_, base_row)) in sg.rows.iter().zip(&base) {
-                for ((&t, got), b) in Transform::ALL.iter().zip(row).zip(base_row) {
-                    let key = checkpoint::point_key(kernel, t, *n, cfg.nk);
-                    let is_armed = armed.contains(&key);
-                    match got {
-                        Ok(p) => {
-                            assert!(!is_armed, "jobs {jobs} {kind:?}: armed {key} succeeded");
-                            assert!(
-                                same_bits(p, b.as_ref().unwrap()),
-                                "jobs {jobs} {kind:?}: unfaulted {key} drifted from baseline"
-                            );
-                        }
-                        Err(e) => {
-                            assert!(
-                                is_armed,
-                                "jobs {jobs} {kind:?}: unfaulted {key} failed: {e}"
-                            );
-                            assert!(
-                                expected_error(kind, e),
-                                "jobs {jobs} {kind:?}: wrong error at {key}: {e}"
-                            );
+    for kernel in Kernel::ALL {
+        let k = kernel.name();
+        for jobs in JOBS {
+            let cfg = cfg(jobs);
+            let base = baseline(&cfg, kernel);
+            let all_keys = keys(&cfg, kernel);
+            for kind in [
+                FaultKind::Panic,
+                FaultKind::NanWrite,
+                FaultKind::Delay(DELAY),
+            ] {
+                let plan = FaultPlan::seeded(SEED, &all_keys, FAULTS, kind, FaultMode::Always);
+                let armed: Vec<String> = plan.armed().iter().map(ToString::to_string).collect();
+                assert_eq!(armed.len(), FAULTS, "seeded plan must arm {FAULTS} points");
+                let opts = SweepOptions {
+                    policy: policy_for(kind, 0),
+                    fault: Some(plan),
+                    ..SweepOptions::default()
+                };
+                let sg = simulate_grid_supervised(&cfg, kernel, &Transform::ALL, &opts)
+                    .expect("campaign setup");
+                assert_eq!(sg.report.failures.len(), FAULTS, "{}", sg.report.summary());
+                for ((n, row), (_, base_row)) in sg.rows.iter().zip(&base) {
+                    for ((&t, got), b) in Transform::ALL.iter().zip(row).zip(base_row) {
+                        let key = checkpoint::point_key(kernel, t, *n, cfg.nk);
+                        let is_armed = armed.contains(&key);
+                        match got {
+                            Ok(p) => {
+                                assert!(
+                                    !is_armed,
+                                    "{k} jobs {jobs} {kind:?}: armed {key} succeeded"
+                                );
+                                assert!(
+                                    same_bits(p, b.as_ref().unwrap()),
+                                    "{k} jobs {jobs} {kind:?}: unfaulted {key} drifted from baseline"
+                                );
+                            }
+                            Err(e) => {
+                                assert!(
+                                    is_armed,
+                                    "{k} jobs {jobs} {kind:?}: unfaulted {key} failed: {e}"
+                                );
+                                assert!(
+                                    expected_error(kind, e),
+                                    "{k} jobs {jobs} {kind:?}: wrong error at {key}: {e}"
+                                );
+                            }
                         }
                     }
                 }
@@ -138,39 +144,42 @@ fn injected_faults_degrade_only_the_armed_points() {
 }
 
 /// Recovery determinism: once-only faults plus one retry produce a fully
-/// successful sweep that is bit-identical to the fault-free run.
+/// successful sweep that is bit-identical to the fault-free run — for
+/// every kernel, at every worker count.
 #[test]
 fn retries_recover_bit_identically_from_once_faults() {
     supervise::silence_expected_panics();
-    let kernel = Kernel::Resid;
-    for jobs in JOBS {
-        let cfg = cfg(jobs);
-        let base = baseline(&cfg, kernel);
-        let all_keys = keys(&cfg, kernel);
-        for kind in [
-            FaultKind::Panic,
-            FaultKind::NanWrite,
-            FaultKind::Delay(DELAY),
-        ] {
-            let plan = FaultPlan::seeded(SEED, &all_keys, FAULTS, kind, FaultMode::Once);
-            let opts = SweepOptions {
-                policy: policy_for(kind, 1),
-                fault: Some(plan),
-                ..SweepOptions::default()
-            };
-            let sg = simulate_grid_supervised(&cfg, kernel, &Transform::ALL, &opts)
-                .expect("campaign setup");
-            assert!(
-                sg.report.is_ok(),
-                "jobs {jobs} {kind:?}: {}",
-                sg.report.summary()
-            );
-            for ((_, row), (_, base_row)) in sg.rows.iter().zip(&base) {
-                for (got, b) in row.iter().zip(base_row) {
-                    assert!(
-                        same_bits(got.as_ref().unwrap(), b.as_ref().unwrap()),
-                        "jobs {jobs} {kind:?}: recovered sweep drifted from baseline"
-                    );
+    for kernel in Kernel::ALL {
+        let k = kernel.name();
+        for jobs in JOBS {
+            let cfg = cfg(jobs);
+            let base = baseline(&cfg, kernel);
+            let all_keys = keys(&cfg, kernel);
+            for kind in [
+                FaultKind::Panic,
+                FaultKind::NanWrite,
+                FaultKind::Delay(DELAY),
+            ] {
+                let plan = FaultPlan::seeded(SEED, &all_keys, FAULTS, kind, FaultMode::Once);
+                let opts = SweepOptions {
+                    policy: policy_for(kind, 1),
+                    fault: Some(plan),
+                    ..SweepOptions::default()
+                };
+                let sg = simulate_grid_supervised(&cfg, kernel, &Transform::ALL, &opts)
+                    .expect("campaign setup");
+                assert!(
+                    sg.report.is_ok(),
+                    "{k} jobs {jobs} {kind:?}: {}",
+                    sg.report.summary()
+                );
+                for ((_, row), (_, base_row)) in sg.rows.iter().zip(&base) {
+                    for (got, b) in row.iter().zip(base_row) {
+                        assert!(
+                            same_bits(got.as_ref().unwrap(), b.as_ref().unwrap()),
+                            "{k} jobs {jobs} {kind:?}: recovered sweep drifted from baseline"
+                        );
+                    }
                 }
             }
         }

@@ -11,6 +11,7 @@ use std::thread;
 use std::time::Duration;
 
 use tiling3d_bench::serve::{self, PlanService, ServeConfig, ServeLimits};
+use tiling3d_grid::Xorshift64;
 
 fn tmp(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join("tiling3d-serve-tests");
@@ -398,15 +399,18 @@ fn warm_start_quarantines_corruption_and_always_boots() {
     assert!(pristine.len() > 256, "warm file too small to corrupt");
 
     // Corrupt one byte at several offsets: inside the header, early,
-    // mid-file, and late. Every case must boot, quarantine (or shed a
-    // torn tail), and then re-serve every request byte-identically.
-    let offsets = [
+    // mid-file, and late, then five seeded ones (never the final
+    // newline). Every case must boot, quarantine (or shed a torn tail),
+    // and then re-serve every request byte-identically.
+    let mut offsets = vec![
         8,
         pristine.len() / 4,
         pristine.len() / 2,
         (pristine.len() * 3) / 4,
         pristine.len() - 2,
     ];
+    let mut rng = Xorshift64::new(42 | 1);
+    offsets.extend((0..5).map(|_| 1 + rng.next_below(pristine.len() - 2)));
     for (case, &k) in offsets.iter().enumerate() {
         let path = tmp(&format!("corrupt-{case}.jsonl"));
         std::fs::remove_file(&path).ok();

@@ -55,30 +55,34 @@ fn tcp_fuzz_campaign_passes_and_leaks_no_slots() {
     .unwrap();
     let addr = handle.tcp_addr().unwrap().to_string();
 
-    // 8 rounds cover all six abuse shapes (the first six cycle through
-    // them) plus two random draws; seed pinned for replay.
-    let report = fuzz::campaign(&addr, &limits, 0xF0CC_5EED, 8);
-    assert!(
-        report.passed(),
-        "fuzz campaign failed:\n{}",
-        report.failures.join("\n")
-    );
-    assert_eq!(report.rounds, 8);
-
-    // After the whole campaign the slot gauge is back to zero once the
-    // probes disconnect.
-    let gauges = handle.service().gauges();
-    let deadline = std::time::Instant::now() + Duration::from_secs(10);
-    while gauges
-        .conns_active
-        .load(std::sync::atomic::Ordering::SeqCst)
-        > 0
-    {
+    // Seeds pinned for replay. 8 rounds cover all six abuse shapes (the
+    // first six cycle through them) plus two random draws; seed 42 over
+    // 12 rounds runs every shape again with other variants, plus six
+    // random draws.
+    for (seed, rounds) in [(0xF0CC_5EED, 8), (42, 12)] {
+        let report = fuzz::campaign(&addr, &limits, seed, rounds);
         assert!(
-            std::time::Instant::now() < deadline,
-            "admission slots leaked after the campaign"
+            report.passed(),
+            "fuzz campaign (seed {seed}) failed:\n{}",
+            report.failures.join("\n")
         );
-        std::thread::sleep(Duration::from_millis(5));
+        assert_eq!(report.rounds, rounds);
+
+        // After the whole campaign the slot gauge is back to zero once
+        // the probes disconnect.
+        let gauges = handle.service().gauges();
+        let deadline = std::time::Instant::now() + Duration::from_secs(10);
+        while gauges
+            .conns_active
+            .load(std::sync::atomic::Ordering::SeqCst)
+            > 0
+        {
+            assert!(
+                std::time::Instant::now() < deadline,
+                "admission slots leaked after the campaign (seed {seed})"
+            );
+            std::thread::sleep(Duration::from_millis(5));
+        }
     }
     handle.request_shutdown();
     handle.wait();

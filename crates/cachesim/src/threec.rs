@@ -101,15 +101,6 @@ impl ThreeC {
             100.0 * self.conflict as f64 / self.accesses as f64
         }
     }
-
-    /// Capacity misses as a percentage of all accesses.
-    pub fn capacity_rate_pct(&self) -> f64 {
-        if self.accesses == 0 {
-            0.0
-        } else {
-            100.0 * self.capacity as f64 / self.accesses as f64
-        }
-    }
 }
 
 impl AccessSink for ThreeC {

@@ -15,7 +15,6 @@
 //! tiling3d oracle      --kernel jacobi --n 120 [--nk 20] [--transform all] [--geometry us2|modern|fa]
 //! tiling3d measure     --kernel redblack --n 192 [--nk 30] [--transform orig] [--reps 3] [--jobs N]
 //! tiling3d profile     --kernel jacobi --n 64 [--nk 30] [--jobs N] [--trace-out t.jsonl] [--steps T]
-//! tiling3d chaos       [--kernel jacobi] [--min 40 --max 56 --step 8 --nk 8] [--seed 42] [--faults 2] [--jobs N] [--serve --rounds 8]
 //! tiling3d trace-check trace.jsonl [--schema schema.golden]
 //! tiling3d serve       --tcp 127.0.0.1:7070 [--socket PATH] [--warm-start FILE] [--no-resume] [--shards N] [--max-conns 256] [--conn-idle-ms 10000] [--max-frame-bytes 1048576] [--drain-deadline-ms 5000] [--compute-deadline-ms 0]
 //! tiling3d client      REQUEST [--tcp ADDR | --socket PATH] [--retries 1] [--backoff-ms 10]
@@ -55,21 +54,6 @@
 //! (`--retries`, `--deadline-ms`, `--strict` — see DESIGN.md §13): a
 //! panicking or numerically unhealthy point is reported as a typed error
 //! instead of crashing the process.
-//!
-//! `chaos` is the deterministic fault-injection harness: it sweeps the
-//! kernel fault-free to establish a baseline, then re-runs the sweep under
-//! seeded panic / delay / NaN-write fault campaigns and verifies that each
-//! armed point degrades to exactly the expected typed error while every
-//! other point stays bit-identical to the baseline — and that with
-//! once-only faults plus retries the whole sweep recovers bit-identically.
-//! Any violated expectation makes the command exit non-zero. `chaos
-//! --serve` switches the target from sweeps to the serving layer
-//! (DESIGN.md §18): it boots an in-process hardened server and runs the
-//! seeded protocol-fuzz campaign (malformed/truncated/oversized frames,
-//! binary garbage, slow-loris, mid-request disconnects), a warm-start
-//! corruption-recovery campaign, and a drain-under-load campaign, each
-//! verifying typed errors, zero slot leaks, and byte-identical cached
-//! answers after every abuse round.
 //!
 //! `analyze` runs the dependence-based legality analyzer: it prints each
 //! schedule's dependence set, transformation steps and verdict, and exits
@@ -116,11 +100,10 @@ use std::path::PathBuf;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
-use tiling3d_bench::fault::{FaultKind, FaultMode, FaultPlan};
 use tiling3d_bench::serve::{self, ServeConfig, ServeLimits};
 use tiling3d_bench::{
-    checkpoint, extent_flag, flag_at_least, plan_for, simulate_grid, simulate_grid_supervised,
-    supervise, SimPoint, SimPool, SweepConfig, SweepError, SweepOptions,
+    extent_flag, flag_at_least, plan_for, simulate_grid, simulate_grid_supervised, supervise,
+    SimPool, SweepConfig, SweepOptions,
 };
 use tiling3d_cachesim::{AccessSink, CacheConfig, Hierarchy, MmuHierarchy, Tlb, WritePolicy};
 use tiling3d_core::api::{
@@ -201,11 +184,6 @@ pub const COMMANDS: &[CommandDef] = &[
         name: "profile",
         flag_set: profile_flags,
         run: cmd_profile,
-    },
-    CommandDef {
-        name: "chaos",
-        flag_set: chaos_flags,
-        run: cmd_chaos,
     },
     CommandDef {
         name: "trace-check",
@@ -1514,7 +1492,7 @@ fn cmd_measure(flags: &ParsedFlags) -> Result<String, String> {
         n_max: n,
         step: 1,
         nk,
-        reps: flags.usize("--reps").max(1),
+        reps: flag_at_least(flags, "--reps", 1, None)?,
         jobs: flags.usize("--jobs"),
         ..SweepConfig::default()
     };
@@ -1690,441 +1668,6 @@ fn cmd_profile(flags: &ParsedFlags) -> Result<String, String> {
     }
     out.push_str("\nspan tree (wall-clock, % of run):\n");
     out.push_str(&obs::render_tree(&trace));
-    Ok(out)
-}
-
-// ---------------------------------------------------------------------------
-// chaos
-// ---------------------------------------------------------------------------
-
-fn chaos_flags() -> FlagSet {
-    FlagSet::new(
-        "tiling3d chaos",
-        "seeded fault-injection campaign over a supervised sweep",
-        None,
-        &[
-            KERNEL_FLAG,
-            FlagSpec::usize("--min", Some("40"), "smallest problem size"),
-            FlagSpec::usize("--max", Some("56"), "largest problem size"),
-            FlagSpec::usize("--step", Some("8"), "size stride"),
-            FlagSpec::usize("--nk", Some("8"), "third-dimension extent"),
-            FlagSpec::usize("--seed", Some("42"), "campaign seed"),
-            FlagSpec::usize("--faults", Some("2"), "points faulted per campaign"),
-            FlagSpec::usize(
-                "--retries",
-                Some("1"),
-                "retries per point in the recovery campaigns",
-            ),
-            JOBS_FLAG,
-            FlagSpec::switch(
-                "--serve",
-                "target the serving layer: protocol fuzz + warm corruption + drain campaigns",
-            ),
-            FlagSpec::usize(
-                "--rounds",
-                Some("8"),
-                "abuse rounds in the --serve fuzz campaign",
-            ),
-        ],
-    )
-}
-
-/// Sleep a fault-injected delay lasts; the paired per-point deadline in
-/// the delay campaigns is [`CHAOS_DEADLINE`]. The gap is wide enough that
-/// a healthy point at the default chaos sizes never trips the deadline
-/// while an injected delay always does, even on a slow debug build.
-const CHAOS_DELAY: std::time::Duration = std::time::Duration::from_millis(600);
-/// Per-point deadline during the delay campaigns.
-const CHAOS_DEADLINE: std::time::Duration = std::time::Duration::from_millis(250);
-
-/// Do two simulated points carry bit-identical metrics?
-fn same_bits(a: &SimPoint, b: &SimPoint) -> bool {
-    a.l1_pct.to_bits() == b.l1_pct.to_bits()
-        && a.l2_pct.to_bits() == b.l2_pct.to_bits()
-        && a.modeled.to_bits() == b.modeled.to_bits()
-}
-
-/// Does this terminal error match what the injected fault kind must
-/// produce? (`root()` unwraps any `RetriesExhausted` wrapper.)
-fn expected_error(kind: FaultKind, e: &SweepError) -> bool {
-    match kind {
-        FaultKind::Panic => matches!(e.root(), SweepError::Panicked { .. }),
-        FaultKind::Delay(_) => matches!(e.root(), SweepError::DeadlineExceeded { .. }),
-        FaultKind::NanWrite => matches!(e.root(), SweepError::Unhealthy { .. }),
-    }
-}
-
-/// One chaos campaign: sweep under an armed fault plan, then check every
-/// point against the fault-free baseline. Returns `(summary line, number
-/// of violated expectations)`.
-#[allow(clippy::too_many_arguments)]
-fn chaos_campaign(
-    cfg: &SweepConfig,
-    kernel: Kernel,
-    transforms: &[Transform],
-    baseline: &[(usize, Vec<Result<SimPoint, SweepError>>)],
-    label: &str,
-    plan: FaultPlan,
-    retries: u32,
-    expect_recovery: bool,
-) -> Result<(String, usize), String> {
-    let kind = plan
-        .kind_at(plan.armed().first().copied().unwrap_or_default())
-        .unwrap_or(FaultKind::Panic);
-    let armed: Vec<String> = plan.armed().iter().map(ToString::to_string).collect();
-    let mut policy = supervise::SupervisePolicy {
-        retries,
-        backoff: std::time::Duration::from_millis(1),
-        ..supervise::SupervisePolicy::default()
-    };
-    if matches!(kind, FaultKind::Delay(_)) {
-        policy.deadline = Some(CHAOS_DEADLINE);
-    }
-    let opts = SweepOptions {
-        policy,
-        fault: Some(plan),
-        ..SweepOptions::default()
-    };
-    let sg = simulate_grid_supervised(cfg, kernel, transforms, &opts)?;
-    let mut violations = Vec::new();
-    for ((n, row), (_, base_row)) in sg.rows.iter().zip(baseline) {
-        for ((&t, got), base) in transforms.iter().zip(row).zip(base_row) {
-            let key = checkpoint::point_key(kernel, t, *n, cfg.nk);
-            let is_armed = armed.contains(&key);
-            match (got, base) {
-                (Ok(p), Ok(b)) => {
-                    if is_armed && !expect_recovery {
-                        violations.push(format!("{key}: fault injected but point succeeded"));
-                    } else if !same_bits(p, b) {
-                        violations.push(format!("{key}: result differs from fault-free baseline"));
-                    }
-                }
-                (Err(e), Ok(_)) => {
-                    if !is_armed {
-                        violations.push(format!("{key}: unfaulted point failed: {e}"));
-                    } else if expect_recovery {
-                        violations.push(format!("{key}: expected recovery via retry, got: {e}"));
-                    } else if !expected_error(kind, e) {
-                        violations.push(format!("{key}: wrong error for {}: {e}", kind.name()));
-                    }
-                }
-                (_, Err(e)) => return Err(format!("chaos: baseline point {key} failed: {e}")),
-            }
-        }
-    }
-    let verdict = if violations.is_empty() { "ok" } else { "!!" };
-    let mut line = format!(
-        "  [{verdict}] {label:<22} {} faulted, {} points checked",
-        armed.len(),
-        sg.report.total
-    );
-    for v in &violations {
-        line.push_str(&format!("\n       {v}"));
-    }
-    Ok((line, violations.len()))
-}
-
-/// `chaos`: the deterministic fault-injection harness. Establishes a
-/// fault-free baseline sweep, then runs six seeded campaigns — panic /
-/// NaN-write / delay faults, each in always-fire (graceful-degradation)
-/// and fire-once-plus-retry (recovery) mode — verifying typed errors at
-/// exactly the armed points, bit-identical results everywhere else, and
-/// full bit-identical recovery when retries can win. Exits non-zero on
-/// any violated expectation.
-fn cmd_chaos(flags: &ParsedFlags) -> Result<String, String> {
-    if flags.switch("--serve") {
-        return cmd_chaos_serve(flags);
-    }
-    let kernel = kernel(flags)?;
-    let cfg = SweepConfig {
-        n_min: extent_flag(flags, "--min", None)?,
-        n_max: flags.usize("--max"),
-        step: flag_at_least(flags, "--step", 1, None)?,
-        nk: extent_flag(flags, "--nk", None)?,
-        jobs: flags.usize("--jobs"),
-        ..SweepConfig::default()
-    };
-    if cfg.n_max < cfg.n_min {
-        return Err("chaos requires --min <= --max".into());
-    }
-    let seed = flags.usize("--seed") as u64;
-    let faults = flags.usize("--faults").max(1);
-    let retries = u32::try_from(flags.usize("--retries").max(1)).unwrap_or(u32::MAX);
-    supervise::silence_expected_panics();
-
-    let transforms = Transform::ALL;
-    let keys: Vec<String> = cfg
-        .sizes()
-        .iter()
-        .flat_map(|&n| {
-            transforms
-                .iter()
-                .map(move |&t| checkpoint::point_key(kernel, t, n, cfg.nk))
-        })
-        .collect();
-
-    let base = simulate_grid_supervised(&cfg, kernel, &transforms, &SweepOptions::default())?;
-    if !base.report.is_ok() {
-        return Err(format!(
-            "chaos: fault-free baseline failed:\n{}",
-            base.report.summary()
-        ));
-    }
-
-    let mut out = format!(
-        "chaos: {} N = {}..{} step {} ({} points, {} workers), seed {seed}, {faults} fault(s)/campaign\n",
-        kernel.name(),
-        cfg.n_min,
-        cfg.n_max,
-        cfg.step,
-        keys.len(),
-        cfg.pool().jobs(),
-    );
-    let kinds = [
-        FaultKind::Panic,
-        FaultKind::NanWrite,
-        FaultKind::Delay(CHAOS_DELAY),
-    ];
-    let mut total_violations = 0usize;
-    for kind in kinds {
-        // Graceful degradation: the fault fires on every attempt, so the
-        // armed points must fail with the matching typed error.
-        let plan = FaultPlan::seeded(seed, &keys, faults, kind, FaultMode::Always);
-        let (line, v) = chaos_campaign(
-            &cfg,
-            kernel,
-            &transforms,
-            &base.rows,
-            &format!("{}/always", kind.name()),
-            plan,
-            0,
-            false,
-        )?;
-        out.push_str(&line);
-        out.push('\n');
-        total_violations += v;
-
-        // Recovery: the fault fires once per point, so a retry completes
-        // the sweep bit-identically to the fault-free baseline.
-        let plan = FaultPlan::seeded(seed, &keys, faults, kind, FaultMode::Once);
-        let (line, v) = chaos_campaign(
-            &cfg,
-            kernel,
-            &transforms,
-            &base.rows,
-            &format!("{}/once+retry", kind.name()),
-            plan,
-            retries,
-            true,
-        )?;
-        out.push_str(&line);
-        out.push('\n');
-        total_violations += v;
-    }
-    if total_violations > 0 {
-        let _ = writeln!(out, "chaos: {total_violations} violated expectation(s)");
-        return Err(out);
-    }
-    out.push_str("chaos: all campaigns passed\n");
-    Ok(out)
-}
-
-/// The request spread the serving-layer campaigns replay (distinct query
-/// kinds so the warm file carries several shard entries).
-fn chaos_serve_requests() -> Vec<String> {
-    vec![
-        "{\"query\":\"plan\",\"stencil\":\"jacobi3d\",\"n\":200}".to_string(),
-        "{\"query\":\"advise\",\"stencil\":\"jacobi3d\",\"n\":300}".to_string(),
-        "{\"query\":\"legality\",\"kernel\":\"redblack\",\"n\":96}".to_string(),
-        "{\"query\":\"euc3d\",\"stencil\":\"resid\",\"di\":200,\"dj\":200}".to_string(),
-        "{\"query\":\"locality\",\"kernel\":\"jacobi\",\"n\":48,\"nk\":6}".to_string(),
-    ]
-}
-
-/// `chaos --serve`: the serving-layer chaos harness (DESIGN.md §18).
-/// Three campaigns against the hardened server: (1) the seeded protocol
-/// fuzzer over a live TCP transport, (2) warm-start corruption recovery —
-/// a byte is flipped at seeded offsets and every reboot must quarantine,
-/// boot, and re-serve byte-identically, (3) graceful drain under load —
-/// concurrent in-flight requests issued before shutdown must all flush
-/// byte-identical to a cold service. Exits non-zero on any violation.
-fn cmd_chaos_serve(flags: &ParsedFlags) -> Result<String, String> {
-    use tiling3d_bench::fuzz;
-    use tiling3d_bench::serve::PlanService;
-
-    let seed = flags.usize("--seed") as u64;
-    let rounds = flags.usize("--rounds").max(1);
-    let limits = ServeLimits {
-        max_conns: 32,
-        conn_idle: std::time::Duration::from_millis(500),
-        max_frame_bytes: 4096,
-        drain_deadline: std::time::Duration::from_millis(2_000),
-        compute_deadline: None,
-    };
-    let lines = chaos_serve_requests();
-    let expected: Vec<String> = {
-        let svc = PlanService::open(1, None, false)?;
-        lines
-            .iter()
-            .map(|l| svc.handle_line(l).reply().to_string())
-            .collect()
-    };
-    let mut out = format!("chaos --serve: seed {seed}, {rounds} abuse round(s)\n");
-    let mut total_violations = 0usize;
-
-    // Campaign 1: seeded protocol fuzzing over live TCP.
-    {
-        let handle = serve::start(ServeConfig {
-            tcp: Some("127.0.0.1:0".to_string()),
-            limits,
-            ..ServeConfig::default()
-        })?;
-        let addr = handle
-            .tcp_addr()
-            .ok_or("chaos --serve: no TCP address")?
-            .to_string();
-        let report = fuzz::campaign(&addr, &limits, seed, rounds);
-        let verdict = if report.passed() { "ok" } else { "!!" };
-        let _ = writeln!(
-            out,
-            "  [{verdict}] protocol-fuzz           {} round(s), {} failure(s)",
-            report.rounds,
-            report.failures.len()
-        );
-        for f in &report.failures {
-            let _ = writeln!(out, "       {f}");
-        }
-        total_violations += report.failures.len();
-        handle.request_shutdown();
-        handle.wait();
-    }
-
-    // Campaign 2: warm-start corruption recovery. Flip one byte at seeded
-    // offsets; every reboot must quarantine (or shed a torn tail), boot,
-    // and re-serve the byte-identical answers.
-    {
-        let dir = std::env::temp_dir().join("tiling3d-chaos-serve");
-        std::fs::create_dir_all(&dir).map_err(|e| format!("chaos --serve: tmp dir: {e}"))?;
-        let warm = dir.join(format!("warm-{}.jsonl", std::process::id()));
-        std::fs::remove_file(&warm).ok();
-        {
-            let svc = PlanService::open(2, Some(&warm), false)?;
-            for l in &lines {
-                svc.handle_line(l);
-            }
-        }
-        let pristine =
-            std::fs::read(&warm).map_err(|e| format!("chaos --serve: read warm file: {e}"))?;
-        std::fs::remove_file(&warm).ok();
-        let mut rng = tiling3d_grid::Xorshift64::new(seed | 1);
-        let mut violations = Vec::new();
-        let cases = 5usize;
-        for _ in 0..cases {
-            // Offset 1.. so the flip never lands on the final newline.
-            let k = 1 + rng.next_below(pristine.len() - 2);
-            let mut bytes = pristine.clone();
-            bytes[k] ^= 0x5a;
-            std::fs::write(&warm, &bytes)
-                .map_err(|e| format!("chaos --serve: write corrupted warm file: {e}"))?;
-            match PlanService::open(2, Some(&warm), true) {
-                Err(e) => violations.push(format!("byte {k}: boot failed: {e}")),
-                Ok(svc) => {
-                    for (l, want) in lines.iter().zip(&expected) {
-                        if svc.handle_line(l).reply() != want {
-                            violations.push(format!("byte {k}: reply diverged for {l}"));
-                        }
-                    }
-                }
-            }
-            std::fs::remove_file(&warm).ok();
-            for n in 1..8 {
-                std::fs::remove_file(format!("{}.corrupt-{n}", warm.display())).ok();
-            }
-        }
-        let verdict = if violations.is_empty() { "ok" } else { "!!" };
-        let _ = writeln!(
-            out,
-            "  [{verdict}] warm-corruption        {cases} corrupted boot(s), {} failure(s)",
-            violations.len()
-        );
-        for v in &violations {
-            let _ = writeln!(out, "       {v}");
-        }
-        total_violations += violations.len();
-    }
-
-    // Campaign 3: graceful drain under load. All in-flight requests
-    // admitted before the drain must flush byte-identically.
-    {
-        let handle = serve::start(ServeConfig {
-            tcp: Some("127.0.0.1:0".to_string()),
-            limits,
-            ..ServeConfig::default()
-        })?;
-        let addr = handle.tcp_addr().ok_or("chaos --serve: no TCP address")?;
-        let workers: Vec<_> = lines
-            .iter()
-            .cloned()
-            .zip(expected.iter().cloned())
-            .map(|(line, want)| {
-                std::thread::spawn(move || -> Result<(), String> {
-                    let mut s = TcpStream::connect(addr)
-                        .map_err(|e| format!("drain client connect: {e}"))?;
-                    let _ = s.set_nodelay(true);
-                    s.write_all(format!("{line}\n").as_bytes())
-                        .and_then(|()| s.flush())
-                        .map_err(|e| format!("drain client send: {e}"))?;
-                    let mut reply = String::new();
-                    BufReader::new(&mut s)
-                        .read_line(&mut reply)
-                        .map_err(|e| format!("drain client receive: {e}"))?;
-                    if reply.trim_end() == want {
-                        Ok(())
-                    } else {
-                        Err(format!("drained reply for {line} diverged: {reply}"))
-                    }
-                })
-            })
-            .collect();
-        let stats = &handle.service().stats;
-        let gate = std::time::Instant::now() + std::time::Duration::from_secs(30);
-        while stats.requests.load(Ordering::Relaxed) < lines.len() as u64 {
-            if std::time::Instant::now() > gate {
-                break;
-            }
-            std::thread::sleep(std::time::Duration::from_millis(1));
-        }
-        handle.request_shutdown();
-        let mut violations = Vec::new();
-        for w in workers {
-            match w.join() {
-                Ok(Ok(())) => {}
-                Ok(Err(e)) => violations.push(e),
-                Err(_) => violations.push("drain client panicked".to_string()),
-            }
-        }
-        handle.wait();
-        let verdict = if violations.is_empty() { "ok" } else { "!!" };
-        let _ = writeln!(
-            out,
-            "  [{verdict}] drain-under-load       {} in-flight request(s), {} failure(s)",
-            lines.len(),
-            violations.len()
-        );
-        for v in &violations {
-            let _ = writeln!(out, "       {v}");
-        }
-        total_violations += violations.len();
-    }
-
-    if total_violations > 0 {
-        let _ = writeln!(
-            out,
-            "chaos --serve: {total_violations} violated expectation(s)"
-        );
-        return Err(out);
-    }
-    out.push_str("chaos --serve: all campaigns passed\n");
     Ok(out)
 }
 
@@ -2720,34 +2263,12 @@ mod tests {
     }
 
     #[test]
-    fn chaos_campaigns_pass_and_are_jobs_invariant() {
-        for jobs in [1, 4] {
-            let out = run_line(&format!(
-                "chaos --kernel jacobi --min 16 --max 24 --step 8 --nk 4 --seed 7 --faults 1 --jobs {jobs}"
-            ))
-            .unwrap_or_else(|e| panic!("chaos failed at --jobs {jobs}:\n{e}"));
-            assert!(out.contains("all campaigns passed"), "{out}");
-            for label in [
-                "panic/always",
-                "panic/once+retry",
-                "nan-write/always",
-                "nan-write/once+retry",
-                "delay/always",
-                "delay/once+retry",
-            ] {
-                assert!(out.contains(label), "missing campaign {label}:\n{out}");
-            }
-        }
-    }
-
-    #[test]
     fn sweep_commands_reject_an_extent_below_three_naming_the_flag() {
         for cmd in [
             "measure --kernel jacobi --n 8 --nk 2",
             "profile --kernel jacobi --n 8 --nk 2",
             "oracle --kernel jacobi --n 8 --nk 2",
             "simulate --kernel jacobi --n 8 --nk 2",
-            "chaos --kernel jacobi --nk 2",
         ] {
             let err = run_line(cmd).expect_err(cmd);
             assert!(err.contains("requires --nk >= 3"), "`{cmd}`: {err}");
@@ -2817,8 +2338,8 @@ mod tests {
                 "tiling3d tiles requires --tkmax >= 1 (got 0)",
             ),
             (
-                "chaos --step 0",
-                "tiling3d chaos requires --step >= 1 (got 0)",
+                "measure --kernel jacobi --n 40 --nk 8 --reps 0",
+                "tiling3d measure requires --reps >= 1 (got 0)",
             ),
         ] {
             assert_eq!(run_line(cmd).expect_err(cmd), want, "`{cmd}`");
@@ -2845,12 +2366,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn chaos_rejects_degenerate_sizes() {
-        let err = run_line("chaos --min 2 --max 1").unwrap_err();
-        assert!(err.contains("chaos requires"), "{err}");
     }
 
     #[test]

@@ -14,9 +14,10 @@
 //!   steps of a block — far fewer misses than per-sweep schedules (the
 //!   test pins a >2x read-miss reduction);
 //! * the legality argument is exactly
-//!   `tiling3d_loopnest::dependence::time_step_loop_needs_skewing`: the
-//!   dependence distances `(1, -1..1)` become `(1, 0..2)` after the skew,
-//!   making the `(T, J')` band fully permutable and hence tilable.
+//!   `certify(&DepSet::time_stepped_2d(..), &Schedule::time_skewed(true))`
+//!   ([`tiling3d_loopnest::certify`]): the dependence distances
+//!   `(1, -1..1)` become `(1, 0..2)` after the skew, making the `(T, J')`
+//!   band fully permutable and hence tilable.
 //!
 //! Ping-pong buffering: time step `t` reads buffer `t % 2` and writes
 //! buffer `(t+1) % 2`; the skewed schedule's write-after-read hazards are

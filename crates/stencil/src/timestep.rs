@@ -20,12 +20,6 @@ use tiling3d_loopnest::{for_each_rows, IterSpace, TileDims};
 
 use crate::{jacobi3d, rowexec};
 
-/// FLOPs of one full time step (stencil sweep; the copy-back is pure data
-/// movement).
-pub fn step_flops(ni: usize, nj: usize, nk: usize) -> u64 {
-    jacobi3d::sweep_flops(ni, nj, nk)
-}
-
 /// Runs `steps` time-step iterations of the Fig 5 "realistic" pattern:
 /// tiled (or not) Jacobi sweep `A = f(B)` followed by the copy-back nest
 /// `B = A` over the interior.
