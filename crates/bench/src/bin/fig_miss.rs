@@ -18,7 +18,7 @@ use tiling3d_obs::flags::{FlagSet, FlagSpec};
 use tiling3d_stencil::kernels::Kernel;
 
 fn flag_set() -> FlagSet {
-    let mut flags = SweepConfig::FLAGS.to_vec();
+    let mut flags = SweepConfig::SIMULATION_FLAGS.to_vec();
     flags.extend_from_slice(SweepOptions::FLAGS);
     flags.push(FlagSpec::switch("--csv", "emit CSV instead of a table"));
     flags.push(FlagSpec::switch(

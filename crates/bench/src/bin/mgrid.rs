@@ -69,7 +69,7 @@ fn run(cfg: MgConfig, iters: usize, label: &str) -> (f64, MgSolver) {
 fn main() {
     let flags = driver::parse_or_exit(&flag_set());
     let levels = driver::or_exit(flag_at_least(&flags, "--levels", 2, None));
-    let iters = flags.usize("--iters");
+    let iters = driver::or_exit(flag_at_least(&flags, "--iters", 1, None));
     let tile_psinv = flags.switch("--tile-psinv");
     let health = flags.switch("--health");
     let pool = SimPool::new(flags.usize("--jobs"));

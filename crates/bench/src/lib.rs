@@ -146,6 +146,17 @@ impl SweepConfig {
         FlagSpec::usize("--jobs", Some("0"), "simulation workers (0 = one per core)"),
     ];
 
+    /// The shared sweep flags of the drivers that only simulate (`fig22`,
+    /// `fig_miss`): [`SweepConfig::FLAGS`] without `--reps`, which they
+    /// would accept and ignore, since they time nothing.
+    pub const SIMULATION_FLAGS: &'static [FlagSpec] = &[
+        Self::FLAGS[0], // --min
+        Self::FLAGS[1], // --max
+        Self::FLAGS[2], // --step
+        Self::FLAGS[3], // --nk
+        Self::FLAGS[5], // --jobs
+    ];
+
     /// Builds a sweep config from parsed flags, reading whichever of the
     /// shared sweep flags the command declared (undeclared ones keep the
     /// [`SweepConfig::default`] value).
@@ -1014,6 +1025,23 @@ mod tests {
         assert_eq!(cfg.n_min, SweepConfig::default().n_min);
         // Unknown flags are hard errors now.
         assert!(set.parse(&["--bogus".to_string()]).is_err());
+    }
+
+    #[test]
+    fn simulation_flags_are_the_sweep_flags_without_reps() {
+        use tiling3d_obs::flags::FlagSet;
+        let names = |f: &[FlagSpec]| f.iter().map(|f| f.name).collect::<Vec<_>>();
+        let mut want = names(SweepConfig::FLAGS);
+        want.retain(|&n| n != "--reps");
+        assert_eq!(names(SweepConfig::SIMULATION_FLAGS), want);
+        // A driver without `--reps` rejects it and keeps the default.
+        let set = FlagSet::new("sim", "", None, SweepConfig::SIMULATION_FLAGS);
+        let err = set
+            .parse(&["--reps".to_string(), "7".to_string()])
+            .unwrap_err();
+        assert!(err.contains("unknown flag '--reps'"), "{err}");
+        let cfg = SweepConfig::from_flags(&set.parse(&[]).unwrap()).unwrap();
+        assert_eq!(cfg.reps, SweepConfig::default().reps);
     }
 
     #[test]

@@ -147,6 +147,28 @@ fn row_replay_matches_reference_at_paper_sizes() {
     }
 }
 
+/// Tiles under 4 points wide, whose traces group rows into rows of
+/// composite points a row, a plane or (red-black's 1×1 pairs) two planes
+/// apart, against the per-access reference on padded arrays. No figure
+/// size plans these tiles but Euc3D's 1×1 at N = 256 and 352, so they
+/// are checked here at sizes of their own.
+#[test]
+fn narrow_tile_traces_match_per_access_reference() {
+    for kernel in Kernel::ALL {
+        for (n, di, dj) in [(40usize, 43usize, 41usize), (64, 64, 67)] {
+            for tile in [(1usize, 1usize), (1, 2), (1, 3), (2, 5), (3, 1), (3, 2)] {
+                let mut fast = Hierarchy::ultrasparc2();
+                kernel.trace(n, 8, di, dj, Some(tile), &mut fast);
+                let mut reference = ReferenceHierarchy::ultrasparc2();
+                kernel.trace(n, 8, di, dj, Some(tile), &mut reference);
+                let what = format!("{} N={n} {di}x{dj} tile {tile:?}", kernel.name());
+                assert_eq!(fast.l1_stats(), reference.l1.stats(), "L1: {what}");
+                assert_eq!(fast.l2_stats(), reference.l2.stats(), "L2: {what}");
+            }
+        }
+    }
+}
+
 /// The copy nests (the copy-back nest of the Fig 5 time loop, the
 /// tile-window fill of the copying schedule) emit each copy row as a
 /// one-slot load row, then a one-slot store row; their traces report

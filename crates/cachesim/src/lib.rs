@@ -58,7 +58,7 @@ pub use cache::Cache;
 pub use config::{CacheConfig, WritePolicy};
 pub use hierarchy::Hierarchy;
 pub use mmu::{MmuHierarchy, PAGE_TABLE_BASE};
-pub use row::{RowShape, Slot};
+pub use row::{RowShape, Slot, MIN_PLANNED_POINTS};
 pub use sinks::{AccessSink, CountingSink, DistinctLineCounter};
 pub use stats::{AccessStats, Throughput, ThroughputTimer};
 pub use threec::ThreeC;

@@ -11,6 +11,7 @@
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
+use std::sync::Arc;
 
 use crate::config::{CacheConfig, WritePolicy};
 use crate::sinks::AccessSink;
@@ -41,7 +42,10 @@ pub struct Slot {
 /// ```
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct RowShape {
-    slots: Vec<Slot>,
+    /// Shared by every clone and never changed while shared: a builder
+    /// call copies the slots into new storage. So two shapes with the
+    /// same storage (and step) are the same shape.
+    slots: Arc<[Slot]>,
     step: i64,
 }
 
@@ -49,39 +53,64 @@ impl RowShape {
     /// An empty shape whose points lie `step` bytes apart.
     pub fn new(step: i64) -> Self {
         RowShape {
-            slots: Vec::new(),
+            slots: Arc::new([]),
             step,
         }
     }
 
+    /// Appends `slots` after the existing ones, in new storage.
+    fn with(mut self, slots: impl IntoIterator<Item = Slot>) -> Self {
+        let mut all = self.slots.to_vec();
+        all.extend(slots);
+        self.slots = all.into();
+        self
+    }
+
     /// Appends a load at `offset` bytes from the point's base.
     #[must_use]
-    pub fn read(mut self, offset: i64) -> Self {
-        self.slots.push(Slot {
-            offset,
-            write: false,
-        });
-        self
+    pub fn read(self, offset: i64) -> Self {
+        self.reads([offset])
     }
 
     /// Appends one load per offset, in iteration order.
     #[must_use]
-    pub fn reads(mut self, offsets: impl IntoIterator<Item = i64>) -> Self {
-        self.slots.extend(offsets.into_iter().map(|offset| Slot {
+    pub fn reads(self, offsets: impl IntoIterator<Item = i64>) -> Self {
+        self.with(offsets.into_iter().map(|offset| Slot {
             offset,
             write: false,
-        }));
-        self
+        }))
     }
 
     /// Appends a store at `offset` bytes from the point's base.
     #[must_use]
-    pub fn write(mut self, offset: i64) -> Self {
-        self.slots.push(Slot {
+    pub fn write(self, offset: i64) -> Self {
+        self.with([Slot {
             offset,
             write: true,
-        });
-        self
+        }])
+    }
+
+    /// Appends the slots of one point of `shape` based `offset` bytes
+    /// from this shape's point base. A point of the result is then a
+    /// *composite* point: the accesses of several stencil points in
+    /// order, which lets a row step from one group of points to the next
+    /// (a narrow tile's row, a red and a black point) in one call.
+    ///
+    /// ```
+    /// use tiling3d_cachesim::RowShape;
+    ///
+    /// // Two consecutive points of a two-load stencil, one row apart.
+    /// let point = RowShape::new(8).read(-8).read(8);
+    /// let pair = RowShape::new(800).append(&point, 0).append(&point, 8);
+    /// let offsets: Vec<i64> = pair.slots().iter().map(|s| s.offset).collect();
+    /// assert_eq!(offsets, [-8, 8, 0, 16]);
+    /// ```
+    #[must_use]
+    pub fn append(self, shape: &RowShape, offset: i64) -> Self {
+        self.with(shape.slots.iter().map(|s| Slot {
+            offset: s.offset + offset,
+            write: s.write,
+        }))
     }
 
     /// The per-point accesses in source order.
@@ -100,7 +129,7 @@ impl RowShape {
     pub fn expand<S: AccessSink + ?Sized>(&self, sink: &mut S, base: u64, points: usize) {
         let mut b = base;
         for _ in 0..points {
-            for s in &self.slots {
+            for s in self.slots.iter() {
                 let a = b.wrapping_add(s.offset as u64);
                 if s.write {
                     sink.write(a);
@@ -113,9 +142,12 @@ impl RowShape {
     }
 }
 
-/// Rows shorter than this expand point by point: planning a 1–3 point
-/// row costs more than the accesses it would save.
-pub(crate) const MIN_PLANNED_POINTS: usize = 4;
+/// Rows shorter than this expand point by point in
+/// [`crate::Hierarchy`]: planning a 1–3 point row costs more than the
+/// accesses it would save. A trace walker whose rows are this short does
+/// better to group them into longer rows of composite points
+/// ([`RowShape::append`]), which expand in one call.
+pub const MIN_PLANNED_POINTS: usize = 4;
 
 /// Longer rows are replayed in chunks of at most this many points. A
 /// chunk spans 256 bytes per slot at step 8, so the streams of a row's
@@ -220,10 +252,10 @@ impl Memo {
     }
 }
 
-/// A multiply-rotate hash over 64-bit words for the keys of the plan map
-/// and the memos, far cheaper than the default SipHash on keys of one or
-/// two words. Both kinds of key are computed by the simulator itself, so
-/// no input can choose them to collide.
+/// A multiply-rotate hash over 64-bit words for the memo keys, far
+/// cheaper than the default SipHash on keys of one or two words. The keys
+/// are computed by the simulator itself, so no input can choose them to
+/// collide.
 #[derive(Default)]
 pub(crate) struct WordHasher(u64);
 
@@ -280,15 +312,21 @@ pub(crate) struct RowPlan {
     pub strict: Option<Box<RowPlan>>,
 }
 
-/// The plans computed so far for one shape of one hierarchy, keyed by
-/// `(points, phase)`. Chunks hold at most [`CHUNK_POINTS`] points and the
-/// phase is below the L2 line size, so the map stays small.
+/// The plans computed so far for one shape of one hierarchy, by
+/// `(points, phase)`. Chunks hold [`MIN_PLANNED_POINTS`] to
+/// [`CHUNK_POINTS`] points and the phase is below the L2 line size, so
+/// the plans fit a flat table indexed by both.
 #[derive(Clone, Debug)]
 pub(crate) struct RowPlans {
     l1: CacheConfig,
     l2: CacheConfig,
+    /// The current shape. Its slot storage is shared with the caller's
+    /// shape, and holding it keeps that storage from being freed and
+    /// reused for another shape's slots.
     shape: Option<RowShape>,
-    plans: HashMap<(usize, u64), RowPlan, BuildHasherDefault<WordHasher>>,
+    /// The current shape's plans, the plan for `(points, phase)` at
+    /// `(points - MIN_PLANNED_POINTS) * L2 line + phase`.
+    plans: Vec<Option<Box<RowPlan>>>,
 }
 
 impl RowPlans {
@@ -298,7 +336,7 @@ impl RowPlans {
             l1,
             l2,
             shape: None,
-            plans: HashMap::default(),
+            plans: vec![None; (CHUNK_POINTS - MIN_PLANNED_POINTS + 1) * l2.line_bytes],
         }
     }
 
@@ -313,22 +351,28 @@ impl RowPlans {
     }
 
     /// Makes `shape` the current shape, dropping the plans of any other.
+    /// A shape that shares the current one's slot storage is the current
+    /// shape: the storage cannot have been freed and reused while the
+    /// current shape holds it, and it is never changed while shared. Only
+    /// a shape built separately compares its slots.
     pub(crate) fn select(&mut self, shape: &RowShape) {
-        if self.shape.as_ref() != Some(shape) {
-            self.shape = Some(shape.clone());
-            self.plans.clear();
+        match &self.shape {
+            Some(s) if Arc::ptr_eq(&s.slots, &shape.slots) && s.step == shape.step => return,
+            Some(s) if s == shape => {}
+            _ => self.plans.iter_mut().for_each(|p| *p = None),
         }
+        self.shape = Some(shape.clone());
     }
 
     /// The plan for a chunk of `points` points of the current shape at
     /// `base`, computed on first use for the base's phase in an L2 line.
     pub(crate) fn get(&mut self, points: usize, base: u64) -> &mut RowPlan {
+        let line = self.l2.line_bytes;
+        let phase = base & (line as u64 - 1);
         let shape = self.shape.as_ref().expect("a shape is selected");
-        let phase = base & (self.l2.line_bytes as u64 - 1);
         let (l1, l2) = (&self.l1, &self.l2);
-        self.plans
-            .entry((points, phase))
-            .or_insert_with(|| plan(shape, points, phase, l1, l2))
+        self.plans[(points - MIN_PLANNED_POINTS) * line + phase as usize]
+            .get_or_insert_with(|| Box::new(plan(shape, points, phase, l1, l2)))
     }
 }
 
@@ -337,8 +381,9 @@ impl RowPlans {
     /// The memo size of every point-major class planned so far.
     pub(crate) fn memo_lens(&self) -> Vec<usize> {
         self.plans
-            .values()
-            .flat_map(|p| std::iter::once(p).chain(p.strict.as_deref()))
+            .iter()
+            .flatten()
+            .flat_map(|p| std::iter::once(&**p).chain(p.strict.as_deref()))
             .flat_map(|p| &p.classes)
             .filter_map(|c| match c {
                 Class::PointMajor(c) => Some(c.memo.len()),
@@ -637,5 +682,73 @@ fn plan_clean(
         stores: stores * points as u64,
         l1,
         l2,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A plan's contents, for comparing plans (memos start empty).
+    fn dump(p: &RowPlan) -> String {
+        format!("{p:?}")
+    }
+
+    /// JACOBI's shape at a leading dimension whose planes conflict in the
+    /// paper's L1, so the plans hold clean, run and point-major classes.
+    fn jacobi(di: i64) -> RowShape {
+        let (b, d, p) = (30 * 8 * di * di, 8 * di, 8 * di * di);
+        RowShape::new(8)
+            .reads([b - 8, b + 8, b - d, b + d, b - p, b + p])
+            .write(0)
+    }
+
+    #[test]
+    fn plan_table_returns_the_computed_plan_for_every_key() {
+        let (l1, l2) = (CacheConfig::ULTRASPARC2_L1, CacheConfig::ULTRASPARC2_L2);
+        let shape = jacobi(256);
+        let mut plans = RowPlans::new(l1, l2);
+        plans.select(&shape);
+        for points in MIN_PLANNED_POINTS..=CHUNK_POINTS {
+            for phase in 0..l2.line_bytes as u64 {
+                let want = dump(&plan(&shape, points, phase, &l1, &l2));
+                // A base whole L2 lines away has the same phase.
+                let base = (1 << 20) + 64 * points as u64 + phase;
+                assert_eq!(dump(plans.get(points, base)), want, "({points}, {phase})");
+            }
+        }
+        // Every key hit its own entry: none was overwritten by another.
+        for points in MIN_PLANNED_POINTS..=CHUNK_POINTS {
+            for phase in 0..l2.line_bytes as u64 {
+                let want = dump(&plan(&shape, points, phase, &l1, &l2));
+                assert_eq!(dump(plans.get(points, phase)), want, "({points}, {phase})");
+            }
+        }
+    }
+
+    #[test]
+    fn select_keeps_plans_only_for_the_same_slots() {
+        let (l1, l2) = (CacheConfig::ULTRASPARC2_L1, CacheConfig::ULTRASPARC2_L2);
+        let mut plans = RowPlans::new(l1, l2);
+        let first = jacobi(256);
+        plans.select(&first);
+        plans.get(32, 8);
+        // An equal shape built separately keeps the plans, which are
+        // its own.
+        let twin = jacobi(256);
+        assert!(!Arc::ptr_eq(&first.slots, &twin.slots));
+        plans.select(&twin);
+        assert_eq!(dump(plans.get(32, 8)), dump(&plan(&twin, 32, 8, &l1, &l2)));
+        // A different shape built after the first ones are dropped, with
+        // as many slots (so its storage could take their place), gets
+        // plans of its own.
+        drop((first, twin));
+        let other = jacobi(208);
+        plans.select(&other);
+        assert_eq!(dump(plans.get(32, 8)), dump(&plan(&other, 32, 8, &l1, &l2)));
+        // So does one that differs from the current shape only in step.
+        let wider = RowShape::new(16).append(&other, 0);
+        plans.select(&wider);
+        assert_eq!(dump(plans.get(32, 8)), dump(&plan(&wider, 32, 8, &l1, &l2)));
     }
 }

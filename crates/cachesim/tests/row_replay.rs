@@ -359,7 +359,7 @@ fn row_traffic(
     let l2_size = fast.l2().config().size_bytes as i64;
     for _ in 0..rng.below(4) {
         let slot = shape.slots()[rng.below(shape.slots().len() as u64) as usize];
-        let p = rng.below(points as u64) as i64;
+        let p = rng.below(points.max(1) as u64) as i64;
         let mut a = base.wrapping_add((slot.offset + p * shape.step()) as u64);
         a = match rng.below(4) {
             0 => a,
@@ -452,6 +452,65 @@ fn stencil_shapes_equal_per_access_expansion() {
                 slow.row(shape, base, points);
             }
             assert_same(&fast, &slow, &format!("di={di} {shape:?}"));
+        }
+    }
+}
+
+/// The rows the trace walkers build for tiles under 4 points wide:
+/// random multi-slot shapes stepping a row or one or two planes (longer
+/// than an L1 line, so `Hierarchy` expands them point by point in one
+/// call), and composite shapes whose point is two random shapes' points a
+/// plane apart, as red-black's (red, black) pairs are. Strides are random
+/// leading dimensions, some of them whole L1 spans or L2 sizes, so
+/// consecutive points conflict as at the paper's pathological sizes. Each
+/// row replays three times, with a little traffic into its lines before
+/// each; then every access of the row is read again, with the other L1
+/// line of its L2 line, which finds the same lines resident in the same
+/// order only if the rows left them so. (These rows are too sparse for a
+/// sweep over their footprint.)
+#[test]
+fn strided_and_composite_rows_equal_per_access_expansion() {
+    for (name, l1, l2) in geometries() {
+        let mut rng = Xorshift64(0x57_21DE + l1.size_bytes as u64 + l1.ways as u64);
+        for case in 0..60 {
+            let row = match rng.below(3) {
+                0 => 8 * rng.range(5, 400),
+                1 => (l1.size_bytes / l1.ways) as i64 * rng.range(1, 2),
+                _ => l2.size_bytes as i64,
+            } + 8 * rng.range(-1, 1);
+            let plane = row * rng.range(5, 40) + 8 * rng.range(-1, 1);
+            let a = random_shape(&mut rng, &l1, &l2);
+            let shape = if case % 2 == 0 {
+                let step = [row, plane, 2 * plane][rng.below(3) as usize];
+                RowShape::new(step).append(&a, 0)
+            } else {
+                let b = random_shape(&mut rng, &l1, &l2);
+                RowShape::new(2 * plane).append(&a, plane).append(&b, 0)
+            };
+            let points = random_points(&mut rng).min(64);
+            let base = (1u64 << 40) + 8 * rng.below(1 << 20);
+            let what = format!("{name} case {case}: points={points} base={base} {shape:?}");
+
+            let mut fast = Hierarchy::new(l1, l2);
+            let mut slow = PerAccess(Hierarchy::new(l1, l2));
+            for round in 0..3 {
+                for _ in 0..40 {
+                    row_traffic(&mut rng, &mut fast, &mut slow, &shape, base, points);
+                }
+                fast.row(&shape, base, points);
+                slow.row(&shape, base, points);
+                assert_same(&fast, &slow, &format!("{what}, round {round}"));
+            }
+            for p in 0..points as i64 {
+                for s in shape.slots() {
+                    let a = base.wrapping_add((s.offset + p * shape.step()) as u64);
+                    for a in [a, a ^ 32] {
+                        fast.read(a);
+                        slow.read(a);
+                    }
+                }
+            }
+            assert_same(&fast, &slow, &format!("{what} after follow-up traffic"));
         }
     }
 }

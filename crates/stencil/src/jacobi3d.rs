@@ -10,7 +10,7 @@ use tiling3d_cachesim::{AccessSink, RowShape};
 use tiling3d_grid::Array3;
 use tiling3d_loopnest::{for_each_rows, for_each_tiled_rows, IterSpace, TileDims};
 
-use crate::rowexec;
+use crate::{rowexec, rowtrace};
 
 /// Floating-point operations per interior point (5 adds + 1 multiply).
 pub const FLOPS_PER_POINT: u64 = 6;
@@ -81,7 +81,9 @@ pub(crate) fn row_shape(di: usize, ps: usize, a_base: u64, b_base: u64) -> RowSh
 /// allocation, as a Fortran compiler would place two declarations), both
 /// allocated `di x dj x nk`. Pass `tile = None` for the original order or
 /// `Some(t)` for the tiled schedule. Each row segment is one
-/// [`AccessSink::row`] call; access order per point matches the source
+/// [`AccessSink::row`] call, except that the rows of a tile under 4
+/// points wide are grouped into rows of composite points (see
+/// [`RowShape::append`]). Access order per point matches the source
 /// expression: the six `B` loads, then the `A` store.
 pub fn trace<S: AccessSink>(
     ni: usize,
@@ -118,13 +120,7 @@ pub fn trace_at<S: AccessSink>(
     let ps = di * dj;
     let space = IterSpace::interior(ni, nj, nk);
     let shape = row_shape(di, ps, a_base, b_base);
-    let row = |i0: usize, i1: usize, j: usize, k: usize| {
-        sink.row(&shape, ((i0 + j * di + k * ps) * 8) as u64, i1 - i0 + 1);
-    };
-    match tile {
-        None => for_each_rows(space, row),
-        Some(t) => for_each_tiled_rows(space, t, row),
-    }
+    rowtrace::sweep(space, tile, di, ps, &shape, sink);
 }
 
 #[cfg(test)]
@@ -245,6 +241,10 @@ mod tests {
         assert_eq!(hand, ir);
     }
 
+    /// The tiled trace against the loop IR, for a wide tile and for the
+    /// narrow ones whose rows group into composite points: 1×1 (one row
+    /// per K-column), one point wide, and 2 and 3 wide, with edge tiles
+    /// of other widths and heights (9 interior points per row).
     #[test]
     fn tiled_trace_matches_tiled_interpreter() {
         use tiling3d_loopnest::{ArrayDesc, Nest, StencilShape};
@@ -258,37 +258,39 @@ mod tests {
                 self.0.push((a, true));
             }
         }
-        let (n, di, dj, ti, tj) = (11usize, 13usize, 12usize, 4usize, 3usize);
-        let mut hand = Rec::default();
-        trace(n, n, n, di, dj, Some(TileDims::new(ti, tj)), &mut hand);
+        let (n, di, dj) = (11usize, 13usize, 12usize);
+        for (ti, tj) in [(4usize, 3usize), (1, 1), (1, 3), (2, 5), (3, 1)] {
+            let mut hand = Rec::default();
+            trace(n, n, n, di, dj, Some(TileDims::new(ti, tj)), &mut hand);
 
-        let mut nest = Nest::stencil(
-            &StencilShape::jacobi3d(),
-            (1, n as i64 - 2),
-            (1, n as i64 - 2),
-            (1, n as i64 - 2),
-            0,
-            1,
-        );
-        nest.tile_jj_ii(ti, tj);
-        let arrays = [
-            ArrayDesc {
-                base: (di * dj * n * 8) as u64,
-                di,
-                dj,
-                dk: n,
-            },
-            ArrayDesc {
-                base: 0,
-                di,
-                dj,
-                dk: n,
-            },
-        ];
-        let mut ir = Rec::default();
-        nest.execute_checked(&arrays, &mut ir)
-            .expect("tiled jacobi nest verifies");
-        assert_eq!(hand, ir);
+            let mut nest = Nest::stencil(
+                &StencilShape::jacobi3d(),
+                (1, n as i64 - 2),
+                (1, n as i64 - 2),
+                (1, n as i64 - 2),
+                0,
+                1,
+            );
+            nest.tile_jj_ii(ti, tj);
+            let arrays = [
+                ArrayDesc {
+                    base: (di * dj * n * 8) as u64,
+                    di,
+                    dj,
+                    dk: n,
+                },
+                ArrayDesc {
+                    base: 0,
+                    di,
+                    dj,
+                    dk: n,
+                },
+            ];
+            let mut ir = Rec::default();
+            nest.execute_checked(&arrays, &mut ir)
+                .expect("tiled jacobi nest verifies");
+            assert_eq!(hand, ir, "tile ({ti}, {tj})");
+        }
     }
 
     #[test]

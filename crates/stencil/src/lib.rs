@@ -58,6 +58,7 @@ pub mod redblack2d;
 pub mod reference;
 pub mod resid;
 pub mod rowexec;
+mod rowtrace;
 pub mod timeskew;
 pub mod timestep;
 pub mod timetile;

@@ -197,8 +197,10 @@ pub(crate) fn row_shape(di: usize, ps: usize, base: u64) -> RowShape {
 
 /// Replays the exact address trace of one iteration (array `A` at byte 0,
 /// allocated `di x dj x n`), one [`AccessSink::row`] call per stride-2 row
-/// segment of [`visit_rows`]. Per updated point the accesses follow the
-/// source expression: centre load, the six neighbour loads, centre store.
+/// segment of [`visit_rows`], except under 1×1 tiles, where each tile's
+/// points form rows of (red, black) pairs stepping two planes. Per
+/// updated point the accesses follow the source expression: centre load,
+/// the six neighbour loads, centre store.
 pub fn trace<S: AccessSink>(
     n: usize,
     nk: usize,
@@ -210,6 +212,10 @@ pub fn trace<S: AccessSink>(
     assert!(di >= n && dj >= n);
     let ps = di * dj;
     let shape = row_shape(di, ps, 0);
+    if schedule == Schedule::Tiled(TileDims::new(1, 1)) {
+        trace_unit_tiles(n, nk, di, ps, &shape, sink);
+        return;
+    }
     visit_rows(n, nk, schedule, |i0, i1, j, k| {
         sink.row(
             &shape,
@@ -217,6 +223,57 @@ pub fn trace<S: AccessSink>(
             (i1 - i0) / 2 + 1,
         );
     });
+}
+
+/// The trace of the 1×1-tiled schedule. Its tile `(II, JJ)` updates, for
+/// each `KK` of the tile's parity, the red point `(II+1, JJ+1, KK+1)` and
+/// then the black point `(II, JJ, KK)`, each where it is an interior
+/// point. So per tile, `KK` steps two planes, and the points form up to
+/// three rows: a lone red point (at `KK = 0`), (red, black) pairs, and a
+/// lone black point (at `KK = nk - 2`). A pair is one composite point
+/// based at the black point, the red point's slots first, at
+/// `8 * (1 + di + ps)`. A tile on the grid edge has only one colour: one
+/// row of it, stepping two planes.
+fn trace_unit_tiles<S: AccessSink>(
+    n: usize,
+    nk: usize,
+    di: usize,
+    ps: usize,
+    shape: &RowShape,
+    sink: &mut S,
+) {
+    let step = 16 * ps as i64;
+    let single = RowShape::new(step).append(shape, 0);
+    let pair = RowShape::new(step)
+        .append(shape, 8 * (1 + di + ps) as i64)
+        .append(shape, 0);
+    let at = |i: usize, j: usize, k: usize| ((i + j * di + k * ps) * 8) as u64;
+    for jj in 0..=n - 2 {
+        for ii in 0..=n - 2 {
+            let (reds, blacks) = (ii < n - 2 && jj < n - 2, ii >= 1 && jj >= 1);
+            // The row being gathered: (kind, base, points), where kind 0
+            // is red, 1 black and 2 a pair.
+            let mut run: Option<(u8, u64, usize)> = None;
+            let mut flush = |run: Option<(u8, u64, usize)>| {
+                if let Some((kind, base, points)) = run {
+                    sink.row(if kind == 2 { &pair } else { &single }, base, points);
+                }
+            };
+            for kk in ((ii + jj) % 2..=nk - 2).step_by(2) {
+                let (kind, base) = match (reds && kk < nk - 2, blacks && kk >= 1) {
+                    (true, true) => (2, at(ii, jj, kk)),
+                    (true, false) => (0, at(ii + 1, jj + 1, kk + 1)),
+                    (false, true) => (1, at(ii, jj, kk)),
+                    (false, false) => continue,
+                };
+                match &mut run {
+                    Some((k, _, points)) if *k == kind => *points += 1,
+                    _ => flush(run.replace((kind, base, 1))),
+                }
+            }
+            flush(run);
+        }
+    }
 }
 
 #[cfg(test)]
@@ -368,6 +425,49 @@ mod tests {
         trace(n, n, 13, 12, Schedule::Tiled(TileDims::new(3, 4)), &mut ct);
         assert_eq!(ct.reads, 7 * pts);
         assert_eq!(ct.writes, pts);
+    }
+
+    /// Every schedule's trace, expanded access by access through the
+    /// default `row`, is `visit`'s points in order, each issuing
+    /// `row_shape`'s slots. The sizes put the lone red point at `KK = 0`
+    /// and the lone black one at `KK = nk - 2` on both parities, and
+    /// one-colour tiles on every grid edge, under the 1×1 tile's pairs.
+    #[test]
+    fn trace_expands_to_visit_points_times_row_shape() {
+        struct Rec(Vec<(u64, bool)>);
+        impl AccessSink for Rec {
+            fn read(&mut self, a: u64) {
+                self.0.push((a, false));
+            }
+            fn write(&mut self, a: u64) {
+                self.0.push((a, true));
+            }
+        }
+        for n in 5..=8usize {
+            for nk in 3..=6usize {
+                let (di, dj) = (n + 1, n + 2);
+                let ps = di * dj;
+                let shape = row_shape(di, ps, 0);
+                for sched in [
+                    Schedule::Naive,
+                    Schedule::Fused,
+                    Schedule::Tiled(TileDims::new(1, 1)),
+                    Schedule::Tiled(TileDims::new(1, 2)),
+                    Schedule::Tiled(TileDims::new(3, 2)),
+                ] {
+                    let mut got = Rec(Vec::new());
+                    trace(n, nk, di, dj, sched, &mut got);
+                    let mut want = Vec::new();
+                    visit(n, nk, sched, |i, j, k| {
+                        let base = ((i + j * di + k * ps) * 8) as u64;
+                        for s in shape.slots() {
+                            want.push((base.wrapping_add(s.offset as u64), s.write));
+                        }
+                    });
+                    assert_eq!(got.0, want, "n={n} nk={nk} {sched:?}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -17,7 +17,7 @@ use tiling3d_cachesim::{AccessSink, RowShape};
 use tiling3d_grid::Array3;
 use tiling3d_loopnest::{for_each_rows, for_each_tiled_rows, IterSpace, TileDims};
 
-use crate::rowexec;
+use crate::{rowexec, rowtrace};
 
 /// FLOPs per interior point: 26 adds within/between neighbour groups plus
 /// the `V` subtraction and 4 coefficient multiplies — 31 total. (A1 is kept
@@ -165,10 +165,11 @@ pub(crate) fn slab(
 }
 
 /// Replays the exact address trace of one sweep, one [`AccessSink::row`]
-/// call per row segment. Layout: `R` at byte 0, then `U`, then `V`,
-/// consecutively allocated (`di x dj x nk` each). Per point: 27 `U` loads
-/// in source order (centre, faces, edges, corners), the `V` load, the `R`
-/// store.
+/// call per row segment, or per group of rows for a tile under 4 points
+/// wide (as in [`crate::jacobi3d::trace`]). Layout: `R` at byte 0, then
+/// `U`, then `V`, consecutively allocated (`di x dj x nk` each). Per
+/// point: 27 `U` loads in source order (centre, faces, edges, corners),
+/// the `V` load, the `R` store.
 pub fn trace<S: AccessSink>(
     ni: usize,
     nj: usize,
@@ -210,13 +211,7 @@ pub fn trace_at<S: AccessSink>(
         .reads(stencil.map(u))
         .read(v_base as i64)
         .write(r_base as i64);
-    let row = |i0: usize, i1: usize, j: usize, k: usize| {
-        sink.row(&shape, ((i0 + j * di + k * ps) * 8) as u64, i1 - i0 + 1);
-    };
-    match tile {
-        None => for_each_rows(space, row),
-        Some(t) => for_each_tiled_rows(space, t, row),
-    }
+    rowtrace::sweep(space, tile, di, ps, &shape, sink);
 }
 
 #[cfg(test)]
@@ -312,8 +307,11 @@ mod tests {
 
     #[test]
     fn trace_emission_order_matches_offset_tables() {
-        // The hand-batched body must replay byte-for-byte the stream the
-        // offset-table loops produced before runs were introduced.
+        // The row-batched trace must replay byte-for-byte the stream of
+        // the offset-table loops, untiled and under tiles whose rows
+        // group into composite points (1×1, and 2 and 3 wide with edge
+        // tiles of other widths and heights).
+        use tiling3d_loopnest::{for_each, for_each_tiled};
         struct Collect(Vec<(bool, u64)>);
         impl AccessSink for Collect {
             fn read(&mut self, a: u64) {
@@ -324,32 +322,36 @@ mod tests {
             }
         }
         let (n, di, dj) = (7usize, 9usize, 8usize);
-        let mut got = Collect(Vec::new());
-        trace(n, n, n, di, dj, None, &mut got);
-
         let ps = di * dj;
         let bytes = (di * dj * n * 8) as u64;
         let (dii, psi) = (di as i64, ps as i64);
-        let mut want = Vec::new();
-        for k in 1..n - 1 {
-            for j in 1..n - 1 {
-                for i in 1..n - 1 {
-                    let idx = (i + j * di + k * ps) as i64;
-                    let u = |off: i64| bytes + ((idx + off) * 8) as u64;
-                    want.push((false, u(0)));
-                    for o in faces(dii, psi)
-                        .iter()
-                        .chain(&edges(dii, psi))
-                        .chain(&corners(dii, psi))
-                    {
-                        want.push((false, u(*o)));
-                    }
-                    want.push((false, 2 * bytes + (idx * 8) as u64));
-                    want.push((true, (idx * 8) as u64));
+        for tile in [None, Some((1, 1)), Some((2, 3)), Some((3, 1))] {
+            let tile = tile.map(|(ti, tj)| TileDims::new(ti, tj));
+            let mut got = Collect(Vec::new());
+            trace(n, n, n, di, dj, tile, &mut got);
+
+            let mut want = Vec::new();
+            let point = |i: usize, j: usize, k: usize| {
+                let idx = (i + j * di + k * ps) as i64;
+                let u = |off: i64| bytes + ((idx + off) * 8) as u64;
+                want.push((false, u(0)));
+                for o in faces(dii, psi)
+                    .iter()
+                    .chain(&edges(dii, psi))
+                    .chain(&corners(dii, psi))
+                {
+                    want.push((false, u(*o)));
                 }
+                want.push((false, 2 * bytes + (idx * 8) as u64));
+                want.push((true, (idx * 8) as u64));
+            };
+            let space = IterSpace::interior(n, n, n);
+            match tile {
+                None => for_each(space, point),
+                Some(t) => for_each_tiled(space, t, point),
             }
+            assert_eq!(got.0, want, "{tile:?}");
         }
-        assert_eq!(got.0, want);
     }
 
     #[test]
