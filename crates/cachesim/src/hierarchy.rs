@@ -243,6 +243,20 @@ impl<A: Level, B: Level> Levels<A, B> {
         t.l2.writes += stores;
     }
 
+    /// [`Levels::expand`] out of line, into a tally of its own: the
+    /// expansions inside a planned row (short remainder chunks,
+    /// point-major classes that are not memoized, memo misses). Inlined
+    /// among the other replay loops, it compiled to a loop 6–17% slower
+    /// on the strided rows of Euc3D's narrow tiles. Short rows keep the
+    /// inlined loop: a call per 1–3 point row cost red-black's narrow
+    /// tiles 22–31%.
+    #[inline(never)]
+    fn point_major(&mut self, slots: &[Slot], step: i64, base: u64, points: usize) -> Tallies {
+        let mut t = Tallies::default();
+        self.expand(&mut t, slots, step, base, points);
+        t
+    }
+
     /// A row: split into chunks and each chunk into classes that touch
     /// disjoint L1 and L2 sets (DESIGN.md, "Row-level replay"). Classes
     /// cannot affect each other's hits, misses or replacement order, so
@@ -269,7 +283,7 @@ impl<A: Level, B: Level> Levels<A, B> {
             let n = (points - done).min(CHUNK_POINTS);
             let b = base.wrapping_add((done as i64 * step) as u64);
             if n < MIN_PLANNED_POINTS {
-                self.expand(t, shape.slots(), step, b, n);
+                t.add(&self.point_major(shape.slots(), step, b, n));
             } else {
                 let mut plan = plans.get(n, b);
                 if plan.strict.is_some() && self.any_l1_resident(&plan.quiet, b) {
@@ -301,10 +315,10 @@ impl<A: Level, B: Level> Levels<A, B> {
         match class {
             Class::Run(s) => self.run(t, *s, step, base, points),
             Class::Clean(c) => self.clean(t, c, base),
-            Class::PointMajor(c) if A::DIRECT_MAPPED && B::DIRECT_MAPPED => {
+            Class::PointMajor(c) if A::DIRECT_MAPPED && B::DIRECT_MAPPED && c.memoize => {
                 self.memoized(t, c, step, base, points);
             }
-            Class::PointMajor(c) => self.expand(t, &c.slots, step, base, points),
+            Class::PointMajor(c) => t.add(&self.point_major(&c.slots, step, base, points)),
         }
     }
 
@@ -328,8 +342,10 @@ impl<A: Level, B: Level> Levels<A, B> {
         if let Some(o) = c.memo.get() {
             t.l1.add(&o.l1);
             t.l2.add(&o.l2);
-            for (w, &word) in o.resident.iter().enumerate() {
-                let mut bits = word;
+            // A line resident at the start and at the end already holds its
+            // set; only the lines the chunk brings in are installed.
+            for (w, (&end, &start)) in o.resident.iter().zip(&c.memo.key).enumerate() {
+                let mut bits = end & !start;
                 while bits != 0 {
                     let i = w * 64 + bits.trailing_zeros() as usize;
                     bits &= bits - 1;
@@ -345,8 +361,7 @@ impl<A: Level, B: Level> Levels<A, B> {
             }
             return;
         }
-        let mut own = Tallies::default();
-        self.expand(&mut own, &c.slots, step, base, points);
+        let own = self.point_major(&c.slots, step, base, points);
         t.add(&own);
         let start = std::mem::take(&mut c.memo.key);
         self.residency(c, base);
@@ -359,20 +374,35 @@ impl<A: Level, B: Level> Levels<A, B> {
     }
 
     /// Sets `c.memo.key` to one bit per line of `c`, set when the line is
-    /// resident at its level in the chunk at `base`.
+    /// resident at its level in the chunk at `base`: bit `i % 64` of word
+    /// `i / 64` for line `i`. One loop probes the L1 lines and one the L2
+    /// lines, and the bits are packed into a word kept in a register and
+    /// stored once per 64 lines.
     #[inline(always)]
     fn residency(&self, c: &mut PointMajorClass, base: u64) {
         let key = &mut c.memo.key;
         key.clear();
-        key.resize(c.lines.len().div_ceil(64), 0);
-        for (i, &offset) in c.lines.iter().enumerate() {
-            let a = base.wrapping_add(offset as u64);
-            let resident = if i < c.l1_lines {
-                self.l1.probe(a)
-            } else {
-                self.l2.probe(a)
-            };
-            key[i / 64] |= u64::from(resident) << (i % 64);
+        key.reserve(c.lines.len().div_ceil(64));
+        let (l1, l2) = c.lines.split_at(c.l1_lines);
+        let mut word = 0u64;
+        let mut pack = |i: usize, resident: bool| {
+            word |= u64::from(resident) << (i % 64);
+            if i % 64 == 63 {
+                key.push(word);
+                word = 0;
+            }
+        };
+        for (i, &offset) in l1.iter().enumerate() {
+            pack(i, self.l1.probe(base.wrapping_add(offset as u64)));
+        }
+        for (i, &offset) in l2.iter().enumerate() {
+            pack(
+                c.l1_lines + i,
+                self.l2.probe(base.wrapping_add(offset as u64)),
+            );
+        }
+        if !c.lines.len().is_multiple_of(64) {
+            key.push(word);
         }
     }
 
@@ -445,7 +475,7 @@ impl AccessSink for Hierarchy {
 
     /// A one-slot shape (a copy row) is a single run at stride `step`,
     /// which the run loops replay exactly at any step, so it skips the
-    /// planner. Planning it would also drop the plans of the shape it
+    /// planner. Planning it would also drop the plans of the shapes it
     /// alternates with (a copy row's load run, then its store run) on
     /// every call.
     fn row(&mut self, shape: &RowShape, base: u64, points: usize) {
@@ -541,5 +571,44 @@ mod tests {
         let lens = h.rows.memo_lens();
         assert_eq!(lens.len(), 1);
         assert_eq!(lens[0], crate::row::MEMO_CAP);
+    }
+
+    #[test]
+    fn plane_stepping_columns_replay_from_the_memo() {
+        // The K-columns of RESID's 1×1 tile at N = 256: 27 loads of U, one
+        // of V and a store to R per point, each column one row of 28
+        // points stepping a plane, which collides with itself in the
+        // 16 KB L1.
+        let (row, plane) = (8 * 256i64, 8 * 256 * 256i64);
+        let (u, v) = (30 * plane, 60 * plane);
+        let shape = RowShape::new(plane)
+            .reads((-1..=1).flat_map(|k| {
+                (-1..=1).flat_map(move |j| (-1..=1).map(move |i| u + 8 * i + row * j + plane * k))
+            }))
+            .read(v)
+            .write(0);
+        let mut h = Hierarchy::ultrasparc2();
+        let mut twin = Hierarchy::ultrasparc2();
+        let columns = 2 * 254u64;
+        for c in 0..columns {
+            let base = 8 * (1 + c % 254 + (1 + c / 254) * 256) + plane as u64;
+            h.row(&shape, base, 28);
+            shape.expand(&mut twin, base, 28);
+        }
+        assert_eq!(h.l1_stats(), twin.l1_stats());
+        assert_eq!(h.l2_stats(), twin.l2_stats());
+        // One memoized class per phase met, each holding a few starting
+        // states: the other columns hit a memo.
+        let lens = h.rows.memo_lens();
+        assert_eq!(lens.len(), 8, "{lens:?}");
+        assert!(
+            lens.iter().all(|n| (1..=crate::row::MEMO_CAP).contains(n)),
+            "{lens:?}"
+        );
+        let states: usize = lens.iter().sum();
+        assert!(
+            states < columns as usize / 8,
+            "{states} states over {columns} columns"
+        );
     }
 }

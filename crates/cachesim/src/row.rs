@@ -195,6 +195,19 @@ pub(crate) struct CleanClass {
 /// is full, new states replay point-major without being recorded.
 pub(crate) const MEMO_CAP: usize = 64;
 
+/// A long-step chunk is memoized only when its accesses number at least
+/// this many quarters of its [`PointMajorClass::lines`]: a memo hit probes
+/// every line and installs the lines the chunk brings in, which costs
+/// about as much as expanding that many accesses. Chosen from per-point
+/// timings on the paper's geometry, with loops aligned to 64 bytes so
+/// that code placement does not decide: JACOBI's 1×1 columns (0.69–0.86
+/// accesses per line, by phase) ran 1.04–1.18x faster than expanded with
+/// this bound, against 0.99–1.21x with every chunk memoized; red-black's
+/// 1×1 pair rows (0.79–1.30) 1.30–1.37x, against 1.16x with a bound of
+/// 9/8, which leaves their sparser phases expanded; RESID's 1×1 columns
+/// (1.72–2.78) 2.4–2.9x with any bound.
+const LONG_STEP_MEMO_QUARTERS: usize = 3;
+
 /// A class with set conflicts or stores without a preceding load, replayed
 /// point-major over its own slots, or from its memo when both levels are
 /// direct-mapped.
@@ -208,7 +221,29 @@ pub(crate) struct PointMajorClass {
     pub lines: Vec<i64>,
     /// How many of `lines` are L1 lines.
     pub l1_lines: usize,
+    /// False for a long-step chunk with too few accesses per line (see
+    /// [`LONG_STEP_MEMO_QUARTERS`]): it replays point-major on every
+    /// level.
+    pub memoize: bool,
     pub memo: Memo,
+}
+
+impl PointMajorClass {
+    /// The class of `slots` over a chunk of `points` points `step` bytes
+    /// apart whose base is `phase` modulo the L2 line size, on L1 and L2
+    /// lines of `1 << s1` and `1 << s2` bytes.
+    fn new(slots: Vec<Slot>, step: i64, points: usize, phase: u64, s1: u32, s2: u32) -> Self {
+        let mut lines = touched_lines(&slots, step, points, phase, s1);
+        let l1_lines = lines.len();
+        lines.extend(touched_lines(&slots, step, points, phase, s2));
+        PointMajorClass {
+            slots,
+            lines,
+            l1_lines,
+            memoize: true,
+            memo: Memo::default(),
+        }
+    }
 }
 
 /// What replaying a class did from one starting state.
@@ -312,56 +347,84 @@ pub(crate) struct RowPlan {
     pub strict: Option<Box<RowPlan>>,
 }
 
-/// The plans computed so far for one shape of one hierarchy, by
-/// `(points, phase)`. Chunks hold [`MIN_PLANNED_POINTS`] to
-/// [`CHUNK_POINTS`] points and the phase is below the L2 line size, so
-/// the plans fit a flat table indexed by both.
+/// The plans computed so far for one shape, by `(points, phase)`. Chunks
+/// hold [`MIN_PLANNED_POINTS`] to [`CHUNK_POINTS`] points and the phase is
+/// below the L2 line size, so the plans fit a flat table indexed by both.
+#[derive(Clone, Debug)]
+struct PlanTable {
+    /// The table's shape. Its slot storage is shared with the caller's
+    /// shape, and holding it keeps that storage from being freed and
+    /// reused for another shape's slots.
+    shape: Option<RowShape>,
+    /// The plan for `(points, phase)` at `(points - MIN_PLANNED_POINTS) *
+    /// L2 line + phase`.
+    plans: Vec<Option<Box<RowPlan>>>,
+}
+
+impl PlanTable {
+    /// True when `shape` is the table's shape, which then holds `shape`'s
+    /// storage. A shape that shares the table's slot storage is its shape:
+    /// the storage cannot have been freed and reused while the table holds
+    /// it, and it is never changed while shared. Only a shape built
+    /// separately compares its slots.
+    fn holds(&mut self, shape: &RowShape) -> bool {
+        match &self.shape {
+            Some(s) if Arc::ptr_eq(&s.slots, &shape.slots) && s.step == shape.step => true,
+            Some(s) if s == shape => {
+                self.shape = Some(shape.clone());
+                true
+            }
+            _ => false,
+        }
+    }
+}
+
+/// The plans of one hierarchy for its two most recent shapes. A walker
+/// that alternates two shapes (red-black's 1×1 pair rows and the
+/// one-colour rows of its edge tiles) keeps the plans, and their memos,
+/// of both.
 #[derive(Clone, Debug)]
 pub(crate) struct RowPlans {
     l1: CacheConfig,
     l2: CacheConfig,
-    /// The current shape. Its slot storage is shared with the caller's
-    /// shape, and holding it keeps that storage from being freed and
-    /// reused for another shape's slots.
-    shape: Option<RowShape>,
-    /// The current shape's plans, the plan for `(points, phase)` at
-    /// `(points - MIN_PLANNED_POINTS) * L2 line + phase`.
-    plans: Vec<Option<Box<RowPlan>>>,
+    /// The current shape's table, then the previous shape's.
+    tables: [PlanTable; 2],
 }
 
 impl RowPlans {
     /// No plans yet, for the hierarchy of levels `l1` over `l2`.
     pub(crate) fn new(l1: CacheConfig, l2: CacheConfig) -> Self {
+        let table = PlanTable {
+            shape: None,
+            plans: vec![None; (CHUNK_POINTS - MIN_PLANNED_POINTS + 1) * l2.line_bytes],
+        };
         RowPlans {
             l1,
             l2,
-            shape: None,
-            plans: vec![None; (CHUNK_POINTS - MIN_PLANNED_POINTS + 1) * l2.line_bytes],
+            tables: [table.clone(), table],
         }
     }
 
-    /// True when rows of `shape` can be planned: ascending points no
-    /// farther apart than an L1 line (so each slot touches every line
-    /// between its first and last address) and L2 lines at least as long
-    /// as L1 lines (so an L1 miss's L2 line is that of its L1 line).
+    /// True when rows of `shape` can be planned: ascending points, and L2
+    /// lines at least as long as L1 lines (so an L1 miss's L2 line is that
+    /// of its L1 line). Points farther apart than an L1 line are planned
+    /// as one class per chunk (see [`plan`]).
     pub(crate) fn plannable(&self, shape: &RowShape) -> bool {
-        shape.step > 0
-            && shape.step <= self.l1.line_bytes as i64
-            && self.l2.line_bytes >= self.l1.line_bytes
+        shape.step > 0 && self.l2.line_bytes >= self.l1.line_bytes
     }
 
-    /// Makes `shape` the current shape, dropping the plans of any other.
-    /// A shape that shares the current one's slot storage is the current
-    /// shape: the storage cannot have been freed and reused while the
-    /// current shape holds it, and it is never changed while shared. Only
-    /// a shape built separately compares its slots.
+    /// Makes `shape` the current shape. The previous shape's plans are
+    /// kept; those of the shape before it are dropped.
     pub(crate) fn select(&mut self, shape: &RowShape) {
-        match &self.shape {
-            Some(s) if Arc::ptr_eq(&s.slots, &shape.slots) && s.step == shape.step => return,
-            Some(s) if s == shape => {}
-            _ => self.plans.iter_mut().for_each(|p| *p = None),
+        if self.tables[0].holds(shape) {
+            return;
         }
-        self.shape = Some(shape.clone());
+        self.tables.swap(0, 1);
+        if !self.tables[0].holds(shape) {
+            let t = &mut self.tables[0];
+            t.plans.iter_mut().for_each(|p| *p = None);
+            t.shape = Some(shape.clone());
+        }
     }
 
     /// The plan for a chunk of `points` points of the current shape at
@@ -369,9 +432,10 @@ impl RowPlans {
     pub(crate) fn get(&mut self, points: usize, base: u64) -> &mut RowPlan {
         let line = self.l2.line_bytes;
         let phase = base & (line as u64 - 1);
-        let shape = self.shape.as_ref().expect("a shape is selected");
+        let t = &mut self.tables[0];
+        let shape = t.shape.as_ref().expect("a shape is selected");
         let (l1, l2) = (&self.l1, &self.l2);
-        self.plans[(points - MIN_PLANNED_POINTS) * line + phase as usize]
+        t.plans[(points - MIN_PLANNED_POINTS) * line + phase as usize]
             .get_or_insert_with(|| Box::new(plan(shape, points, phase, l1, l2)))
     }
 }
@@ -380,9 +444,9 @@ impl RowPlans {
 impl RowPlans {
     /// The memo size of every point-major class planned so far.
     pub(crate) fn memo_lens(&self) -> Vec<usize> {
-        self.plans
+        self.tables
             .iter()
-            .flatten()
+            .flat_map(|t| t.plans.iter().flatten())
             .flat_map(|p| std::iter::once(&**p).chain(p.strict.as_deref()))
             .flat_map(|p| &p.classes)
             .filter_map(|c| match c {
@@ -434,6 +498,10 @@ fn first_at_or_past(lo: i64, hi: i64, step: i64, at: i64) -> Option<(i64, i64)> 
 /// only on the arguments, and a base differing by whole L2 lines shifts
 /// every line and set uniformly, so one plan serves every chunk of the
 /// same `(shape, points, phase)`.
+///
+/// Points farther apart than an L1 line skip lines, so a slot's byte range
+/// says little about the sets it touches: such a chunk is one point-major
+/// class of all the slots, whose lines are enumerated point by point.
 pub(crate) fn plan(
     shape: &RowShape,
     points: usize,
@@ -441,6 +509,19 @@ pub(crate) fn plan(
     l1: &CacheConfig,
     l2: &CacheConfig,
 ) -> RowPlan {
+    if shape.step > l1.line_bytes as i64 {
+        let (s1, s2) = (
+            l1.line_bytes.trailing_zeros(),
+            l2.line_bytes.trailing_zeros(),
+        );
+        let mut c = PointMajorClass::new(shape.slots.to_vec(), shape.step, points, phase, s1, s2);
+        c.memoize = 4 * shape.slots.len() * points >= LONG_STEP_MEMO_QUARTERS * c.lines.len();
+        return RowPlan {
+            classes: vec![Class::PointMajor(c)],
+            quiet: Vec::new(),
+            strict: None,
+        };
+    }
     let relaxed = split(
         shape,
         points,
@@ -566,16 +647,8 @@ fn split(
             if clean {
                 Class::Clean(plan_clean(shape, &slots, points, phase, s1, s2))
             } else {
-                let slots: Vec<Slot> = slots.iter().map(|&i| shape.slots[i]).collect();
-                let mut lines = touched_lines(&slots, phase, span, s1);
-                let l1_lines = lines.len();
-                lines.extend(touched_lines(&slots, phase, span, s2));
-                Class::PointMajor(PointMajorClass {
-                    slots,
-                    lines,
-                    l1_lines,
-                    memo: Memo::default(),
-                })
+                let slots = slots.iter().map(|&i| shape.slots[i]).collect();
+                Class::PointMajor(PointMajorClass::new(slots, step, points, phase, s1, s2))
             }
         })
         .collect();
@@ -593,17 +666,21 @@ fn split(
 }
 
 /// One byte offset from the chunk base into each line of `1 << shift`
-/// bytes that `slots` touch over a chunk spanning `span` bytes, ascending.
-/// The step is at most a line, so each slot touches every line between
-/// its first and last address.
-fn touched_lines(slots: &[Slot], phase: u64, span: i64, shift: u32) -> Vec<i64> {
-    let mut lines: Vec<i64> = slots
-        .iter()
-        .flat_map(|s| {
-            let lo = phase as i64 + s.offset;
-            (lo >> shift)..=((lo + span) >> shift)
-        })
-        .collect();
+/// bytes that `points` points of `slots`, `step` bytes apart, touch,
+/// ascending. These are the lines of the accesses themselves: a step
+/// longer than a line skips the lines between them.
+fn touched_lines(slots: &[Slot], step: i64, points: usize, phase: u64, shift: u32) -> Vec<i64> {
+    let mut lines: Vec<i64> = Vec::new();
+    for s in slots {
+        let lo = phase as i64 + s.offset;
+        for p in 0..points as i64 {
+            // A slot's lines ascend; keep one entry per run of equal ones.
+            let line = (lo + p * step) >> shift;
+            if lines.last() != Some(&line) {
+                lines.push(line);
+            }
+        }
+    }
     lines.sort_unstable();
     lines.dedup();
     lines

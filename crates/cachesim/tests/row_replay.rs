@@ -421,6 +421,101 @@ fn memoized_conflict_classes_equal_per_access_expansion() {
     }
 }
 
+/// A stencil point of the three figure kernels' kinds, at leading
+/// dimension `row` bytes and plane `plane` bytes: a 7-point load pattern
+/// (JACOBI's, red-black's) or RESID's 27 loads, one more load a few planes
+/// on, and a store at the point.
+fn stencil_point(rng: &mut Xorshift64, row: i64, plane: i64) -> RowShape {
+    let far = plane * rng.range(2, 40) + 8 * rng.range(-1, 1);
+    let point = if rng.below(2) == 0 {
+        RowShape::new(8).reads([
+            far - 8,
+            far + 8,
+            far - row,
+            far + row,
+            far - plane,
+            far + plane,
+        ])
+    } else {
+        RowShape::new(8).reads((-1..=1).flat_map(|k| {
+            (-1..=1).flat_map(move |j| (-1..=1).map(move |i| far + 8 * i + row * j + plane * k))
+        }))
+    };
+    point.read(2 * far).write(0)
+}
+
+/// Long-step rows on every geometry: the K-columns of 1×1 tiles (one
+/// stencil point stepping a plane), red-black's (red, black) pairs (two
+/// points a plane apart, stepping two planes) and the rows of 2- and
+/// 3-wide tiles (copies of a point 8 bytes apart, stepping a row).
+/// Direct-mapped levels replay them from memos, associative ones expand
+/// them. Leading dimensions are random, whole L1 spans or L2 sizes, so the
+/// points collide with each other as at the paper's pathological sizes.
+/// Each shape replays as many rows translated by whole L2 lines (so the
+/// same plans and memos recur) with a little traffic into the row's lines
+/// between rows, so each memo meets starting states it has seen and ones
+/// it has not; some bases lie near 0 with offsets below it. After every
+/// row the counters must equal the per-access expansion's, and identical
+/// follow-up traffic must behave identically.
+#[test]
+fn long_step_memos_equal_per_access_expansion() {
+    for (name, l1, l2) in geometries() {
+        let sizes = l1.size_bytes + l2.size_bytes + l1.ways + 16 * l2.ways;
+        let mut rng = Xorshift64(0x10_4657EB + sizes as u64);
+        for case in 0..40 {
+            let row = match rng.below(3) {
+                0 => 8 * rng.range(5, 400),
+                1 => l1.size_bytes as i64 * rng.range(1, 2),
+                _ => l2.size_bytes as i64,
+            } + 8 * rng.range(-1, 1);
+            let plane = row * rng.range(5, 40) + 8 * rng.range(-1, 1);
+            let point = stencil_point(&mut rng, row, plane);
+            let (shape, points) = match case % 4 {
+                0 => (RowShape::new(plane).append(&point, 0), 28),
+                1 => {
+                    let black = stencil_point(&mut rng, row, plane);
+                    let pair = RowShape::new(2 * plane)
+                        .append(&point, plane + row + 8)
+                        .append(&black, 0);
+                    (pair, 14)
+                }
+                2 => {
+                    let wide = RowShape::new(row).append(&point, 0).append(&point, 8);
+                    (wide, 64)
+                }
+                _ => {
+                    let wide = RowShape::new(row)
+                        .append(&point, 0)
+                        .append(&point, 8)
+                        .append(&point, 16);
+                    (wide, 37)
+                }
+            };
+            let base = if case % 3 == 0 {
+                8 * rng.below(64)
+            } else {
+                (1u64 << 40) + 8 * rng.below(1 << 20)
+            };
+            let what = format!("{name} case {case}: points={points} base={base} {shape:?}");
+
+            let mut fast = Hierarchy::new(l1, l2);
+            let mut slow = PerAccess(Hierarchy::new(l1, l2));
+            for r in 0..60u64 {
+                let b = base.wrapping_add(64 * rng.below(8));
+                row_traffic(&mut rng, &mut fast, &mut slow, &shape, b, points);
+                fast.row(&shape, b, points);
+                slow.row(&shape, b, points);
+                assert_same(&fast, &slow, &format!("{what}, row {r} at {b}"));
+            }
+            for _ in 0..50 {
+                let b = base.wrapping_add(64 * rng.below(8));
+                row_traffic(&mut rng, &mut fast, &mut slow, &shape, b, points);
+            }
+            assert_same(&fast, &slow, &format!("{what} after follow-up traffic"));
+        }
+    }
+}
+
 /// The shapes of the three figure kernels at a conflict-free and a
 /// pathological leading dimension, on the paper's geometry: the clean
 /// read-only, single-store and load-then-store classes, and the

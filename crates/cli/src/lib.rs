@@ -42,10 +42,12 @@
 //! with the broken distance vector as typed witness.
 //!
 //! Every command also accepts the auto-appended observability flags
-//! (`--log-level`, `--trace-out`, `--progress`, `--format`); `plan`,
-//! `tiles`, `advise` and `analyze` honour `--format json` with a
-//! machine-readable rendering. Unknown or malformed flags are hard errors
-//! (exit code 2 from the binary) carrying the auto-generated usage text.
+//! (`--log-level`, `--trace-out`, `--progress`). Only `plan`, `tiles`,
+//! `advise`, `analyze` and `oracle` declare `--format text|json`, with a
+//! machine-readable rendering under `json`; the other commands reject
+//! `--format` as an unknown flag. Unknown or malformed flags are hard
+//! errors (exit code 2 from the binary) carrying the auto-generated usage
+//! text.
 //!
 //! `simulate --transform all` replays every transformation's trace, one
 //! pool worker per transform (`--jobs 0` / default = all cores); the
@@ -257,6 +259,8 @@ const LINE_FLAG: FlagSpec = FlagSpec::usize("--line", Some("32"), "cache line si
 const NK_FLAG: FlagSpec = FlagSpec::usize("--nk", Some("30"), "third-dimension extent");
 const JOBS_FLAG: FlagSpec =
     FlagSpec::usize("--jobs", Some("0"), "simulation workers (0 = one per core)");
+/// Declared only by the commands that render JSON; see [`json_format`].
+const FORMAT_FLAG: FlagSpec = FlagSpec::str("--format", Some("text"), "output format: text|json");
 const STEPS_FLAG: FlagSpec = FlagSpec::usize(
     "--steps",
     Some("0"),
@@ -381,8 +385,7 @@ fn policy_flags() -> &'static [FlagSpec] {
     &SweepOptions::FLAGS[..3]
 }
 
-/// Is `--format json` in effect? Rejects formats the tiling3d subcommands
-/// do not render (the bench drivers own `csv`).
+/// Is `--format json` in effect ([`FORMAT_FLAG`])? Rejects other formats.
 fn json_format(flags: &ParsedFlags) -> Result<bool, String> {
     match flags.str("--format") {
         "text" => Ok(false),
@@ -408,6 +411,7 @@ fn plan_flags() -> FlagSet {
             CACHE_KB_FLAG,
             STEPS_FLAG,
             JOBS_FLAG,
+            FORMAT_FLAG,
         ],
     )
 }
@@ -503,6 +507,7 @@ fn tiles_flags() -> FlagSet {
             FlagSpec::usize("--dj", None, "middle array dimension (default: --di)"),
             FlagSpec::usize("--cache", Some("2048"), "cache capacity in elements"),
             FlagSpec::usize("--tkmax", Some("4"), "largest array-tile depth to list"),
+            FORMAT_FLAG,
         ],
     )
 }
@@ -556,6 +561,7 @@ fn advise_flags() -> FlagSet {
             CACHE_KB_FLAG,
             STEPS_FLAG,
             JOBS_FLAG,
+            FORMAT_FLAG,
         ],
     )
 }
@@ -1010,6 +1016,7 @@ fn analyze_flags() -> FlagSet {
             ),
             NK_FLAG,
             GEOMETRY_FLAG,
+            FORMAT_FLAG,
         ],
     )
 }
@@ -1318,6 +1325,7 @@ fn oracle_flags() -> FlagSet {
                 "transformation to check (default: all)",
             ),
             GEOMETRY_FLAG,
+            FORMAT_FLAG,
         ],
     )
 }

@@ -1,7 +1,8 @@
 //! `tiling3d` — plan, analyse, simulate and profile 3D stencil tiling from
 //! the command line. See `tiling3d_cli` for the commands; every subcommand
 //! accepts `--help` plus the shared observability flags (`--log-level`,
-//! `--trace-out`, `--progress`, `--format`).
+//! `--trace-out`, `--progress`); the commands that render JSON also take
+//! `--format text|json`.
 
 fn main() {
     let raw: Vec<String> = std::env::args().skip(1).collect();

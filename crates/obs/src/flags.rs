@@ -6,8 +6,10 @@
 //! positional scanner and the bench drivers' free functions). Unknown or
 //! malformed flags are hard errors; usage text is generated from the
 //! declarations so it cannot drift from what the parser accepts; the
-//! observability flags (`--log-level`, `--trace-out`, `--progress`,
-//! `--format`) are appended to every set automatically.
+//! observability flags (`--log-level`, `--trace-out`, `--progress`) are
+//! appended to every set automatically. An output format is not one of
+//! them: a command that renders more than one format declares its own
+//! `--format`, so every other command rejects it as an unknown flag.
 
 use std::collections::BTreeMap;
 use std::path::PathBuf;
@@ -111,7 +113,6 @@ pub const OBS_FLAGS: &[FlagSpec] = &[
     ),
     FlagSpec::str("--trace-out", None, "write a JSONL trace to this path"),
     FlagSpec::switch("--progress", "emit progress ticks on stderr"),
-    FlagSpec::str("--format", Some("text"), "output format: text|csv|json"),
 ];
 
 /// A command's declared flag surface: name, about line, optional
@@ -404,6 +405,7 @@ mod tests {
             Some(("kernel", "which kernel")),
             &[
                 FlagSpec::usize("--n", Some("64"), "problem size"),
+                FlagSpec::str("--mode", Some("fast"), "run mode"),
                 FlagSpec::switch("--csv", "emit csv"),
                 FlagSpec::pair("--dims", "array dims"),
             ],
@@ -427,7 +429,7 @@ mod tests {
         assert_eq!(d.usize("--n"), 64);
         assert!(!d.switch("--csv"));
         assert_eq!(d.try_pair("--dims"), None);
-        assert_eq!(d.str("--format"), "text");
+        assert_eq!(d.str("--mode"), "fast");
     }
 
     #[test]
@@ -443,6 +445,10 @@ mod tests {
         assert!(err.contains("missing value"), "{err}");
         let err = set().parse(&argv("a b")).unwrap_err();
         assert!(err.contains("unexpected argument 'b'"), "{err}");
+        // No output format is appended: a set that does not declare one
+        // rejects it.
+        let err = set().parse(&argv("--format json")).unwrap_err();
+        assert!(err.contains("unknown flag '--format'"), "{err}");
     }
 
     #[test]
@@ -461,7 +467,7 @@ mod tests {
         let p = set().parse(&argv("--csv")).unwrap();
         assert!(p.opt_switch("--csv"));
         assert!(!p.opt_switch("--never-declared"));
-        assert_eq!(p.opt_str("--format"), Some("text"));
+        assert_eq!(p.opt_str("--mode"), Some("fast"));
         assert_eq!(p.opt_str("--never-declared"), None);
     }
 
